@@ -28,7 +28,12 @@ from pronydec import (
     signal_coeffs,
     sup_error_away,
 )
-from pronydec.fourier import jump_basis_eval, read_window_file, write_window_file
+from pronydec.fourier import (
+    QUAD_CERT,
+    jump_basis_eval,
+    read_window_file,
+    write_window_file,
+)
 
 
 def sawtooth_window(bandwidth):
@@ -166,6 +171,24 @@ class TestPartialSum:
         # one-sided limits at the jump are +-pi; their mean is 0
         assert abs(partial_sum(window, math.pi)) < 1e-10
 
+    def test_imaginary_residue_within_symmetry_tolerance(self):
+        # each coefficient passes the real-signal symmetry check, yet the
+        # summed imaginary parts reach 4.6e-10; only the real part is returned
+        window = CoefficientWindow(np.full(1025, 0.45e-12j), 512)
+        assert window.real_signal
+        assert partial_sum(window, 0.0) == 0.0
+
+
+class TestCoefficientWindow:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    @pytest.mark.parametrize("real_signal", [True, False])
+    def test_nonfinite_rejected(self, bad, real_signal):
+        coeffs = np.zeros(5, dtype=complex)
+        coeffs[1] = bad
+        coeffs[3] = np.conj(bad)
+        with pytest.raises(ValidationError, match="finite"):
+            CoefficientWindow(coeffs, 2, real_signal=real_signal)
+
 
 class TestEckhoffTransform:
     def test_sawtooth_closed_form(self):
@@ -281,6 +304,41 @@ class TestMollifier:
         with pytest.raises(ValidationError):
             build_mollifier(0.0, 0.2, 0.6, 8)
 
+    @pytest.mark.parametrize(
+        "half, flat, degree",
+        [(0.6, 0.2, 64), (1.5, 0.5, 512), (1.5 / 3, 1.5 / 9, 384),
+         (math.pi, 1.0, 96), (0.2, 0.199, 64), (0.2, 0.19, 256)],
+    )
+    def test_coefficients_match_quadrature_oracle(self, half, flat, degree):
+        # (1/pi) * integral over [0, pi] of bump(x) cos(n x): the flat part in
+        # closed form, the transition by QAWO on the scalar smoothstep
+        def smoothstep(u):
+            if u <= 0.0:
+                return 1.0
+            if u >= 1.0:
+                return 0.0
+            a = math.exp(-1.0 / (1.0 - u))
+            b = math.exp(-1.0 / u)
+            return a / (a + b)
+
+        width = half - flat
+        moll = build_mollifier(0.0, half, flat, degree)
+        assert moll.accuracy <= QUAD_CERT
+        for n in sorted({0, 1, 7, degree // 2, degree}):
+            transition = lambda x: smoothstep((x - flat) / width)
+            if n == 0:
+                tail = quad(transition, flat, half, epsabs=2e-14, epsrel=0.0, limit=200)[0]
+                oracle = (flat + tail) / math.pi
+            else:
+                tail = quad(transition, flat, half, weight="cos", wvar=n,
+                            epsabs=2e-14, epsrel=0.0, limit=200)[0]
+                oracle = (math.sin(n * flat) / n + tail) / math.pi
+            assert abs(moll.centered_coeffs[n] - oracle) <= QUAD_CERT
+
+    def test_uncertifiable_transition_raises(self):
+        with pytest.raises(pd.QuadratureError):
+            build_mollifier(0.0, 0.2, 0.2 - 1e-9, 8)
+
 
 class TestLocalize:
     def test_identity_mollifier(self):
@@ -382,20 +440,74 @@ class TestReconstruct:
             reconstruct(sawtooth_window(8), 0, 1, 1.0)
 
 
+@pytest.fixture(scope="module")
+def one_jump_case():
+    sig = random_piecewise_signal(0, 1, seed=1)
+    return sig, reconstruct(signal_coeffs(sig, 32), 0, 1, 6.0)
+
+
 class TestSupErrorAway:
-    def test_everything_excluded(self):
-        sig = random_piecewise_signal(0, 1, seed=1)
-        window = signal_coeffs(sig, 32)
-        result = reconstruct(window, 0, 1, 6.0)
-        with pytest.raises(ValidationError):
+    def test_everything_excluded(self, one_jump_case):
+        sig, result = one_jump_case
+        with pytest.raises(ValidationError, match="removed every grid point"):
             sup_error_away(sig, result, 4.0, 64)
 
-    def test_radius_positive(self):
-        sig = random_piecewise_signal(0, 1, seed=1)
-        window = signal_coeffs(sig, 32)
-        result = reconstruct(window, 0, 1, 6.0)
-        with pytest.raises(ValidationError):
+    def test_radius_positive(self, one_jump_case):
+        sig, result = one_jump_case
+        with pytest.raises(ValidationError, match="exclusion radius must be finite and positive"):
             sup_error_away(sig, result, 0.0, 64)
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_radius_finite(self, one_jump_case, radius):
+        sig, result = one_jump_case
+        with pytest.raises(ValidationError, match="exclusion radius must be finite and positive"):
+            sup_error_away(sig, result, radius, 64)
+
+    @pytest.mark.parametrize("grid_size", [0, -3, 64.5])
+    def test_grid_size_validated(self, one_jump_case, grid_size):
+        sig, result = one_jump_case
+        with pytest.raises(ValidationError, match="grid_size must be an integer >= 1"):
+            sup_error_away(sig, result, 0.1, grid_size)
+
+    @pytest.mark.parametrize("m", [64, 2048])
+    @pytest.mark.parametrize("grid_size", [1024, 999, 100])
+    def test_matches_dense_oracle(self, m, grid_size):
+        # criterion-6 shapes; a 100-point grid folds each window more than once
+        d, k, separation = 1, 2, 1.5
+        sig = random_piecewise_signal(d, k, seed=3, min_separation=1.6,
+                                      base_magnitude_range=(3.0, 5.0),
+                                      psi_decay=1.0, psi_degree=8192)
+        result = reconstruct(signal_coeffs(sig, m), d, k, separation)
+        radius = 0.1
+
+        grid = -math.pi + 2 * math.pi * np.arange(grid_size) / grid_size
+        dist = np.min([np.abs(np.angle(np.exp(1j * (grid - xj)))) for xj in sig.jumps], axis=0)
+        x = grid[dist > radius]
+        psi = np.asarray(sig.psi_coeffs)
+        ns = np.arange(1, len(psi))
+        sig_ks = np.concatenate([-ns[::-1], [0], ns])
+        sig_c = np.concatenate([np.conj(psi[:0:-1]), [psi[0].real], psi[1:]])
+        res_ks = np.arange(-m, m + 1)
+        oracle = evaluate_absorbing(sig.jumps, sig.magnitudes, x) - evaluate_absorbing(
+            result.jumps, result.magnitudes, x
+        )
+        for s in range(0, len(x), 128):
+            xb = x[s:s + 128]
+            smooth = np.exp(1j * np.outer(xb, sig_ks)) @ sig_c
+            smooth -= np.exp(1j * np.outer(xb, res_ks)) @ result.corrected.coeffs
+            oracle[s:s + 128] += smooth.real
+        want = float(np.max(np.abs(oracle)))
+        got = sup_error_away(sig, result, radius, grid_size)
+        assert abs(got - want) <= 1e-12
+
+    def test_matches_pointwise_evaluation(self):
+        # the arbitrary-x evaluators agree with the grid path on the kept points
+        sig = random_piecewise_signal(2, 1, seed=4, psi_decay=4.0, psi_degree=8192)
+        result = reconstruct(signal_coeffs(sig, 128), 2, 1, 8.0)
+        grid = -math.pi + 2 * math.pi * np.arange(999) / 999
+        x = grid[np.abs(np.angle(np.exp(1j * (grid - sig.jumps[0])))) > 0.1]
+        want = float(np.max(np.abs(pd.evaluate_signal(sig, x) - result.evaluate(x))))
+        assert abs(sup_error_away(sig, result, 0.1, 999) - want) <= 1e-12
 
 
 class TestWindowFile:
