@@ -4,28 +4,29 @@ and the first-order a-priori error bounds."""
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 
 import numpy as np
 
-from .forward import regularity_check, stride_separation
+from .forward import _check_scheme, _scheme_ks, regularity_check, stride_separation
 from .model import (
     TWO_PI,
     AmbiguousBranchError,
+    ErrorBounds,
     PronyModel,
     SampleSet,
     ValidationError,
+    _assign_nodes,
     circle_distance,
     wrap_angle,
 )
 from .solvers import (
     SolverReport,
+    _fit_coefficients,
+    _max_residual,
     annihilation_solve_single,
-    confluent_vandermonde_coeffs,
     esprit_solve,
     lm_refine,
-    max_residual,
     prony_hankel_solve,
 )
 
@@ -59,39 +60,6 @@ def undecimate_node(w: complex, p: int, hint: float) -> complex:
     return cmath.exp(1j * dists[0][1])
 
 
-def _match_to_hints(w_nodes, multiplicities, hints, hint_mults, p):
-    """Pair powered-domain node estimates with hints of matching multiplicity.
-
-    Exhaustive over permutations for up to 8 nodes, minimizing the total circle
-    distance between arg(w) and p*hint.
-    """
-    k = len(w_nodes)
-    targets = [wrap_angle(p * h) for h in hints]
-    w_args = [cmath.phase(w) for w in w_nodes]
-    if k <= 8:
-        best, best_cost = None, math.inf
-        for perm in itertools.permutations(range(k)):
-            if any(multiplicities[perm[i]] != hint_mults[i] for i in range(k)):
-                continue
-            cost = sum(circle_distance(w_args[perm[i]], targets[i]) for i in range(k))
-            if cost < best_cost:
-                best, best_cost = perm, cost
-        if best is None:
-            raise ValidationError("hints do not match the solved multiplicity structure")
-        return best
-    # greedy fallback for large systems
-    available = set(range(k))
-    perm = [None] * k
-    for i in range(k):
-        choices = [j for j in available if multiplicities[j] == hint_mults[i]]
-        if not choices:
-            raise ValidationError("hints do not match the solved multiplicity structure")
-        j = min(choices, key=lambda j: circle_distance(w_args[j], targets[i]))
-        perm[i] = j
-        available.discard(j)
-    return tuple(perm)
-
-
 def decimated_solve(
     samples: SampleSet,
     multiplicities,
@@ -120,6 +88,8 @@ def decimated_solve(
             raise ValidationError("need one hint per node")
     if p > 1 and coarse_node_args is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
+    _check_scheme(multiplicities, samples.scheme)
+    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
 
     if base_solver == "hankel":
         w_model, base_report = prony_hankel_solve(samples, multiplicities)
@@ -149,14 +119,17 @@ def decimated_solve(
             mults = w_model.multiplicities
         else:
             hints = coarse_node_args
-            perm = _match_to_hints(
-                w_model.nodes, w_model.multiplicities, hints, multiplicities, p
+            perm = _assign_nodes(
+                w_model.node_args,
+                w_model.multiplicities,
+                [wrap_angle(p * h) for h in hints],
+                multiplicities,
             )
             nodes = tuple(
                 undecimate_node(w_model.nodes[perm[i]], p, hints[i]) for i in range(k)
             )
             mults = multiplicities
-        coefficients = confluent_vandermonde_coeffs(nodes, mults, samples)
+        coefficients = _fit_coefficients(nodes, mults, ks, q)
         model = PronyModel(nodes, mults, coefficients).canonical()
 
     flags = list(base_report.flags)
@@ -166,7 +139,7 @@ def decimated_solve(
         iterations = refine_report.iterations
         flags.extend(refine_report.flags)
 
-    residual = max_residual(model, samples)
+    residual = _max_residual(model, ks, q)
     eps = samples.noise_level
     if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
         flags.append("large-residual")
@@ -270,8 +243,6 @@ def close_node_improvement(multiplicity: int, unknown_count: int, p: int) -> flo
 
 def error_bounds(model: PronyModel, t: int, p: int, eps: float, constant: float = 1.0):
     """Bundle of node and coefficient bounds plus the powered-node separation."""
-    from .model import ErrorBounds
-
     nodes = node_error_bound(model, p, eps)
     coeffs = coeff_error_bound(model, t, p, eps, constant)
     return ErrorBounds(

@@ -1,4 +1,10 @@
-"""Forward measurement map for polynomial Prony models, its Jacobian, and noise."""
+"""Forward measurement map for polynomial Prony models, its Jacobian, and noise.
+
+`_kernel` is the one place where the confluent-Vandermonde block
+z_j^k * k^l is formed.  The moments, the coefficient matrix, the Jacobian,
+and (through `_moments`) every residual in the solvers are thin callers of it,
+working on index arrays k = offset + stride * arange(count).
+"""
 
 from __future__ import annotations
 
@@ -22,68 +28,77 @@ MAX_INDEX = 10**7
 MAX_MULTIPLICITY = 12
 
 
-def _check_limits(model: PronyModel, extent: int) -> None:
+def _check_limits(multiplicities, extent: int) -> None:
     if abs(extent) > MAX_INDEX:
         raise ValidationError(f"index extent {extent} exceeds the supported {MAX_INDEX}")
-    if max(model.multiplicities) > MAX_MULTIPLICITY:
+    if max(multiplicities) > MAX_MULTIPLICITY:
         raise ValidationError(f"multiplicities above {MAX_MULTIPLICITY} are not supported")
 
 
-def _check_scheme(model: PronyModel, scheme: SamplingScheme) -> None:
-    _check_limits(model, scheme.count * scheme.stride + scheme.offset)
+def _check_scheme(multiplicities, scheme: SamplingScheme) -> None:
+    _check_limits(multiplicities, scheme.count * scheme.stride + scheme.offset)
 
 
-def _index_powers(ks: np.ndarray, max_power: int) -> np.ndarray:
-    """Table k^l for l = 0..max_power, built by repeated multiplication."""
-    pows = np.empty((max_power + 1, len(ks)))
+def _scheme_ks(scheme: SamplingScheme) -> np.ndarray:
+    """The scheme's indices as a float array."""
+    return scheme.offset + scheme.stride * np.arange(scheme.count, dtype=float)
+
+
+def _model_arrays(model: PronyModel):
+    """(node arguments, multiplicities, flat coefficient vector) of a model."""
+    coeffs = np.array([c for row in model.coefficients for c in row], dtype=complex)
+    return np.array(model.node_args), model.multiplicities, coeffs
+
+
+def _kernel(thetas, multiplicities, ks: np.ndarray, coeffs=None) -> np.ndarray:
+    """Columns exp(i*theta_j*k) * k^l for each node j and l = 0..mult_j-1.
+
+    With the flat coefficient vector `coeffs`, each node's columns are followed
+    by its node-derivative column d m_k/dz_j = k z_j^(k-1) sum_l c_{l,j} k^l,
+    formed as (k / z_j) times the node's own columns applied to its
+    coefficients.  Powers of the unit nodes are taken as exp(i*k*arg z_j) so
+    the modulus does not drift for large k.
+    """
+    pows = np.empty((max(multiplicities), len(ks)))
     pows[0] = 1.0
-    for l in range(1, max_power + 1):
+    for l in range(1, len(pows)):
         pows[l] = pows[l - 1] * ks
-    return pows
+    width = sum(multiplicities) + (0 if coeffs is None else len(multiplicities))
+    out = np.empty((len(ks), width), dtype=complex)
+    col = pos = 0
+    for theta, m in zip(thetas, multiplicities):
+        block = out[:, col:col + m]
+        block[:] = (np.exp(1j * theta * ks) * pows[:m]).T
+        col += m
+        if coeffs is not None:
+            out[:, col] = (ks * cmath.exp(-1j * theta)) * (block @ coeffs[pos:pos + m])
+            col += 1
+        pos += m
+    return out
+
+
+def _moments(thetas, multiplicities, coeffs, ks: np.ndarray) -> np.ndarray:
+    """m_k = sum_j z_j^k * sum_l c_{l,j} k^l for every k in ks."""
+    return _kernel(thetas, multiplicities, ks) @ coeffs
 
 
 def evaluate_moments(model: PronyModel, scheme: SamplingScheme) -> SampleSet:
-    """Exact measurements m_k = sum_j z_j^k * sum_l c_{l,j} k^l on the scheme.
-
-    Powers of the unit nodes are taken as exp(i*k*arg z_j) so the modulus does
-    not drift for large k.
-    """
-    _check_scheme(model, scheme)
-    ks = np.asarray(scheme.indices, dtype=float)
-    pows = _index_powers(ks, max(model.multiplicities) - 1)
-    values = np.zeros(len(ks), dtype=complex)
-    for theta, coeffs in zip(model.node_args, model.coefficients):
-        poly = np.zeros(len(ks), dtype=complex)
-        for l, c in enumerate(coeffs):
-            poly += c * pows[l]
-        values += np.exp(1j * theta * ks) * poly
+    """Exact measurements m_k = sum_j z_j^k * sum_l c_{l,j} k^l on the scheme."""
+    _check_scheme(model.multiplicities, scheme)
+    values = _moments(*_model_arrays(model), _scheme_ks(scheme))
     return SampleSet(scheme, tuple(values), 0.0)
 
 
 def moment_at(model: PronyModel, k: int) -> complex:
     """Single measurement m_k; k may be negative (used for symmetry checks)."""
-    _check_limits(model, k)
-    total = 0.0 + 0.0j
-    for theta, coeffs in zip(model.node_args, model.coefficients):
-        poly = 0.0 + 0.0j
-        kp = 1.0
-        for c in coeffs:
-            poly += c * kp
-            kp *= k
-        total += cmath.exp(1j * theta * k) * poly
-    return total
+    _check_limits(model.multiplicities, k)
+    return complex(_moments(*_model_arrays(model), np.array([float(k)]))[0])
 
 
 def coefficient_matrix(nodes, multiplicities, ks) -> np.ndarray:
     """Columns z_j^k * k^l for each node j and l = 0..mult_j-1 (confluent Vandermonde)."""
-    ks = np.asarray(ks, dtype=float)
-    pows = _index_powers(ks, max(multiplicities) - 1)
-    cols = []
-    for z, m in zip(nodes, multiplicities):
-        zk = np.exp(1j * cmath.phase(z) * ks)
-        for l in range(m):
-            cols.append(zk * pows[l])
-    return np.column_stack(cols)
+    thetas = [cmath.phase(z) for z in nodes]
+    return _kernel(thetas, multiplicities, np.asarray(ks, dtype=float))
 
 
 def jacobian(model: PronyModel, scheme: SamplingScheme) -> np.ndarray:
@@ -92,20 +107,9 @@ def jacobian(model: PronyModel, scheme: SamplingScheme) -> np.ndarray:
     Columns are grouped per node j as (d/dc_{0,j}, ..., d/dc_{mult_j-1,j}, d/dz_j)
     with d m_k/dc_{l,j} = z_j^k k^l and d m_k/dz_j = k z_j^{k-1} sum_l c_{l,j} k^l.
     """
-    _check_scheme(model, scheme)
-    ks = np.asarray(scheme.indices, dtype=float)
-    pows = _index_powers(ks, max(model.multiplicities) - 1)
-    cols = []
-    for theta, m, coeffs in zip(model.node_args, model.multiplicities, model.coefficients):
-        zk = np.exp(1j * theta * ks)
-        for l in range(m):
-            cols.append(zk * pows[l])
-        poly = np.zeros(len(ks), dtype=complex)
-        for l, c in enumerate(coeffs):
-            poly += c * pows[l]
-        zk1 = np.exp(1j * theta * (ks - 1.0))
-        cols.append(ks * zk1 * poly)
-    return np.column_stack(cols)
+    _check_scheme(model.multiplicities, scheme)
+    thetas, mults, coeffs = _model_arrays(model)
+    return _kernel(thetas, mults, _scheme_ks(scheme), coeffs)
 
 
 @dataclass(frozen=True)

@@ -116,13 +116,16 @@ class PronyModel:
         if not (len(nodes) == len(mults) == len(coeffs)):
             raise ValidationError("nodes, multiplicities, coefficients must align")
         for z in nodes:
-            if abs(abs(z) - 1.0) > UNIT_MODULUS_TOL:
+            # written so that a NaN modulus fails the test too
+            if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:
                 raise ValidationError(f"node {z!r} is off the unit circle")
         for m, row in zip(mults, coeffs):
             if m < 1:
                 raise ValidationError("multiplicities must be >= 1")
             if len(row) != m:
                 raise ValidationError("coefficient list length must equal the multiplicity")
+            if not all(cmath.isfinite(c) for c in row):
+                raise ValidationError("coefficients must be finite")
 
     @property
     def num_nodes(self) -> int:
@@ -313,6 +316,40 @@ class MatchResult:
         return max(max(row) for row in self.coeff_errors)
 
 
+def _assign_nodes(est_args, est_mults, target_args, target_mults) -> tuple:
+    """Pair estimated nodes with targets of equal multiplicity.
+
+    Returns perm with perm[i] the estimate assigned to target i, minimizing the
+    total circle distance between est_args[perm[i]] and target_args[i]: an
+    exhaustive search over multiplicity-preserving permutations up to
+    MAX_MATCH_NODES nodes, a greedy nearest-first pass in target order above.
+    """
+    if sorted(est_mults) != sorted(target_mults):
+        raise ValidationError("the two sides have different multiplicity structures")
+    k = len(target_args)
+
+    def dist(j, i):
+        return circle_distance(est_args[j], target_args[i])
+
+    if k > MAX_MATCH_NODES:
+        available = list(range(k))
+        perm = []
+        for i in range(k):
+            j = min((j for j in available if est_mults[j] == target_mults[i]),
+                    key=lambda j: dist(j, i))
+            perm.append(j)
+            available.remove(j)
+        return tuple(perm)
+    best, best_cost = None, math.inf
+    for perm in itertools.permutations(range(k)):
+        if any(est_mults[perm[i]] != target_mults[i] for i in range(k)):
+            continue
+        cost = sum(dist(perm[i], i) for i in range(k))
+        if cost < best_cost:
+            best, best_cost = perm, cost
+    return best
+
+
 def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
     """Match estimated nodes to true nodes, minimizing total circle distance.
 
@@ -321,25 +358,12 @@ def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
     """
     if estimated.num_nodes != truth.num_nodes:
         raise ValidationError("models have different numbers of nodes")
-    if sorted(estimated.multiplicities) != sorted(truth.multiplicities):
-        raise ValidationError("models have different multiplicity structures")
     k = truth.num_nodes
     if k > MAX_MATCH_NODES:
         raise ValidationError(f"matching supports at most {MAX_MATCH_NODES} nodes")
-
     t_args = truth.node_args
     e_args = estimated.node_args
-    best = None
-    best_cost = math.inf
-    for perm in itertools.permutations(range(k)):
-        if any(estimated.multiplicities[perm[j]] != truth.multiplicities[j] for j in range(k)):
-            continue
-        cost = sum(circle_distance(e_args[perm[j]], t_args[j]) for j in range(k))
-        if cost < best_cost:
-            best_cost = cost
-            best = perm
-    if best is None:
-        raise ValidationError("no multiplicity-preserving assignment exists")
+    best = _assign_nodes(e_args, estimated.multiplicities, t_args, truth.multiplicities)
 
     node_errors = tuple(circle_distance(e_args[best[j]], t_args[j]) for j in range(k))
     coeff_errors = tuple(

@@ -15,13 +15,22 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .forward import coefficient_matrix, evaluate_moments, jacobian, regularity_check
+from .forward import (
+    _check_limits,
+    _check_scheme,
+    _kernel,
+    _model_arrays,
+    _moments,
+    _scheme_ks,
+    coefficient_matrix,
+    regularity_check,
+)
 from .model import (
     PronyModel,
     RankDeficiencyError,
     SampleSet,
-    SamplingScheme,
     SolverError,
     ValidationError,
     wrap_angle,
@@ -44,16 +53,21 @@ class SolverReport:
     flags: tuple = ()
 
 
+def _max_residual(model: PronyModel, ks: np.ndarray, q: np.ndarray) -> float:
+    return float(np.max(np.abs(_moments(*_model_arrays(model), ks) - q)))
+
+
 def max_residual(model: PronyModel, samples: SampleSet) -> float:
     """max_k |m_k(model) - value_k| over the sample scheme."""
-    predicted = np.asarray(evaluate_moments(model, samples.scheme).values)
-    return float(np.max(np.abs(predicted - np.asarray(samples.values))))
+    _check_scheme(model.multiplicities, samples.scheme)
+    return _max_residual(model, _scheme_ks(samples.scheme), np.asarray(samples.values))
 
 
-def _progression_view(samples: SampleSet):
-    """Values as the sequence q_s, with the s-domain scheme they live on."""
+def _progression_view(samples: SampleSet, multiplicities):
+    """Indices s = 0..count-1 and the values as the sequence q_s."""
     q = np.asarray(samples.values, dtype=complex)
-    return q, SamplingScheme(0, 1, samples.scheme.count)
+    _check_limits(multiplicities, len(q))
+    return np.arange(len(q), dtype=float), q
 
 
 def _project_unit(w: complex) -> complex:
@@ -63,20 +77,21 @@ def _project_unit(w: complex) -> complex:
     return w / mod
 
 
+def _split(flat, multiplicities) -> tuple:
+    """Per-node coefficient tuples from a flat coefficient vector."""
+    parts = np.split(flat, np.cumsum(multiplicities)[:-1])
+    return tuple(tuple(complex(c) for c in part) for part in parts)
+
+
 # ---------------------------------------------------------------------------
 # coefficient recovery (linear subproblem)
 # ---------------------------------------------------------------------------
 
-def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
-    """Least-squares coefficients for fixed nodes: columns z_j^k k^l.
-
-    Raises RankDeficiencyError when the basis is numerically rank-deficient
-    (nearly aliased nodes), carrying the condition estimate.
-    """
+def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
     total = sum(multiplicities)
-    if samples.scheme.count < total:
+    if len(ks) < total:
         raise ValidationError("need at least as many samples as coefficients")
-    matrix = coefficient_matrix(nodes, multiplicities, samples.scheme.indices)
+    matrix = coefficient_matrix(nodes, multiplicities, ks)
     svals = np.linalg.svd(matrix, compute_uv=False)
     if svals[-1] <= svals[0] * RANK_TOL:
         raise RankDeficiencyError(
@@ -84,13 +99,19 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
             smallest_singular_value=float(svals[-1]),
             condition=float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf,
         )
-    solution, *_ = np.linalg.lstsq(matrix, np.asarray(samples.values), rcond=None)
-    out = []
-    pos = 0
-    for m in multiplicities:
-        out.append(tuple(complex(c) for c in solution[pos:pos + m]))
-        pos += m
-    return tuple(out)
+    solution, *_ = np.linalg.lstsq(matrix, q, rcond=None)
+    return _split(solution, multiplicities)
+
+
+def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
+    """Least-squares coefficients for fixed nodes: columns z_j^k k^l.
+
+    Raises RankDeficiencyError when the basis is numerically rank-deficient
+    (nearly aliased nodes), carrying the condition estimate.
+    """
+    return _fit_coefficients(
+        nodes, multiplicities, _scheme_ks(samples.scheme), np.asarray(samples.values)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -198,14 +219,11 @@ def prony_hankel_solve(samples: SampleSet, multiplicities):
     if not multiplicities or any(m < 1 for m in multiplicities):
         raise ValidationError("multiplicities must be positive")
     total = sum(multiplicities)
-    q, s_scheme = _progression_view(samples)
+    ks, q = _progression_view(samples, multiplicities)
     if len(q) < 2 * total:
         raise ValidationError(f"need at least {2 * total} samples, got {len(q)}")
 
-    rows = len(q) - total
-    hankel = np.empty((rows, total + 1), dtype=complex)
-    for s in range(rows):
-        hankel[s] = q[s:s + total + 1]
+    hankel = sliding_window_view(q, total + 1)
     # the L-column system must have full rank; the (L+1)-column Hankel is
     # rank-deficient by design on exact data (the annihilator is its null space)
     svals = np.linalg.svd(hankel[:, :total], compute_uv=False)
@@ -220,12 +238,12 @@ def prony_hankel_solve(samples: SampleSet, multiplicities):
 
     centroids, flags = _cluster_roots(roots, multiplicities)
     nodes = tuple(_project_unit(w) for w in centroids)
-    coefficients = confluent_vandermonde_coeffs(nodes, multiplicities, SampleSet(s_scheme, q))
+    coefficients = _fit_coefficients(nodes, multiplicities, ks, q)
     model = PronyModel(nodes, multiplicities, coefficients).canonical()
     report = SolverReport(
         method="hankel",
         iterations=1,
-        residual=max_residual(model, SampleSet(s_scheme, q)),
+        residual=_max_residual(model, ks, q),
         flags=tuple(flags),
     )
     return model, report
@@ -248,17 +266,14 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
     m = int(multiplicity)
     if m < 1:
         raise ValidationError("multiplicity must be positive")
-    q, s_scheme = _progression_view(samples)
+    ks, q = _progression_view(samples, (m,))
     if len(q) < m + 1:
         raise ValidationError(f"need at least {m + 1} samples, got {len(q)}")
 
-    shifts = len(q) - m
-    rows = np.empty((shifts, m + 1), dtype=complex)
-    binom = [math.comb(m, i) for i in range(m + 1)]
-    for s in range(shifts):
-        # coefficient of w^i in sum_j C(m,j) (-w)^(m-j) q_{s+j} is (-1)^i C(m,i) q_{s+m-i}
-        rows[s] = [((-1) ** i) * binom[i] * q[s + m - i] for i in range(m + 1)]
-    if shifts == 1:
+    # coefficient of w^i in sum_j C(m,j) (-w)^(m-j) q_{s+j} is (-1)^i C(m,i) q_{s+m-i}
+    signed_binom = np.array([((-1) ** i) * math.comb(m, i) for i in range(m + 1)])
+    rows = sliding_window_view(q, m + 1)[:, ::-1] * signed_binom
+    if len(rows) == 1:
         poly = rows[0]
     else:
         # rows are plain linear combinations of the Vh rows, and every row's
@@ -280,12 +295,12 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
         raise SolverError("hint ambiguous: two roots equally close")
     w = _project_unit(candidates[dists[0][1]])
 
-    coefficients = confluent_vandermonde_coeffs((w,), (m,), SampleSet(s_scheme, q))
+    coefficients = _fit_coefficients((w,), (m,), ks, q)
     model = PronyModel((w,), (m,), coefficients)
     report = SolverReport(
         method="annihilation",
         iterations=1,
-        residual=max_residual(model, SampleSet(s_scheme, q)),
+        residual=_max_residual(model, ks, q),
     )
     return model, report
 
@@ -300,15 +315,12 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
     k = int(num_nodes)
     if k < 1:
         raise ValidationError("num_nodes must be positive")
-    q, s_scheme = _progression_view(samples)
+    ks, q = _progression_view(samples, (1,))
     if len(q) < 2 * k + 1:
         raise ValidationError(f"need at least {2 * k + 1} samples, got {len(q)}")
 
-    n_rows = len(q) // 2 + 1
-    n_cols = len(q) - n_rows + 1
-    hankel = np.empty((n_rows, n_cols), dtype=complex)
-    for i in range(n_rows):
-        hankel[i] = q[i:i + n_cols]
+    # len(q) // 2 + 1 rows
+    hankel = sliding_window_view(q, len(q) - len(q) // 2)
 
     u, svals, _ = np.linalg.svd(hankel, full_matrices=False)
     flags = []
@@ -325,12 +337,12 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 
     nodes = tuple(_project_unit(w) for w in eigs)
     mults = (1,) * k
-    coefficients = confluent_vandermonde_coeffs(nodes, mults, SampleSet(s_scheme, q))
+    coefficients = _fit_coefficients(nodes, mults, ks, q)
     model = PronyModel(nodes, mults, coefficients).canonical()
     report = SolverReport(
         method="esprit",
         iterations=1,
-        residual=max_residual(model, SampleSet(s_scheme, q)),
+        residual=_max_residual(model, ks, q),
         flags=tuple(flags),
     )
     return model, report
@@ -341,53 +353,34 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 # ---------------------------------------------------------------------------
 
 def _pack_params(model: PronyModel) -> np.ndarray:
-    params = list(model.node_args)
-    for row in model.coefficients:
-        for c in row:
-            params.append(c.real)
-            params.append(c.imag)
-    return np.asarray(params, dtype=float)
+    """Node arguments, then (Re c, Im c) per coefficient."""
+    thetas, _, coeffs = _model_arrays(model)
+    return np.concatenate([thetas, np.column_stack([coeffs.real, coeffs.imag]).ravel()])
 
 
-def _unpack_params(params: np.ndarray, multiplicities) -> PronyModel:
-    k = len(multiplicities)
-    nodes = tuple(cmath.exp(1j * a) for a in params[:k])
-    coeffs = []
-    pos = k
-    for m in multiplicities:
-        row = []
-        for _ in range(m):
-            row.append(complex(params[pos], params[pos + 1]))
-            pos += 2
-        coeffs.append(tuple(row))
-    return PronyModel(nodes, tuple(multiplicities), tuple(coeffs))
+def _unpack_params(params: np.ndarray, num_nodes: int):
+    """(node arguments, flat complex coefficients) from packed parameters."""
+    return params[:num_nodes], params[num_nodes::2] + 1j * params[num_nodes + 1::2]
 
 
-def _real_residual(model: PronyModel, samples: SampleSet) -> np.ndarray:
-    diff = np.asarray(evaluate_moments(model, samples.scheme).values) - np.asarray(samples.values)
+def _real_residual(params, multiplicities, ks, q) -> np.ndarray:
+    thetas, coeffs = _unpack_params(params, len(multiplicities))
+    diff = _moments(thetas, multiplicities, coeffs, ks) - q
     return np.concatenate([diff.real, diff.imag])
 
 
-def _real_jacobian(model: PronyModel, samples: SampleSet) -> np.ndarray:
-    jac = jacobian(model, samples.scheme)
-    cols = []
-    pos = 0
-    angle_cols = []
-    for j, m in enumerate(model.multiplicities):
-        coeff_block = jac[:, pos:pos + m]
-        z_col = jac[:, pos + m]
-        pos += m + 1
-        # node argument: dz/dtheta = i z
-        angle_cols.append(z_col * (1j * model.nodes[j]))
-        for l in range(m):
-            cols.append(coeff_block[:, l])         # d/d Re(c)
-            cols.append(coeff_block[:, l] * 1j)    # d/d Im(c)
-    complex_cols = angle_cols + cols
-    real = np.empty((2 * jac.shape[0], len(complex_cols)))
-    for idx, col in enumerate(complex_cols):
-        real[: jac.shape[0], idx] = col.real
-        real[jac.shape[0]:, idx] = col.imag
-    return real
+def _real_jacobian(params, multiplicities, ks) -> np.ndarray:
+    """Jacobian of _real_residual in the packed parameters."""
+    k = len(multiplicities)
+    thetas, coeffs = _unpack_params(params, k)
+    jac = _kernel(thetas, multiplicities, ks, coeffs)
+    node_cols = np.cumsum(np.asarray(multiplicities) + 1) - 1
+    coeff_cols = np.delete(jac, node_cols, axis=1)
+    cols = np.empty((len(ks), len(params)), dtype=complex)
+    cols[:, :k] = jac[:, node_cols] * (1j * np.exp(1j * thetas))  # dz/dtheta = i z
+    cols[:, k::2] = coeff_cols          # d/d Re(c)
+    cols[:, k + 1::2] = coeff_cols * 1j  # d/d Im(c)
+    return np.vstack([cols.real, cols.imag])
 
 
 def lm_refine(
@@ -406,20 +399,19 @@ def lm_refine(
     report_flags = []
     if not regularity_check(init, samples.scheme.stride):
         raise ValidationError("initial model is not a regular point at the scheme stride")
+    _check_scheme(init.multiplicities, samples.scheme)
 
     multiplicities = init.multiplicities
-    params = _pack_params(init)
-    model = init
-    cost = float(np.sum(_real_residual(model, samples) ** 2))
-    best_cost, best_model = cost, model
+    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+    start = params = _pack_params(init)
+    residual = _real_residual(params, multiplicities, ks, q)
+    cost = float(np.sum(residual ** 2))
     lam = 1e-3
     iterations = 0
-    changed = False
 
     while iterations < max_iterations:
         iterations += 1
-        residual = _real_residual(model, samples)
-        jac = _real_jacobian(model, samples)
+        jac = _real_jacobian(params, multiplicities, ks)
         col_norms = np.linalg.norm(jac, axis=0)
         col_norms[col_norms == 0] = 1.0
         scaled = jac / col_norms
@@ -430,16 +422,11 @@ def lm_refine(
         if float(np.linalg.norm(step)) < step_tol:
             break
         trial_params = params + step
-        trial_model = _unpack_params(trial_params, multiplicities)
-        trial_cost = float(np.sum(_real_residual(trial_model, samples) ** 2))
+        trial_residual = _real_residual(trial_params, multiplicities, ks, q)
+        trial_cost = float(np.sum(trial_residual ** 2))
         if trial_cost < cost:
-            # divergence on accepted steps is impossible by construction
-            assert trial_cost <= cost
-            params, model, cost = trial_params, trial_model, trial_cost
-            changed = True
+            params, residual, cost = trial_params, trial_residual, trial_cost
             lam = max(lam / 10.0, 1e-15)
-            if cost < best_cost:
-                best_cost, best_model = cost, model
         else:
             lam *= 10.0
             if lam > 1e14:
@@ -448,11 +435,19 @@ def lm_refine(
     else:
         report_flags.append("max-iterations")
 
-    final = best_model if changed else init
+    if params is start:
+        final = init  # no step was accepted
+    else:
+        thetas, coeffs = _unpack_params(params, len(multiplicities))
+        final = PronyModel(
+            tuple(cmath.exp(1j * a) for a in thetas),
+            multiplicities,
+            _split(coeffs, multiplicities),
+        )
     report = SolverReport(
         method="lm",
         iterations=iterations,
-        residual=max_residual(final, samples),
+        residual=_max_residual(final, ks, q),
         flags=tuple(report_flags),
     )
     return final, report

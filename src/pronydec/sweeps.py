@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict
@@ -18,7 +19,7 @@ import numpy as np
 
 from . import fourier
 from .decimate import decimated_solve, node_error_bound
-from .forward import evaluate_moments, stride_separation
+from .forward import _check_scheme, _model_arrays, _moments, _scheme_ks, stride_separation
 from .model import (
     TWO_PI,
     PronyModel,
@@ -30,9 +31,10 @@ from .model import (
     match_estimates,
     model_from_dict,
     model_to_dict,
+    samples_from_dict,
     samples_to_dict,
 )
-from .solvers import confluent_vandermonde_coeffs, lm_refine, max_residual
+from .solvers import _fit_coefficients, lm_refine, max_residual
 
 KINDS = (
     "fixed-count-decimation",
@@ -86,6 +88,8 @@ class SweepConfig:
             raise ValidationError("seed list must be non-empty")
         if self.noise < 0:
             raise ValidationError("noise level must be nonnegative")
+        if self.workers < 1:
+            raise ValidationError("workers must be at least 1")
         if self.kind == "fourier-convergence":
             if not self.m_values:
                 raise ValidationError("fourier-convergence needs m_values")
@@ -183,32 +187,34 @@ def _count_for_stride(config: SweepConfig, p: int, truth: PronyModel) -> int:
     return truth.unknown_count
 
 
-def _union_noise(config: SweepConfig, seed: int, truth: PronyModel) -> dict:
+def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
     """Disk noise drawn once per seed on the union of all sweep index sets,
-    so different strides see identical perturbations on shared indices."""
-    union = set()
-    for p in config.p_values:
-        union.update(s * p for s in range(_count_for_stride(config, p, truth)))
-    ordered = sorted(union)
+    so different strides see identical perturbations on shared indices.
+
+    Returns the sorted union of indices and the noise value at each."""
+    union = np.unique(np.concatenate([
+        p * np.arange(_count_for_stride(config, p, truth)) for p in config.p_values
+    ]))
     rng = np.random.default_rng([int(seed), 0x0D15C])
-    u = rng.random((len(ordered), 2))
+    u = rng.random((len(union), 2))
     eta = config.noise * np.sqrt(u[:, 0]) * np.exp(1j * TWO_PI * u[:, 1])
-    return dict(zip(ordered, eta))
+    return union, eta
 
 
 # ---------------------------------------------------------------------------
 # per-task solves
 # ---------------------------------------------------------------------------
 
-def _solve_decimated(config: SweepConfig, model: PronyModel, samples: SampleSet, hints):
+def _solve_decimated(config: SweepConfig, truth: PronyModel, samples: SampleSet, ks, q):
+    hints = truth.node_args
     if config.solver in ("hankel", "esprit"):
         return decimated_solve(
-            samples, model.multiplicities, hints, base_solver=config.solver, refine=True
+            samples, truth.multiplicities, hints, base_solver=config.solver, refine=True
         )
     # "lm": initialize from the oracle hints plus a linear coefficient fit
     init_nodes = tuple(cmath.exp(1j * a) for a in hints)
-    init_coeffs = confluent_vandermonde_coeffs(init_nodes, model.multiplicities, samples)
-    init = PronyModel(init_nodes, model.multiplicities, init_coeffs)
+    init_coeffs = _fit_coefficients(init_nodes, truth.multiplicities, ks, q)
+    init = PronyModel(init_nodes, truth.multiplicities, init_coeffs)
     return lm_refine(samples, init)
 
 
@@ -216,17 +222,17 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
     truth = _build_model(config, seed)
     count = _count_for_stride(config, p, truth)
     scheme = SamplingScheme(0, p, count)
-    exact = evaluate_moments(truth, scheme)
-    noise_map = _union_noise(config, seed, truth)
-    values = tuple(v + noise_map[k] for v, k in zip(exact.values, scheme.indices))
-    samples = SampleSet(scheme, values, config.noise)
-    hints = list(truth.node_args)
+    _check_scheme(truth.multiplicities, scheme)
+    union, eta = _union_noise(config, seed, truth)
+    ks = _scheme_ks(scheme)
+    q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
+    samples = SampleSet(scheme, tuple(q), config.noise)
 
     rows = []
     artifact = None
     start = time.perf_counter()
     try:
-        estimate, report = _solve_decimated(config, truth, samples, hints)
+        estimate, report = _solve_decimated(config, truth, samples, ks, q)
         elapsed = time.perf_counter() - start
         match = match_estimates(estimate, truth)
         bounds = node_error_bound(truth, p, config.noise)
@@ -313,9 +319,9 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
 # ---------------------------------------------------------------------------
 
 def _run_tasks(config: SweepConfig, task, grid):
-    results = []
-    if config.workers > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+    workers = min(config.workers, os.cpu_count() or 1, len(grid))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(task, config, a, b) for a, b in grid]
             results = [f.result() for f in futures]
     else:
@@ -341,27 +347,6 @@ def _collect_decimation(config: SweepConfig) -> SweepResult:
         "residual", "method", "iterations", "flags",
     )
     return SweepResult(columns=columns, rows=rows, timings=timings, artifacts=artifacts)
-
-
-def run_fixed_count_sweep(config: SweepConfig) -> SweepResult:
-    """Stride sweep at a fixed number of measurements (indices {0, p, ..., (count-1)p})."""
-    if config.kind != "fixed-count-decimation":
-        raise ValidationError("config kind mismatch")
-    return _collect_decimation(config)
-
-
-def run_fixed_top_sweep(config: SweepConfig) -> SweepResult:
-    """Stride sweep at a fixed top index; the count shrinks as top_index // p."""
-    if config.kind != "fixed-top-index-decimation":
-        raise ValidationError("config kind mismatch")
-    return _collect_decimation(config)
-
-
-def run_bound_check_sweep(config: SweepConfig) -> SweepResult:
-    """Square-system solves on per-seed random models, with per-node error bounds."""
-    if config.kind != "bound-check":
-        raise ValidationError("config kind mismatch")
-    return _collect_decimation(config)
 
 
 def run_fourier_convergence(config: SweepConfig) -> SweepResult:
@@ -404,13 +389,16 @@ def run_fourier_convergence(config: SweepConfig) -> SweepResult:
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
-    runner = {
-        "fixed-count-decimation": run_fixed_count_sweep,
-        "fixed-top-index-decimation": run_fixed_top_sweep,
-        "bound-check": run_bound_check_sweep,
-        "fourier-convergence": run_fourier_convergence,
-    }[config.kind]
-    return runner(config)
+    """Run the sweep the config describes.
+
+    The decimation kinds solve on indices {0, p, ..., (count-1)p}: a fixed
+    count ("fixed-count-decimation"), count = top_index // p
+    ("fixed-top-index-decimation"), or the model's square system on per-seed
+    random models ("bound-check").
+    """
+    if config.kind == "fourier-convergence":
+        return run_fourier_convergence(config)
+    return _collect_decimation(config)
 
 
 def audit_rows(result: SweepResult, fraction: float = 0.01, seed: int = 0) -> int:
@@ -422,8 +410,6 @@ def audit_rows(result: SweepResult, fraction: float = 0.01, seed: int = 0) -> in
     rng = np.random.default_rng(seed)
     n_pick = max(1, int(math.ceil(fraction * len(keys))))
     picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
-    from .model import samples_from_dict
-
     for key in picked:
         model_dict, samples_dict = result.artifacts[key]
         recomputed = max_residual(model_from_dict(model_dict), samples_from_dict(samples_dict))

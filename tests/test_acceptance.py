@@ -28,9 +28,6 @@ from pronydec.fourier import eckhoff_transform, induced_prony_model
 from pronydec.sweeps import (
     SweepConfig,
     emit_csv,
-    run_bound_check_sweep,
-    run_fixed_count_sweep,
-    run_fixed_top_sweep,
     run_fourier_convergence,
     run_sweep,
 )
@@ -128,7 +125,7 @@ def test_criterion_3_fixed_count_decimation_gain():
                 count=66,
                 model={"kind": "two-node", "gap": 1e-2},
             )
-            result = run_fixed_count_sweep(cfg)
+            result = run_sweep(cfg)
             medians = {}
             for p in cfg.p_values:
                 errs = [r["error"] for r in result.rows if r["p"] == p]
@@ -153,7 +150,7 @@ def test_criterion_4_fixed_top_decimation_flat():
             top_index=2200,
             model={"kind": "two-node", "gap": 1e-2},
         )
-        result = run_fixed_top_sweep(cfg)
+        result = run_sweep(cfg)
         medians = {}
         med_times = {}
         for p in cfg.p_values:
@@ -184,7 +181,7 @@ def test_criterion_5_first_order_bound_consistency():
                 "min_stride_separation": 0.8,
             },
         )
-        result = run_bound_check_sweep(cfg)
+        result = run_sweep(cfg)
         assert len(result.rows) == 600
         for row in result.rows:
             assert not math.isnan(row["error"]), f"solve failed: {row}"

@@ -84,6 +84,14 @@ def test_bounds_prints_table(capsys, model_file):
     assert "coefficient error bound" in out
 
 
+def test_bounds_nan_angle_exit_code(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({
+        "nodes": [float("nan")], "multiplicities": [1], "coefficients": [[[1.0, 0.0]]],
+    }))
+    assert run("bounds", "--model", path, "--t", "0", "--p", "5", "--eps", "1e-6") == 2
+
+
 def test_reconstruct_pipeline(tmp_path):
     sig = tmp_path / "sig.json"
     win = tmp_path / "win.txt"

@@ -100,6 +100,17 @@ class TestDecimatedSolve:
         assert res.max_node_error < 1e-10
         assert res.max_coeff_error < 1e-8
 
+    def test_hint_matching_greedy_above_exhaustive_limit(self):
+        # ten nodes exceed MAX_MATCH_NODES, so the hints are paired greedily
+        args = np.linspace(-1.4, 1.4, 10)
+        truth = PronyModel(
+            [cmath.exp(1j * a) for a in args], (1,) * 10, [[1.0 + 0.1j * j] for j in range(10)]
+        )
+        samples = evaluate_moments(truth, SamplingScheme(0, 2, 40))
+        model, _ = decimated_solve(samples, (1,) * 10, list(args[::-1]), base_solver="hankel")
+        for a in args:
+            assert min(circle_distance(a, b) for b in model.node_args) <= 1e-8
+
     def test_esprit_base(self):
         truth = PronyModel(
             [cmath.exp(1.0j), cmath.exp(-0.8j)], [1, 1], [[1.0], [2.0]]

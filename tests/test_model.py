@@ -65,6 +65,24 @@ class TestPronyModel:
         with pytest.raises(ValidationError):
             PronyModel([], [], [])
 
+    def test_rejects_nan_node(self):
+        # abs(abs(nan) - 1) > tol is False, so the unit-modulus test alone lets NaN through
+        with pytest.raises(ValidationError):
+            PronyModel([complex(math.nan, 0.0)], [1], [[1.0]])
+
+    def test_rejects_inf_node(self):
+        with pytest.raises(ValidationError):
+            PronyModel([complex(math.inf, 0.0)], [1], [[1.0]])
+
+    def test_rejects_inf_coefficient(self):
+        with pytest.raises(ValidationError):
+            PronyModel([1.0], [2], [[1.0, complex(math.inf, 0.0)]])
+
+    def test_from_dict_rejects_nan_angle(self):
+        data = {"nodes": [math.nan], "multiplicities": [1], "coefficients": [[[1.0, 0.0]]]}
+        with pytest.raises(ValidationError):
+            model_from_dict(data)
+
     def test_canonical_sorts_by_argument(self):
         m = PronyModel(
             [cmath.exp(2.0j), cmath.exp(-1.0j)], [1, 2], [[1.0], [2.0, 3.0]]

@@ -75,6 +75,16 @@ class TestHankelSolve:
         _, report = prony_hankel_solve(samples, (2, 1))
         assert "ambiguous-clustering" in report.flags
 
+    def test_greedy_clustering_above_exhaustive_limit(self):
+        # nine roots exceed the exhaustive partition search
+        truth = PronyModel(
+            [cmath.exp(1j * a) for a in (-2.5, -0.8, 0.9, 2.4)],
+            (2, 2, 2, 3),
+            [[1.0, 0.5], [0.8j, -0.4], [1.2, 0.3j], [0.7, -0.2, 0.6]],
+        )
+        model, _ = prony_hankel_solve(exact_samples(truth, 30), (2, 2, 2, 3))
+        assert match_estimates(model, truth).max_node_error <= 1e-8
+
     def test_degenerate_samples(self):
         # all-zero data cannot determine an annihilator
         samples = SampleSet(SamplingScheme(0, 1, 6), [0.0] * 6)

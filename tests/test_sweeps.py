@@ -1,7 +1,9 @@
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
-from pronydec import ValidationError
+from pronydec import ValidationError, sweeps
 from pronydec.sweeps import (
     SweepConfig,
     audit_rows,
@@ -9,9 +11,6 @@ from pronydec.sweeps import (
     emit_svg,
     emit_timings_csv,
     fit_loglog_slope,
-    run_bound_check_sweep,
-    run_fixed_count_sweep,
-    run_fixed_top_sweep,
     run_fourier_convergence,
     run_sweep,
 )
@@ -48,17 +47,66 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SweepConfig.from_dict({"kind": "bound-check", "seeds": [0], "bogus": 1})
 
+    def test_rejects_nonpositive_workers(self):
+        for workers in (0, -1):
+            with pytest.raises(ValidationError):
+                small_fig1_config(workers=workers)
+
+
+class TestWorkerPool:
+    """The pool is sized at min(workers, cpu count, task count).  A fake
+    executor records the size and runs tasks inline, so no process starts."""
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
+        return sizes
+
+    def test_capped_at_task_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
+        cfg = small_fig1_config(seeds=[0], p_values=[1, 8], workers=10**6)
+        result = run_sweep(cfg)
+        assert pool_sizes == [2]
+        assert result.rows == run_sweep(small_fig1_config(seeds=[0], p_values=[1, 8])).rows
+
+    def test_capped_at_cpu_count(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
+        run_sweep(small_fig1_config(seeds=[0, 1], p_values=[1, 8, 32], workers=10**6))
+        assert pool_sizes == [3]
+
+    def test_single_cpu_runs_inline(self, monkeypatch, pool_sizes):
+        monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 1)
+        run_sweep(small_fig1_config(seeds=[0], p_values=[1, 8], workers=4))
+        assert pool_sizes == []
+
 
 class TestFixedCountSweep:
     def test_exact_data_recovers(self):
         cfg = small_fig1_config(noise=0.0, seeds=[0, 1])
-        result = run_fixed_count_sweep(cfg)
+        result = run_sweep(cfg)
         for row in result.rows:
             assert row["error"] < 1e-8
 
     def test_error_decreases_with_stride(self):
         cfg = small_fig1_config()
-        result = run_fixed_count_sweep(cfg)
+        result = run_sweep(cfg)
         medians = []
         for p in cfg.p_values:
             errs = [r["error"] for r in result.rows if r["p"] == p]
@@ -67,7 +115,7 @@ class TestFixedCountSweep:
 
     def test_row_schema_and_shared_noise(self):
         cfg = small_fig1_config(seeds=[3])
-        result = run_fixed_count_sweep(cfg)
+        result = run_sweep(cfg)
         assert result.columns == (
             "p", "seed", "node_index", "error", "bound",
             "residual", "method", "iterations", "flags",
@@ -77,7 +125,7 @@ class TestFixedCountSweep:
 
     def test_residual_audit(self):
         cfg = small_fig1_config(seeds=[0, 1, 2])
-        result = run_fixed_count_sweep(cfg)
+        result = run_sweep(cfg)
         assert audit_rows(result, fraction=0.5) >= 1
 
 
@@ -92,7 +140,7 @@ class TestFixedTopSweep:
             top_index=500,
             model={"kind": "two-node", "gap": 0.01},
         )
-        result = run_fixed_top_sweep(cfg)
+        result = run_sweep(cfg)
         for row in result.rows:
             assert row["error"] < 1e-8
 
@@ -106,7 +154,7 @@ class TestFixedTopSweep:
             top_index=500,
             model={"kind": "two-node", "gap": 0.01},
         )
-        result = run_fixed_top_sweep(cfg)
+        result = run_sweep(cfg)
         medians = {}
         for p in cfg.p_values:
             errs = [r["error"] for r in result.rows if r["p"] == p]
@@ -124,7 +172,7 @@ class TestBoundCheckSweep:
             p_values=[1, 4],
             model={"kind": "random-simple", "num_nodes": 2, "min_stride_separation": 0.8},
         )
-        result = run_bound_check_sweep(cfg)
+        result = run_sweep(cfg)
         for row in result.rows:
             assert row["error"] <= 10 * row["bound"]
 
@@ -198,8 +246,8 @@ class TestEmission:
     def test_csv_deterministic_across_workers(self, tmp_path):
         cfg1 = small_fig1_config(seeds=[0, 1, 2, 3], workers=1)
         cfg2 = small_fig1_config(seeds=[0, 1, 2, 3], workers=2)
-        r1 = run_fixed_count_sweep(cfg1)
-        r2 = run_fixed_count_sweep(cfg2)
+        r1 = run_sweep(cfg1)
+        r2 = run_sweep(cfg2)
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
         emit_csv(r1.rows, p1, r1.columns)
         emit_csv(r2.rows, p2, r2.columns)
