@@ -15,6 +15,7 @@ import cmath
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -164,15 +165,7 @@ def _cmd_solve(args) -> int:
         f"residual={report.residual:.6g} flags={';'.join(report.flags) or '-'}"
     )
     if args.report_out:
-        save_json(
-            {
-                "method": report.method,
-                "iterations": report.iterations,
-                "residual": report.residual,
-                "flags": list(report.flags),
-            },
-            args.report_out,
-        )
+        save_json(asdict(report), args.report_out)
     return 0
 
 

@@ -17,17 +17,17 @@ from .model import (
     SampleSet,
     ValidationError,
     _assign_nodes,
-    circle_distance,
+    _check_level,
     wrap_angle,
 )
 from .solvers import (
     SolverReport,
-    _fit_coefficients,
-    _max_residual,
-    annihilation_solve_single,
-    esprit_solve,
+    _annihilation_node,
+    _esprit_nodes,
+    _hankel_nodes,
+    _multiplicities,
+    _solution,
     lm_refine,
-    prony_hankel_solve,
 )
 
 #: two branch candidates closer than this (in radians) count as ambiguous
@@ -40,24 +40,29 @@ def undecimate_node(w: complex, p: int, hint: float) -> complex:
     """Invert w = z^p on the unit circle, choosing the branch nearest the hint.
 
     hint is the expected node argument (arg z).  The modulus of w is discarded;
-    the result is exp(i*theta) with theta = (arg w + 2*pi*n)/p for the branch n
-    minimizing the circle distance to the hint.
+    the result is exp(i*theta) with theta = (arg w + 2*pi*n)/p.  Branch n sits
+    2*pi*(n - t)/p from the hint, t = (p*hint - arg w)/(2*pi), so the nearest
+    is n = round(t) mod p and the runner-up is (2*pi/p)*(1 - 2|t - round(t)|)
+    farther away; a gap below BRANCH_TOL is ambiguous.
     """
     p = int(p)
     if p < 1:
         raise ValidationError("stride must be positive")
     if not 0.5 <= abs(w) <= 2.0:
         raise ValidationError(f"powered node modulus {abs(w):.3g} is outside [0.5, 2]")
+    if not math.isfinite(hint):
+        raise ValidationError(f"branch hint must be finite, got {hint}")
     base = cmath.phase(w)
     if p == 1:
         return cmath.exp(1j * base)
-    candidates = [(base + TWO_PI * n) / p for n in range(p)]
-    dists = sorted((circle_distance(theta, hint), theta) for theta in candidates)
-    if dists[1][0] - dists[0][0] < BRANCH_TOL:
+    t = (p * hint - base) / TWO_PI
+    nearest = round(t)
+    if (TWO_PI / p) * (1.0 - 2.0 * abs(t - nearest)) < BRANCH_TOL:
         raise AmbiguousBranchError(
             f"two branch candidates are equally close to the hint (p={p})"
         )
-    return cmath.exp(1j * dists[0][1])
+    theta = (base + TWO_PI * (nearest % p)) / p
+    return cmath.exp(1j * theta)
 
 
 def decimated_solve(
@@ -69,87 +74,63 @@ def decimated_solve(
 ):
     """Solve a polynomial Prony system sampled on an arithmetic progression.
 
-    Runs the chosen base solver on the progression-indexed values (powered
-    domain w = z^stride), undoes the stride-th power with branch selection
-    against the coarse node-argument hints, recovers coefficients on the
-    original indices, and optionally polishes with a damped Gauss-Newton pass.
+    Finds the nodes w = z^stride with the chosen base solver's node finder on
+    the progression-indexed values, pairs them with the coarse node-argument
+    hints and undoes the stride-th power by branch selection (without hints,
+    at stride 1, the nodes are used as found), fits the coefficients once on
+    the original indices, and optionally polishes with a damped Gauss-Newton
+    pass.
 
     Hints are required whenever stride > 1 (and always for the annihilation
     base solver, which needs a root-selection hint); each hint must be within
     pi/stride of the true node argument for the branch choice to be correct,
     which cannot be verified at run time.
     """
-    multiplicities = tuple(int(m) for m in multiplicities)
+    multiplicities = _multiplicities(multiplicities)
     k = len(multiplicities)
     p = samples.scheme.stride
-    if coarse_node_args is not None:
-        coarse_node_args = [float(a) for a in coarse_node_args]
-        if len(coarse_node_args) != k:
-            raise ValidationError("need one hint per node")
-    if p > 1 and coarse_node_args is None:
+    hints = None if coarse_node_args is None else [float(a) for a in coarse_node_args]
+    if hints is not None and len(hints) != k:
+        raise ValidationError("need one hint per node")
+    if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
     _check_scheme(multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
 
     if base_solver == "hankel":
-        w_model, base_report = prony_hankel_solve(samples, multiplicities)
+        nodes, flags = _hankel_nodes(q, multiplicities)
     elif base_solver == "esprit":
         if any(m != 1 for m in multiplicities):
             raise ValidationError("the subspace solver handles simple nodes only")
-        w_model, base_report = esprit_solve(samples, k)
+        nodes, flags = _esprit_nodes(q, k)
     elif base_solver == "annihilation":
         if k != 1:
             raise ValidationError("the annihilation solver handles a single node only")
-        if coarse_node_args is None:
+        if hints is None:
             raise ValidationError("the annihilation solver needs a node-argument hint")
-        w_hint = cmath.exp(1j * p * coarse_node_args[0])
-        w_model, base_report = annihilation_solve_single(
-            samples, multiplicities[0], w_hint
-        )
+        w_hint = cmath.exp(1j * p * hints[0])
+        nodes, flags = _annihilation_node(q, multiplicities[0], w_hint)
     else:
         raise ValidationError(f"unknown base solver {base_solver!r}; pick from {BASE_SOLVERS}")
 
-    if p == 1 and samples.scheme.offset == 0 and coarse_node_args is None:
-        # the powered domain coincides with the original one; the base model is
-        # already the answer, bit for bit
-        model = w_model
-    else:
-        if p == 1 and coarse_node_args is None:
-            nodes = w_model.nodes
-            mults = w_model.multiplicities
-        else:
-            hints = coarse_node_args
-            perm = _assign_nodes(
-                w_model.node_args,
-                w_model.multiplicities,
-                [wrap_angle(p * h) for h in hints],
-                multiplicities,
-            )
-            nodes = tuple(
-                undecimate_node(w_model.nodes[perm[i]], p, hints[i]) for i in range(k)
-            )
-            mults = multiplicities
-        coefficients = _fit_coefficients(nodes, mults, ks, q)
-        model = PronyModel(nodes, mults, coefficients).canonical()
-
-    flags = list(base_report.flags)
-    iterations = base_report.iterations
+    if hints is not None:
+        perm = _assign_nodes(
+            [cmath.phase(w) for w in nodes],
+            multiplicities,
+            [wrap_angle(p * h) for h in hints],
+            multiplicities,
+        )
+        nodes = tuple(undecimate_node(nodes[perm[i]], p, hints[i]) for i in range(k))
+    model, report = _solution(base_solver, nodes, multiplicities, ks, q, flags)
+    flags = report.flags
     if refine:
-        model, refine_report = lm_refine(samples, model)
-        iterations = refine_report.iterations
-        flags.extend(refine_report.flags)
-
-    residual = _max_residual(model, ks, q)
+        model, report = lm_refine(samples, model)
+        flags += report.flags
     eps = samples.noise_level
-    if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
-        flags.append("large-residual")
-    report = SolverReport(
-        method=base_solver + ("+refine" if refine else ""),
-        iterations=iterations,
-        residual=residual,
-        flags=tuple(flags),
-    )
-    return model, report
+    if eps > 0 and report.residual > 10.0 * eps * math.sqrt(samples.scheme.count):
+        flags += ("large-residual",)
+    method = base_solver + ("+refine" if refine else "")
+    return model, SolverReport(method, report.iterations, report.residual, flags)
 
 
 # ---------------------------------------------------------------------------
@@ -174,8 +155,7 @@ def node_error_bound(model: PronyModel, p: int, eps: float) -> np.ndarray:
     with sep the minimal pairwise distance of the p-th node powers (2 by
     convention for a single node).
     """
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    _check_level(eps, "eps")
     _require_regular(model, p)
     sep = stride_separation(model, p)
     r = model.unknown_count
@@ -206,8 +186,7 @@ def coeff_error_bound(
     The offset factor uses max(t, 1) so zero-offset schemes keep a meaningful
     bound (the printed factor t^(m_j - i) would zero it out).
     """
-    if eps < 0:
-        raise ValidationError("eps must be nonnegative")
+    _check_level(eps, "eps")
     if constant <= 0:
         raise ValidationError("the bound constant must be positive")
     _require_regular(model, p)

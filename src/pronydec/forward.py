@@ -20,6 +20,7 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _check_level,
 )
 
 #: largest sample index accepted by the forward map (k^l stays in double range)
@@ -97,6 +98,8 @@ def moment_at(model: PronyModel, k: int) -> complex:
 
 def coefficient_matrix(nodes, multiplicities, ks) -> np.ndarray:
     """Columns z_j^k * k^l for each node j and l = 0..mult_j-1 (confluent Vandermonde)."""
+    if len(nodes) != len(multiplicities):
+        raise ValidationError("need one multiplicity per node")
     thetas = [cmath.phase(z) for z in nodes]
     return _kernel(thetas, multiplicities, np.asarray(ks, dtype=float))
 
@@ -200,9 +203,7 @@ def add_noise(
     bounded-error model).  "gaussian" draws a complex normal with E|eta|^2 =
     eps^2; it is off-model (unbounded) and only offered for comparison.
     """
-    if eps < 0:
-        raise ValidationError("noise level must be nonnegative")
-    if eps == 0:
+    if _check_level(eps, "noise level") == 0:
         return SampleSet(samples.scheme, samples.values, 0.0)
     rng = np.random.default_rng(seed)
     n = samples.scheme.count

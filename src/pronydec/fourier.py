@@ -32,6 +32,7 @@ from .model import (
     position_from_node,
     wrap_angle,
 )
+from .solvers import _esprit_nodes
 
 #: conjugate-symmetry tolerance for windows tagged as real signals
 REAL_WINDOW_TOL = 1e-12
@@ -206,6 +207,11 @@ def evaluate_signal(signal: PiecewiseSignal, x):
 # transform to a polynomial Prony system
 # ---------------------------------------------------------------------------
 
+def _transform(window: CoefficientWindow, d: int, ks: np.ndarray) -> np.ndarray:
+    """m_k = 2pi (i k)^(d+1) c_k at the positive integer indices ks."""
+    return TWO_PI * (1j * ks) ** (d + 1) * window.coeffs[window.bandwidth + ks]
+
+
 def eckhoff_transform(window: CoefficientWindow, smoothness: int) -> SampleSet:
     """Measurements m_k = 2pi (i k)^(d+1) c_k for k = 1..bandwidth.
 
@@ -217,8 +223,7 @@ def eckhoff_transform(window: CoefficientWindow, smoothness: int) -> SampleSet:
     if d < 0:
         raise ValidationError("smoothness must be nonnegative")
     m = window.bandwidth
-    ks = np.arange(1, m + 1, dtype=float)
-    values = TWO_PI * (1j * ks) ** (d + 1) * window.coeffs[m + 1:]
+    values = _transform(window, d, np.arange(1, m + 1))
     return SampleSet(SamplingScheme(1, 1, m), tuple(values), 0.0)
 
 
@@ -250,24 +255,16 @@ def magnitudes_from_coefficients(coefficients, smoothness: int) -> np.ndarray:
 def initial_jump_estimates(window: CoefficientWindow, num_jumps: int):
     """Coarse jump positions from the order-zero transform's top indices.
 
-    Applies the transform with d = 0, keeps the 4K highest-index samples, and
-    runs the subspace solver with K nodes.  Accuracy is O(1/bandwidth) when the
+    Applies the transform with d = 0 to the 4K highest indices and runs the
+    subspace node finder with K nodes.  Accuracy is O(1/bandwidth) when the
     smooth remainder obeys the decay hypothesis.
     """
-    from .solvers import esprit_solve
-
     k = int(num_jumps)
     m = window.bandwidth
     if m < 4 * k:
         raise ValidationError(f"bandwidth {m} too small for {k} jumps (need >= {4 * k})")
-    transformed = eckhoff_transform(window, 0)
-    sub = SampleSet(
-        SamplingScheme(m - 4 * k + 1, 1, 4 * k),
-        transformed.values[m - 4 * k:],
-        0.0,
-    )
-    model, _ = esprit_solve(sub, k)
-    return sorted(position_from_node(z) for z in model.nodes)
+    nodes, _ = _esprit_nodes(_transform(window, 0, np.arange(m - 4 * k + 1, m + 1)), k)
+    return sorted(position_from_node(z) for z in nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -463,14 +460,9 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
                 degree=m + m // 2,
             )
             loc = localize(window, moll, m // 2)
-        m_loc = loc.bandwidth
-        n = m_loc // (d + 2)
-        transformed = eckhoff_transform(loc, d)
-        sub = SampleSet(
-            SamplingScheme(n, n, d + 2),
-            tuple(transformed.values[n * (i + 1) - 1] for i in range(d + 2)),
-            0.0,
-        )
+        n = loc.bandwidth // (d + 2)
+        values = _transform(loc, d, n * np.arange(1, d + 3))
+        sub = SampleSet(SamplingScheme(n, n, d + 2), tuple(values), 0.0)
         hint = wrap_angle(-x0)
         try:
             node_model, report = decimated_solve(

@@ -8,6 +8,7 @@ position_from_node so the sign never drifts.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import json
 import math
@@ -49,6 +50,13 @@ class AmbiguousBranchError(SolverError):
 
 class QuadratureError(SolverError):
     """Adaptive quadrature failed to reach the requested accuracy."""
+
+
+def _check_level(value: float, name: str) -> float:
+    """A noise or error level: finite and nonnegative (a NaN fails both tests)."""
+    if not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -196,11 +204,11 @@ class SampleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        object.__setattr__(self, "noise_level", float(self.noise_level))
+        object.__setattr__(self, "noise_level", _check_level(float(self.noise_level), "noise_level"))
         if len(self.values) != self.scheme.count:
             raise ValidationError("values length must equal the scheme count")
-        if self.noise_level < 0:
-            raise ValidationError("noise_level must be nonnegative")
+        if not all(map(cmath.isfinite, self.values)):
+            raise ValidationError("sample values must be finite")
 
 
 @dataclass(frozen=True)
@@ -381,13 +389,29 @@ def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
 # ---------------------------------------------------------------------------
 # Models store nodes as angles in radians (the node argument); complex values
 # are [re, im] pairs.  Round trips are lossless: floats survive JSON exactly.
+# The loaders report a missing key, a wrong type or a bad pair as a
+# ValidationError.
 
 def _c2pair(c: complex):
     return [c.real, c.imag]
 
 
 def _pair2c(p) -> complex:
-    return complex(float(p[0]), float(p[1]))
+    re, im = p
+    return complex(float(re), float(im))
+
+
+def _loader(load):
+    @functools.wraps(load)
+    def checked(data):
+        try:
+            return load(data)
+        except (KeyError, TypeError, ValueError) as exc:
+            if isinstance(exc, ValidationError):
+                raise
+            kind = load.__name__.split("_")[0]
+            raise ValidationError(f"malformed {kind} data ({type(exc).__name__}: {exc})") from None
+    return checked
 
 
 def model_to_dict(model: PronyModel) -> dict:
@@ -398,6 +422,7 @@ def model_to_dict(model: PronyModel) -> dict:
     }
 
 
+@_loader
 def model_from_dict(data: dict) -> PronyModel:
     return PronyModel(
         tuple(cmath.exp(1j * float(a)) for a in data["nodes"]),
@@ -410,6 +435,7 @@ def scheme_to_dict(scheme: SamplingScheme) -> dict:
     return {"offset": scheme.offset, "stride": scheme.stride, "count": scheme.count}
 
 
+@_loader
 def scheme_from_dict(data: dict) -> SamplingScheme:
     return SamplingScheme(data["offset"], data["stride"], data["count"])
 
@@ -422,6 +448,7 @@ def samples_to_dict(samples: SampleSet) -> dict:
     }
 
 
+@_loader
 def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(
         scheme_from_dict(data["scheme"]),
@@ -440,6 +467,7 @@ def signal_to_dict(signal: PiecewiseSignal) -> dict:
     }
 
 
+@_loader
 def signal_from_dict(data: dict) -> PiecewiseSignal:
     return PiecewiseSignal(
         int(data["smoothness"]),
@@ -458,4 +486,7 @@ def save_json(obj: dict, path) -> None:
 
 def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValidationError(f"{path}: not valid JSON ({exc})") from None

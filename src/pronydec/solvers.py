@@ -1,10 +1,14 @@
 """Inversion of the measurement map.
 
-All solvers consume a SampleSet whose values are read as the progression-indexed
-sequence q_s = m_{offset + s*stride} and return a model in the "powered" domain
-w = z^stride over the index s.  Mapping w back to z (branch selection) and
-recovering coefficients in the original index domain is the decimation layer's
-job; see decimate.decimated_solve.
+The node finders `_hankel_nodes`, `_esprit_nodes` and `_annihilation_node`
+read the progression values q_s = m_{offset + s*stride} as an array and return
+node estimates in the "powered" domain w = z^stride, plus flags.  `_solution`
+is the one place where nodes become a model and a report: it fits the
+amplitudes on given indices by confluent-Vandermonde least squares, builds the
+canonical model and measures the residual.  The public base solvers run
+validate -> finder -> `_solution` on the progression index s;
+decimate.decimated_solve calls the finders itself, selects the branches of
+w -> z, and calls `_solution` once on the original indices.
 """
 
 from __future__ import annotations
@@ -87,20 +91,44 @@ def _split(flat, multiplicities) -> tuple:
 # coefficient recovery (linear subproblem)
 # ---------------------------------------------------------------------------
 
-def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
-    total = sum(multiplicities)
-    if len(ks) < total:
-        raise ValidationError("need at least as many samples as coefficients")
-    matrix = coefficient_matrix(nodes, multiplicities, ks)
-    svals = np.linalg.svd(matrix, compute_uv=False)
+def _multiplicities(multiplicities) -> tuple:
+    """The multiplicities as ints: at least one, each at least 1."""
+    mults = tuple(int(m) for m in multiplicities)
+    if not mults or min(mults) < 1:
+        raise ValidationError("multiplicities must be positive")
+    return mults
+
+
+def _full_rank_lstsq(matrix, rhs, message):
+    """Least-squares solution, raising RankDeficiencyError when the singular
+    values lstsq returns fall below RANK_TOL relative to the largest."""
+    solution, _, _, svals = np.linalg.lstsq(matrix, rhs, rcond=None)
     if svals[-1] <= svals[0] * RANK_TOL:
         raise RankDeficiencyError(
-            "coefficient basis is numerically rank-deficient (aliased nodes?)",
+            message,
             smallest_singular_value=float(svals[-1]),
             condition=float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf,
         )
-    solution, *_ = np.linalg.lstsq(matrix, q, rcond=None)
+    return solution
+
+
+def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
+    if len(ks) < sum(multiplicities):
+        raise ValidationError("need at least as many samples as coefficients")
+    solution = _full_rank_lstsq(
+        coefficient_matrix(nodes, multiplicities, ks),
+        q,
+        "coefficient basis is numerically rank-deficient (aliased nodes?)",
+    )
     return _split(solution, multiplicities)
+
+
+def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags):
+    """Amplitudes for the fixed nodes on indices ks, the canonical model, and
+    its report (residual over ks)."""
+    coefficients = _fit_coefficients(nodes, multiplicities, ks, q)
+    model = PronyModel(nodes, multiplicities, coefficients).canonical()
+    return model, SolverReport(method, 1, _max_residual(model, ks, q), tuple(flags))
 
 
 def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
@@ -109,9 +137,8 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
     Raises RankDeficiencyError when the basis is numerically rank-deficient
     (nearly aliased nodes), carrying the condition estimate.
     """
-    return _fit_coefficients(
-        nodes, multiplicities, _scheme_ks(samples.scheme), np.asarray(samples.values)
-    )
+    mults = _multiplicities(multiplicities)
+    return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), np.asarray(samples.values))
 
 
 # ---------------------------------------------------------------------------
@@ -206,6 +233,21 @@ def _cluster_roots(roots: np.ndarray, multiplicities):
 # Hankel / annihilating-polynomial solver
 # ---------------------------------------------------------------------------
 
+def _hankel_nodes(q: np.ndarray, multiplicities):
+    """Unit-circle projections of the root-cluster centroids (see prony_hankel_solve)."""
+    total = sum(multiplicities)
+    if len(q) < 2 * total:
+        raise ValidationError(f"need at least {2 * total} samples, got {len(q)}")
+    hankel = sliding_window_view(q, total + 1)
+    # the L-column system must have full rank; the (L+1)-column Hankel is
+    # rank-deficient by design on exact data (the annihilator is its null space)
+    coeffs = _full_rank_lstsq(hankel[:, :total], -hankel[:, total], "degenerate sample set")
+    # monic polynomial x^L + coeffs[L-1] x^(L-1) + ... + coeffs[0]
+    roots = np.roots(np.concatenate(([1.0 + 0.0j], coeffs[::-1])))
+    centroids, flags = _cluster_roots(roots, multiplicities)
+    return tuple(_project_unit(w) for w in centroids), flags
+
+
 def prony_hankel_solve(samples: SampleSet, multiplicities):
     """Classical Prony solve generalized to multiple roots.
 
@@ -215,58 +257,18 @@ def prony_hankel_solve(samples: SampleSet, multiplicities):
     domain), then recovers polynomial amplitudes by confluent-Vandermonde least
     squares.
     """
-    multiplicities = tuple(int(m) for m in multiplicities)
-    if not multiplicities or any(m < 1 for m in multiplicities):
-        raise ValidationError("multiplicities must be positive")
-    total = sum(multiplicities)
+    multiplicities = _multiplicities(multiplicities)
     ks, q = _progression_view(samples, multiplicities)
-    if len(q) < 2 * total:
-        raise ValidationError(f"need at least {2 * total} samples, got {len(q)}")
-
-    hankel = sliding_window_view(q, total + 1)
-    # the L-column system must have full rank; the (L+1)-column Hankel is
-    # rank-deficient by design on exact data (the annihilator is its null space)
-    svals = np.linalg.svd(hankel[:, :total], compute_uv=False)
-    if svals[-1] <= svals[0] * RANK_TOL:
-        raise RankDeficiencyError(
-            "degenerate sample set",
-            smallest_singular_value=float(svals[-1]),
-        )
-    coeffs, *_ = np.linalg.lstsq(hankel[:, :total], -hankel[:, total], rcond=None)
-    # monic polynomial x^L + coeffs[L-1] x^(L-1) + ... + coeffs[0]
-    roots = np.roots(np.concatenate(([1.0 + 0.0j], coeffs[::-1])))
-
-    centroids, flags = _cluster_roots(roots, multiplicities)
-    nodes = tuple(_project_unit(w) for w in centroids)
-    coefficients = _fit_coefficients(nodes, multiplicities, ks, q)
-    model = PronyModel(nodes, multiplicities, coefficients).canonical()
-    report = SolverReport(
-        method="hankel",
-        iterations=1,
-        residual=_max_residual(model, ks, q),
-        flags=tuple(flags),
-    )
-    return model, report
+    nodes, flags = _hankel_nodes(q, multiplicities)
+    return _solution("hankel", nodes, multiplicities, ks, q, flags)
 
 
 # ---------------------------------------------------------------------------
 # single-node annihilation solver
 # ---------------------------------------------------------------------------
 
-def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_node: complex):
-    """Single-node solve via the shift-operator identity.
-
-    (E - w)^m annihilates w^s Q(s) for deg Q < m, so each run of m+1 consecutive
-    samples yields a degree-m polynomial equation in w with w as a simple root.
-    Multiple shifted equations are averaged into one polynomial by least squares
-    (principal right singular vector of the stacked coefficient rows).  The root
-    with modulus in [0.5, 2] and argument nearest the hint wins; its amplitudes
-    come from confluent-Vandermonde least squares on all samples.
-    """
-    m = int(multiplicity)
-    if m < 1:
-        raise ValidationError("multiplicity must be positive")
-    ks, q = _progression_view(samples, (m,))
+def _annihilation_node(q: np.ndarray, m: int, expected_node: complex):
+    """The hinted root of the averaged annihilation polynomial (see annihilation_solve_single)."""
     if len(q) < m + 1:
         raise ValidationError(f"need at least {m + 1} samples, got {len(q)}")
 
@@ -293,29 +295,33 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
     )
     if len(dists) > 1 and dists[1][0] - dists[0][0] < 1e-9:
         raise SolverError("hint ambiguous: two roots equally close")
-    w = _project_unit(candidates[dists[0][1]])
+    return (_project_unit(candidates[dists[0][1]]),), ()
 
-    coefficients = _fit_coefficients((w,), (m,), ks, q)
-    model = PronyModel((w,), (m,), coefficients)
-    report = SolverReport(
-        method="annihilation",
-        iterations=1,
-        residual=_max_residual(model, ks, q),
-    )
-    return model, report
+
+def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_node: complex):
+    """Single-node solve via the shift-operator identity.
+
+    (E - w)^m annihilates w^s Q(s) for deg Q < m, so each run of m+1 consecutive
+    samples yields a degree-m polynomial equation in w with w as a simple root.
+    Multiple shifted equations are averaged into one polynomial by least squares
+    (principal right singular vector of the stacked coefficient rows).  The root
+    with modulus in [0.5, 2] and argument nearest the hint wins; its amplitudes
+    come from confluent-Vandermonde least squares on all samples.
+    """
+    m = int(multiplicity)
+    if m < 1:
+        raise ValidationError("multiplicity must be positive")
+    ks, q = _progression_view(samples, (m,))
+    nodes, flags = _annihilation_node(q, m, expected_node)
+    return _solution("annihilation", nodes, (m,), ks, q, flags)
 
 
 # ---------------------------------------------------------------------------
 # ESPRIT (subspace) solver
 # ---------------------------------------------------------------------------
 
-def esprit_solve(samples: SampleSet, num_nodes: int):
-    """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
-    shift-invariance equation between the first and last row blocks."""
-    k = int(num_nodes)
-    if k < 1:
-        raise ValidationError("num_nodes must be positive")
-    ks, q = _progression_view(samples, (1,))
+def _esprit_nodes(q: np.ndarray, k: int):
+    """Unit-circle projections of the shift-invariance eigenvalues (see esprit_solve)."""
     if len(q) < 2 * k + 1:
         raise ValidationError(f"need at least {2 * k + 1} samples, got {len(q)}")
 
@@ -333,19 +339,18 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
             flags.append("weak-rank-structure")
     subspace = u[:, :k]
     shift, *_ = np.linalg.lstsq(subspace[:-1], subspace[1:], rcond=None)
-    eigs = np.linalg.eigvals(shift)
+    return tuple(_project_unit(w) for w in np.linalg.eigvals(shift)), flags
 
-    nodes = tuple(_project_unit(w) for w in eigs)
-    mults = (1,) * k
-    coefficients = _fit_coefficients(nodes, mults, ks, q)
-    model = PronyModel(nodes, mults, coefficients).canonical()
-    report = SolverReport(
-        method="esprit",
-        iterations=1,
-        residual=_max_residual(model, ks, q),
-        flags=tuple(flags),
-    )
-    return model, report
+
+def esprit_solve(samples: SampleSet, num_nodes: int):
+    """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
+    shift-invariance equation between the first and last row blocks."""
+    k = int(num_nodes)
+    if k < 1:
+        raise ValidationError("num_nodes must be positive")
+    ks, q = _progression_view(samples, (1,))
+    nodes, flags = _esprit_nodes(q, k)
+    return _solution("esprit", nodes, (1,) * k, ks, q, flags)
 
 
 # ---------------------------------------------------------------------------

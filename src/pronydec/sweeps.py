@@ -27,12 +27,9 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _check_level,
     circle_distance,
     match_estimates,
-    model_from_dict,
-    model_to_dict,
-    samples_from_dict,
-    samples_to_dict,
 )
 from .solvers import _fit_coefficients, lm_refine, max_residual
 
@@ -70,7 +67,6 @@ class SweepConfig:
     top_index: int = 0
     model: dict | None = None
     signal: dict | None = None
-    coeff_constant: float = 1.0
     exclusion_radius: float = 0.1
     grid_size: int = 1024
     workers: int = 1
@@ -86,8 +82,7 @@ class SweepConfig:
             raise ValidationError(f"unknown sweep kind {self.kind!r}; pick from {KINDS}")
         if not self.seeds:
             raise ValidationError("seed list must be non-empty")
-        if self.noise < 0:
-            raise ValidationError("noise level must be nonnegative")
+        _check_level(self.noise, "noise level")
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
         if self.kind == "fourier-convergence":
@@ -228,7 +223,6 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
     q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
     samples = SampleSet(scheme, tuple(q), config.noise)
 
-    rows = []
     artifact = None
     start = time.perf_counter()
     try:
@@ -236,34 +230,19 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
         elapsed = time.perf_counter() - start
         match = match_estimates(estimate, truth)
         bounds = node_error_bound(truth, p, config.noise)
-        for j in range(truth.num_nodes):
-            est_node = estimate.nodes[match.assignment[j]]
-            rows.append({
-                "p": p,
-                "seed": seed,
-                "node_index": j,
-                "error": abs(est_node - truth.nodes[j]),
-                "bound": float(bounds[j]),
-                "residual": report.residual,
-                "method": report.method,
-                "iterations": report.iterations,
-                "flags": ";".join(report.flags),
-            })
-        artifact = (model_to_dict(estimate), samples_to_dict(samples))
+        errors = [abs(estimate.nodes[match.assignment[j]] - z) for j, z in enumerate(truth.nodes)]
+        shared = {"residual": report.residual, "method": report.method,
+                  "iterations": report.iterations, "flags": ";".join(report.flags)}
+        artifact = (estimate, samples)
     except PronydecError as exc:
         elapsed = time.perf_counter() - start
-        for j in range(truth.num_nodes):
-            rows.append({
-                "p": p,
-                "seed": seed,
-                "node_index": j,
-                "error": math.nan,
-                "bound": math.nan,
-                "residual": math.nan,
-                "method": config.solver,
-                "iterations": 0,
-                "flags": f"solver-error:{type(exc).__name__}",
-            })
+        errors = bounds = [math.nan] * truth.num_nodes
+        shared = {"residual": math.nan, "method": config.solver,
+                  "iterations": 0, "flags": f"solver-error:{type(exc).__name__}"}
+    rows = [
+        {"p": p, "seed": seed, "node_index": j, "error": err, "bound": float(bound), **shared}
+        for j, (err, bound) in enumerate(zip(errors, bounds))
+    ]
     return (p, seed), rows, elapsed, artifact
 
 
@@ -319,6 +298,8 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
 # ---------------------------------------------------------------------------
 
 def _run_tasks(config: SweepConfig, task, grid):
+    """Run task(config, a, b) over the grid; rows, timings and artifacts in
+    grid-key order, whatever the worker count."""
     workers = min(config.workers, os.cpu_count() or 1, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -327,21 +308,15 @@ def _run_tasks(config: SweepConfig, task, grid):
     else:
         results = [task(config, a, b) for a, b in grid]
     results.sort(key=lambda r: r[0])
-    return results
+    rows = [row for _, task_rows, _, _ in results for row in task_rows]
+    timings = {key: elapsed for key, _, elapsed, _ in results}
+    artifacts = {key: artifact for key, _, _, artifact in results if artifact is not None}
+    return rows, timings, artifacts
 
 
 def _collect_decimation(config: SweepConfig) -> SweepResult:
     grid = [(p, seed) for p in config.p_values for seed in config.seeds]
-    results = _run_tasks(config, _decimation_task, grid)
-    rows = []
-    timings = {}
-    artifacts = {}
-    for key, task_rows, elapsed, artifact in results:
-        rows.extend(task_rows)
-        timings[key] = elapsed
-        if artifact is not None:
-            artifacts[key] = artifact
-    rows.sort(key=lambda r: (r["p"], r["seed"], r["node_index"]))
+    rows, timings, artifacts = _run_tasks(config, _decimation_task, grid)
     columns = (
         "p", "seed", "node_index", "error", "bound",
         "residual", "method", "iterations", "flags",
@@ -360,13 +335,7 @@ def run_fourier_convergence(config: SweepConfig) -> SweepResult:
     if len(config.m_values) < 2:
         raise ValidationError("need at least two bandwidths")
     grid = [(m, seed) for m in config.m_values for seed in config.seeds]
-    results = _run_tasks(config, _fourier_task, grid)
-    rows = []
-    timings = {}
-    for key, task_rows, elapsed, _ in results:
-        rows.extend(task_rows)
-        timings[key] = elapsed
-    rows.sort(key=lambda r: (r["M"], r["seed"]))
+    rows, timings, _ = _run_tasks(config, _fourier_task, grid)
 
     d = config.signal.get("smoothness", 0)
     error_cols = ["jump_error"] + [f"mag_error_{l}" for l in range(d + 1)] + ["sup_away"]
@@ -402,8 +371,9 @@ def run_sweep(config: SweepConfig) -> SweepResult:
 
 
 def audit_rows(result: SweepResult, fraction: float = 0.01, seed: int = 0) -> int:
-    """Recompute residuals from the per-solve artifacts for a random subset of
-    rows; returns the number audited.  Raises if any residual disagrees."""
+    """Recompute residuals from the per-solve artifacts (estimate, samples) for
+    a random subset of rows; returns the number audited.  Raises if any
+    residual disagrees."""
     keys = sorted(result.artifacts)
     if not keys:
         return 0
@@ -411,8 +381,7 @@ def audit_rows(result: SweepResult, fraction: float = 0.01, seed: int = 0) -> in
     n_pick = max(1, int(math.ceil(fraction * len(keys))))
     picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
     for key in picked:
-        model_dict, samples_dict = result.artifacts[key]
-        recomputed = max_residual(model_from_dict(model_dict), samples_from_dict(samples_dict))
+        recomputed = max_residual(*result.artifacts[key])
         recorded = [r["residual"] for r in result.rows if (r["p"], r["seed"]) == key]
         for value in recorded:
             if not math.isclose(value, recomputed, rel_tol=1e-12, abs_tol=1e-15):

@@ -92,6 +92,41 @@ def test_bounds_nan_angle_exit_code(tmp_path):
     assert run("bounds", "--model", path, "--t", "0", "--p", "5", "--eps", "1e-6") == 2
 
 
+def test_bounds_nan_eps_exit_code(model_file):
+    assert run("bounds", "--model", model_file, "--p", "5", "--eps", "nan") == 2
+
+
+def test_bounds_malformed_model_exit_code(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps({"nodes": [0.1]}))
+    assert run("bounds", "--model", path, "--eps", "1e-6") == 2
+
+
+def test_bounds_invalid_json_exit_code(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text('{"nodes": [0.1')
+    assert run("bounds", "--model", path, "--eps", "1e-6") == 2
+
+
+def test_solve_short_value_pair_exit_code(tmp_path):
+    samples = tmp_path / "s.json"
+    samples.write_text(json.dumps({
+        "scheme": {"offset": 0, "stride": 1, "count": 2},
+        "values": [[1.0, 0.0], [1.0]],
+        "noise_level": 0.0,
+    }))
+    assert run("solve", "--samples", samples, "--structure", "1",
+               "--out", tmp_path / "est.json") == 2
+
+
+@pytest.mark.parametrize("extra", [(), ("--solver", "lm", "--hints", "0.7")])
+def test_solve_empty_structure_exit_code(tmp_path, model_file, extra):
+    dense = tmp_path / "dense.json"
+    assert run("moments", "--model", model_file, "--scheme", "0,1,8", "--out", dense) == 0
+    assert run("solve", "--samples", dense, "--structure", "", *extra,
+               "--out", tmp_path / "est.json") == 2
+
+
 def test_reconstruct_pipeline(tmp_path):
     sig = tmp_path / "sig.json"
     win = tmp_path / "win.txt"

@@ -20,7 +20,19 @@ from pronydec import (
     prony_hankel_solve,
     undecimate_node,
 )
+from pronydec.decimate import BRANCH_TOL
 from pronydec.forward import stride_separation
+from pronydec.model import TWO_PI
+
+
+def brute_force_branch(w, p, hint):
+    """Reference branch choice: all p candidates sorted by distance to the hint."""
+    base = cmath.phase(w)
+    candidates = [(base + TWO_PI * n) / p for n in range(p)]
+    dists = sorted((circle_distance(theta, hint), theta) for theta in candidates)
+    if dists[1][0] - dists[0][0] < BRANCH_TOL:
+        raise AmbiguousBranchError("two branch candidates are equally close to the hint")
+    return cmath.exp(1j * dists[0][1])
 
 
 class TestUndecimateNode:
@@ -52,6 +64,26 @@ class TestUndecimateNode:
     def test_modulus_precondition(self):
         with pytest.raises(ValidationError):
             undecimate_node(0.1, 3, 0.0)
+
+    @pytest.mark.parametrize("p", [2, 3, 7, 64, 1024])
+    def test_closed_form_matches_candidate_search(self, p):
+        rng = np.random.default_rng(p)
+        for _ in range(200):
+            w = cmath.rect(rng.uniform(0.5, 2.0), rng.uniform(-math.pi, math.pi))
+            hint = rng.uniform(-4.0, 4.0)
+            assert undecimate_node(w, p, hint) == brute_force_branch(w, p, hint)
+            # halfway between the branches n and n + 1
+            n = int(rng.integers(p))
+            midpoint = (cmath.phase(w) + TWO_PI * (n + 0.5)) / p
+            with pytest.raises(AmbiguousBranchError):
+                brute_force_branch(w, p, midpoint)
+            with pytest.raises(AmbiguousBranchError):
+                undecimate_node(w, p, midpoint)
+
+    @pytest.mark.parametrize("hint", [math.nan, math.inf])
+    def test_nonfinite_hint_rejected(self, hint):
+        with pytest.raises(ValidationError, match="finite"):
+            undecimate_node(1.0, 3, hint)
 
 
 class TestDecimatedSolve:
@@ -111,6 +143,13 @@ class TestDecimatedSolve:
         for a in args:
             assert min(circle_distance(a, b) for b in model.node_args) <= 1e-8
 
+    @pytest.mark.parametrize("mults", [(), (0,), (1, -1)])
+    def test_rejects_bad_multiplicities(self, mults):
+        truth = PronyModel([cmath.exp(0.7j)], [1], [[1.0]])
+        samples = evaluate_moments(truth, SamplingScheme(0, 1, 8))
+        with pytest.raises(ValidationError, match="multiplicities"):
+            decimated_solve(samples, mults, base_solver="hankel")
+
     def test_esprit_base(self):
         truth = PronyModel(
             [cmath.exp(1.0j), cmath.exp(-0.8j)], [1, 1], [[1.0], [2.0]]
@@ -146,6 +185,13 @@ class TestNodeErrorBound:
 
     def test_zero_noise(self):
         assert np.all(node_error_bound(self._two_node_model(), 1, 0.0) == 0.0)
+
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_nonfinite_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            node_error_bound(self._two_node_model(), 1, eps)
+        with pytest.raises(ValidationError, match="finite"):
+            coeff_error_bound(self._two_node_model(), 0, 1, eps)
 
     def test_irregular_rejected(self):
         model = PronyModel([1.0, -1.0], [1, 1], [[1.0], [1.0]])

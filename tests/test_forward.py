@@ -234,3 +234,8 @@ class TestAddNoise:
     def test_negative_eps_rejected(self):
         with pytest.raises(ValidationError):
             add_noise(self._samples(), -1.0, 0)
+
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_nonfinite_eps_rejected(self, eps):
+        with pytest.raises(ValidationError, match="finite"):
+            add_noise(self._samples(), eps, 0)

@@ -20,6 +20,7 @@ from pronydec.model import (
     model_to_dict,
     samples_from_dict,
     samples_to_dict,
+    scheme_from_dict,
     signal_from_dict,
     signal_to_dict,
 )
@@ -103,6 +104,21 @@ class TestSampling:
             SamplingScheme(-1, 1, 1)
         with pytest.raises(ValidationError):
             SamplingScheme(0, 0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), -math.inf])
+    def test_sampleset_rejects_nonfinite_value(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSet(SamplingScheme(0, 1, 3), [1.0, bad, 2.0])
+
+    def test_sampleset_nan_probe_stops_before_any_solver(self):
+        # a NaN sample used to reach the solvers and leak numpy's LinAlgError
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSet(SamplingScheme(0, 1, 8), [1, 2, math.nan, 4, 5, 6, 7, 8])
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    def test_sampleset_rejects_nonfinite_noise_level(self, level):
+        with pytest.raises(ValidationError, match="finite"):
+            SampleSet(SamplingScheme(0, 1, 2), [1.0, 2.0], level)
 
     def test_sampleset_length_check(self):
         with pytest.raises(ValidationError):
@@ -213,3 +229,55 @@ class TestSerialization:
         )
         back = signal_from_dict(json.loads(json.dumps(signal_to_dict(sig))))
         assert back == sig
+
+
+SIGNAL_DICT = {
+    "smoothness": 0, "jumps": [0.5], "magnitudes": [[1.0]],
+    "psi_coeffs": [[0.1, 0.0]], "psi_decay": 1.0,
+}
+
+
+class TestMalformedData:
+    """Missing keys, wrong types and bad [re, im] pairs are validation errors."""
+
+    @pytest.mark.parametrize("data", [
+        {"nodes": [0.1]},
+        {"nodes": 0.1, "multiplicities": [1], "coefficients": [[[1.0, 0.0]]]},
+        {"nodes": [0.1], "multiplicities": [1], "coefficients": [[[1.0]]]},
+        {"nodes": [0.1], "multiplicities": ["one"], "coefficients": [[[1.0, 0.0]]]},
+        [0.1],
+    ])
+    def test_model(self, data):
+        with pytest.raises(ValidationError, match="malformed"):
+            model_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"scheme": {"offset": 0, "stride": 1, "count": 1}, "values": [[1.0]], "noise_level": 0.0},
+        {"scheme": {"offset": 0, "stride": 1}, "values": [[1.0, 0.0]], "noise_level": 0.0},
+        {"scheme": {"offset": 0, "stride": 1, "count": 1}, "values": [[1.0, 0.0]]},
+        {"scheme": {"offset": 0, "stride": 1, "count": 1}, "values": 1.0, "noise_level": 0.0},
+    ])
+    def test_samples(self, data):
+        with pytest.raises(ValidationError, match="malformed"):
+            samples_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {"offset": 0, "stride": 1},
+        {"offset": "zero", "stride": 1, "count": 2},
+        None,
+    ])
+    def test_scheme(self, data):
+        with pytest.raises(ValidationError, match="malformed"):
+            scheme_from_dict(data)
+
+    @pytest.mark.parametrize("data", [
+        {k: v for k, v in SIGNAL_DICT.items() if k != "psi_decay"},
+        {**SIGNAL_DICT, "psi_coeffs": [[0.1]]},
+        {**SIGNAL_DICT, "jumps": 0.5},
+    ])
+    def test_signal(self, data):
+        with pytest.raises(ValidationError, match="malformed"):
+            signal_from_dict(data)
+
+    def test_signal_reference_loads(self):
+        assert signal_from_dict(SIGNAL_DICT).jumps == (0.5,)

@@ -269,6 +269,13 @@ class TestConfluentVandermonde:
         with pytest.raises(ValidationError):
             confluent_vandermonde_coeffs((1.0,), (3,), samples)
 
+    @pytest.mark.parametrize("nodes, mults", [((1.0,), (1, 1)), ((1.0, -1.0), (1,)), ((1.0,), ())])
+    def test_structure_mismatch_rejected(self, nodes, mults):
+        # a node without a multiplicity left basis columns uninitialized
+        samples = SampleSet(SamplingScheme(0, 1, 6), [1.0] * 6)
+        with pytest.raises(ValidationError):
+            confluent_vandermonde_coeffs(nodes, mults, samples)
+
 
 class TestSolverAgreement:
     def test_exact_roundtrip_all_solvers(self):

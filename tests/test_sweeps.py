@@ -47,6 +47,11 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SweepConfig.from_dict({"kind": "bound-check", "seeds": [0], "bogus": 1})
 
+    @pytest.mark.parametrize("noise", [float("nan"), float("inf")])
+    def test_rejects_nonfinite_noise(self, noise):
+        with pytest.raises(ValidationError, match="finite"):
+            small_fig1_config(noise=noise)
+
     def test_rejects_nonpositive_workers(self):
         for workers in (0, -1):
             with pytest.raises(ValidationError):
