@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
-import math
 import sys
 from dataclasses import asdict
 
@@ -33,6 +32,7 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _random_model,
     load_json,
     model_from_dict,
     model_to_dict,
@@ -45,12 +45,19 @@ from .model import (
 from .solvers import confluent_vandermonde_coeffs, lm_refine
 
 
+def _parse_list(text: str, kind):
+    try:
+        return [kind(part) for part in text.split(",") if part.strip() != ""]
+    except ValueError:
+        raise ValidationError(f"not a comma-separated list of {kind.__name__}s: {text!r}") from None
+
+
 def _parse_int_list(text: str):
-    return [int(part) for part in text.split(",") if part.strip() != ""]
+    return _parse_list(text, int)
 
 
 def _parse_float_list(text: str):
-    return [float(part) for part in text.split(",") if part.strip() != ""]
+    return _parse_list(text, float)
 
 
 def _parse_scheme(text: str) -> SamplingScheme:
@@ -69,27 +76,15 @@ def _cmd_gen(args) -> int:
         if args.angles is not None:
             angles = _parse_float_list(args.angles)
             mults = _parse_int_list(args.multiplicities) if args.multiplicities else [1] * len(angles)
+            rows = [[[1.0, 0.0]] * m for m in mults]
             if args.coefficients:
-                rows = json.loads(args.coefficients)
-                coeffs = tuple(tuple(complex(c[0], c[1]) for c in row) for row in rows)
-            else:
-                coeffs = tuple(tuple(1.0 for _ in range(m)) for m in mults)
-            model = PronyModel(tuple(cmath.exp(1j * a) for a in angles), tuple(mults), coeffs)
+                try:
+                    rows = json.loads(args.coefficients)
+                except json.JSONDecodeError as exc:
+                    raise ValidationError(f"--coefficients is not valid JSON ({exc})") from None
+            model = model_from_dict({"nodes": angles, "multiplicities": mults, "coefficients": rows})
         else:
-            rng = np.random.default_rng(args.seed)
-            k = args.num_nodes
-            for _ in range(1000):
-                angles = np.sort(rng.uniform(-math.pi, math.pi, size=k))
-                gaps = np.diff(angles).tolist() + [2 * math.pi - (angles[-1] - angles[0])]
-                if k == 1 or min(gaps) >= args.min_separation:
-                    break
-            else:
-                raise ValidationError("could not place nodes with the requested separation")
-            coeffs = tuple(
-                (complex(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))),)
-                for _ in range(k)
-            )
-            model = PronyModel(tuple(cmath.exp(1j * a) for a in angles), (1,) * k, coeffs)
+            model = _random_model(np.random.default_rng(args.seed), args.num_nodes, args.min_separation)
         save_json(model_to_dict(model.canonical()), args.out)
         print(f"wrote model with {model.num_nodes} node(s) to {args.out}")
         return 0

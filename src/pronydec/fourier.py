@@ -29,6 +29,7 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _circle_angles,
     position_from_node,
     wrap_angle,
 )
@@ -563,15 +564,7 @@ def random_piecewise_signal(
     rng = np.random.default_rng(seed)
     if k * min_separation >= TWO_PI:
         raise ValidationError("cannot place the jumps with that separation")
-    for _ in range(1000):
-        jumps = np.sort(rng.uniform(-math.pi, math.pi, size=k))
-        if k == 1:
-            break
-        gaps = np.diff(jumps).tolist() + [TWO_PI - (jumps[-1] - jumps[0])]
-        if min(gaps) >= min_separation:
-            break
-    else:
-        raise ValidationError("failed to draw jump positions with the requested separation")
+    jumps = _circle_angles(rng, k, min_separation)
 
     lo, hi = base_magnitude_range
     signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
@@ -611,11 +604,12 @@ def read_window_file(path) -> CoefficientWindow:
             line = line.strip()
             if not line:
                 continue
-            parts = line.split()
-            if len(parts) != 3:
-                raise ValidationError(f"bad window line: {line!r}")
-            ks.append(int(parts[0]))
-            coeffs.append(complex(float(parts[1]), float(parts[2])))
+            try:
+                k, real, imag = line.split()
+                ks.append(int(k))
+                coeffs.append(complex(float(real), float(imag)))
+            except ValueError:
+                raise ValidationError(f"bad window line: {line!r}") from None
     if not ks:
         raise ValidationError("empty window file")
     m = max(ks)

@@ -14,6 +14,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 #: tolerance for the unit-modulus node invariant
@@ -81,6 +83,19 @@ def wrap_position(x: float) -> float:
     """Wrap a jump position into [-pi, pi)."""
     a = (x + math.pi) % TWO_PI - math.pi
     return a
+
+
+def _circle_angles(rng, count: int, min_gap: float) -> np.ndarray:
+    """Sorted uniform angles on [-pi, pi), redrawn until every circle gap
+    (the wrap-around gap included) reaches min_gap."""
+    if count < 1:
+        raise ValidationError(f"need at least one angle, got {count}")
+    for _ in range(1000):
+        angles = np.sort(rng.uniform(-math.pi, math.pi, size=count))
+        gaps = np.diff(angles).tolist() + [TWO_PI - (angles[-1] - angles[0])]
+        if count == 1 or min(gaps) >= min_gap:
+            return angles
+    raise ValidationError(f"could not place {count} angles with circle gaps >= {min_gap}")
 
 
 def node_from_position(x: float) -> complex:
@@ -164,6 +179,18 @@ class PronyModel:
             tuple(self.multiplicities[j] for j in order),
             tuple(self.coefficients[j] for j in order),
         )
+
+
+def _random_model(rng, num_nodes: int, min_gap: float) -> PronyModel:
+    """Canonical random simple-node model: angles from _circle_angles, then
+    per node an amplitude r*exp(i*phi), r uniform on [0.5, 2), phi on [0, 2*pi)."""
+    angles = _circle_angles(rng, num_nodes, min_gap)
+    coeffs = tuple(
+        (complex(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, TWO_PI))),)
+        for _ in angles
+    )
+    nodes = tuple(cmath.exp(1j * a) for a in angles)
+    return PronyModel(nodes, (1,) * len(nodes), coeffs).canonical()
 
 
 @dataclass(frozen=True)
@@ -255,8 +282,9 @@ class PiecewiseSignal:
             raise ValidationError("psi_coeffs must contain at least the mean value")
         if abs(psi[0].imag) > 1e-12:
             raise ValidationError("mean coefficient of the smooth part must be real")
-        if self.psi_decay < 0:
-            raise ValidationError("psi_decay must be nonnegative")
+        _check_level(self.psi_decay, "psi_decay")
+        if not (all(math.isfinite(a) for row in mags for a in row) and all(map(cmath.isfinite, psi))):
+            raise ValidationError("jump magnitudes and smooth-part coefficients must be finite")
         for n in range(1, len(psi)):
             if abs(psi[n]) > self.psi_decay * float(n) ** (-d - 2) * (1 + 1e-9):
                 raise ValidationError(
@@ -402,6 +430,8 @@ def _pair2c(p) -> complex:
 
 
 def _loader(load):
+    kind = load.__qualname__.removesuffix("from_dict").strip("._")
+
     @functools.wraps(load)
     def checked(data):
         try:
@@ -409,7 +439,6 @@ def _loader(load):
         except (KeyError, TypeError, ValueError) as exc:
             if isinstance(exc, ValidationError):
                 raise
-            kind = load.__name__.split("_")[0]
             raise ValidationError(f"malformed {kind} data ({type(exc).__name__}: {exc})") from None
     return checked
 

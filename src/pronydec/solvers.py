@@ -14,7 +14,6 @@ w -> z, and calls `_solution` once on the original indices.
 from __future__ import annotations
 
 import cmath
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,7 +42,8 @@ from .model import (
 #: relative singular-value threshold below which linear systems count as degenerate
 RANK_TOL = 1e-12
 
-#: clustering cost ratio under which a second grouping counts as ambiguous
+#: root clustering is flagged ambiguous when the widest uncut angular gap is
+#: within this fraction of the narrowest cut
 CLUSTER_AMBIGUITY = 0.10
 
 
@@ -145,88 +145,37 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
 # root clustering for multiple roots
 # ---------------------------------------------------------------------------
 
-def _partitions_with_sizes(indices, sizes):
-    """All set partitions of `indices` into groups of the prescribed sizes."""
-    if not sizes:
-        yield ()
-        return
-    head = sizes[0]
-    rest_sizes = sizes[1:]
-    first = indices[0]
-    for combo in itertools.combinations(indices[1:], head - 1):
-        group = (first,) + combo
-        remaining = tuple(i for i in indices if i not in group)
-        for rest in _partitions_with_sizes(remaining, rest_sizes):
-            yield (group,) + rest
+def _cluster_roots(roots, multiplicities):
+    """Group roots into clusters of the prescribed sizes; returns (centroids
+    aligned with `multiplicities`, flags).
 
-
-def _grouping_cost(roots, grouping):
-    cost = 0.0
-    for group in grouping:
-        pts = roots[list(group)]
-        centroid = pts.mean()
-        cost += float(np.sum(np.abs(pts - centroid)))
-    return cost
-
-
-def _cluster_roots(roots: np.ndarray, multiplicities):
-    """Group roots into clusters of the prescribed size multiset.
-
-    Exhaustive search over partitions for small systems (so the ambiguity check
-    can compare grouping costs); greedy agglomeration otherwise.  Returns
-    (centroids aligned with `multiplicities`, flags).
+    The nodes lie on the unit circle, so a cluster is a run of roots in argument
+    order: cut the ring at its k = len(multiplicities) widest angular gaps (the
+    wrap-around gap included) and take each run's complex mean as its centroid.
+    Raises SolverError when the run sizes are not the multiplicities; flags
+    "ambiguous-clustering" when the widest uncut gap is within CLUSTER_AMBIGUITY
+    of the narrowest cut.  Equal-size runs go in order of their lowest root index.
     """
-    sizes = tuple(sorted(multiplicities, reverse=True))
-    total = sum(sizes)
+    roots = np.asarray(roots, dtype=complex)
+    n, k = len(roots), len(multiplicities)
+    order = np.argsort(np.angle(roots), kind="stable")
+    angles = np.angle(roots[order])
+    # gap i lies between sorted roots i and i + 1 (mod n)
+    gaps = np.append(np.diff(angles), angles[0] + 2 * math.pi - angles[-1])
+    widest = np.argsort(-gaps, kind="stable")
+    cuts = np.sort(widest[:k])
+    ends = np.append(cuts[1:], cuts[0] + n)
+    runs = [order[np.arange(a + 1, b + 1) % n] for a, b in zip(cuts, ends)]
+    sizes = sorted(map(len, runs))
+    if sizes != sorted(multiplicities):
+        raise SolverError(f"root cluster sizes {sizes} do not match the multiplicities")
     flags = []
-    if total <= 8:
-        best = None
-        best_cost = math.inf
-        second_cost = math.inf
-        for grouping in _partitions_with_sizes(tuple(range(total)), sizes):
-            cost = _grouping_cost(roots, grouping)
-            if cost < best_cost:
-                second_cost = best_cost
-                best_cost = cost
-                best = grouping
-            elif cost < second_cost:
-                second_cost = cost
-        if second_cost <= best_cost * (1 + CLUSTER_AMBIGUITY) + 1e-15 and len(sizes) > 1:
-            flags.append("ambiguous-clustering")
-        grouping = best
-    else:
-        clusters = [[i] for i in range(total)]
-        max_size = sizes[0]
-        while len(clusters) > len(sizes):
-            best_pair = None
-            best_dist = math.inf
-            for a in range(len(clusters)):
-                for b in range(a + 1, len(clusters)):
-                    if len(clusters[a]) + len(clusters[b]) > max_size:
-                        continue
-                    ca = roots[clusters[a]].mean()
-                    cb = roots[clusters[b]].mean()
-                    dist = abs(ca - cb)
-                    if dist < best_dist:
-                        best_dist = dist
-                        best_pair = (a, b)
-            if best_pair is None:
-                raise SolverError("root clustering failed to reach the prescribed sizes")
-            a, b = best_pair
-            clusters[a] = clusters[a] + clusters[b]
-            del clusters[b]
-        if sorted(len(c) for c in clusters) != sorted(sizes):
-            raise SolverError("root clustering produced a wrong size profile")
-        grouping = tuple(tuple(c) for c in sorted(clusters, key=len, reverse=True))
-
-    # pair each centroid with a requested multiplicity of the matching size
+    if 1 < k < n and gaps[widest[k]] >= (1 - CLUSTER_AMBIGUITY) * gaps[widest[k - 1]]:
+        flags.append("ambiguous-clustering")
     centroids_by_size = {}
-    for group in grouping:
-        centroids_by_size.setdefault(len(group), []).append(roots[list(group)].mean())
-    assigned = []
-    for m in multiplicities:
-        assigned.append(centroids_by_size[m].pop(0))
-    return assigned, flags
+    for run in sorted(runs, key=min):
+        centroids_by_size.setdefault(len(run), []).append(roots[run].mean())
+    return [centroids_by_size[m].pop(0) for m in multiplicities], flags
 
 
 # ---------------------------------------------------------------------------

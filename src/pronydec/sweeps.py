@@ -9,6 +9,7 @@ of the main table and returned (or written) separately.
 from __future__ import annotations
 
 import cmath
+import inspect
 import math
 import os
 import time
@@ -28,6 +29,7 @@ from .model import (
     SamplingScheme,
     ValidationError,
     _check_level,
+    _loader,
     circle_distance,
     match_estimates,
 )
@@ -99,6 +101,9 @@ class SweepConfig:
                 raise ValidationError(
                     f"unknown solver {self.solver!r}; pick from {DECIMATION_SOLVERS}"
                 )
+        for what in ("model", "signal"):
+            if getattr(self, what) is not None:
+                _check_spec(getattr(self, what), what)
         if self.kind == "fixed-count-decimation" and self.count < 2:
             raise ValidationError("fixed-count-decimation needs count >= 2")
         if self.kind == "fixed-top-index-decimation" and self.top_index < 1:
@@ -112,6 +117,7 @@ class SweepConfig:
         return data
 
     @staticmethod
+    @_loader
     def from_dict(data: dict) -> "SweepConfig":
         known = {f for f in SweepConfig.__dataclass_fields__}
         unknown = set(data) - known
@@ -158,19 +164,36 @@ def _random_simple_model(num_nodes: int, seed: int, p_values, min_stride_separat
     raise ValidationError("could not draw a model with the requested stride separations")
 
 
+_MODEL_BUILDERS = {"two-node": _two_node_model, "random-simple": _random_simple_model}
+
+
+def _check_spec(spec, what: str) -> None:
+    """A model or signal spec is an object whose keys are parameters of the
+    function that consumes it, less those the sweep supplies itself."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{what} spec must be an object, got {spec!r}")
+    if what == "signal":
+        consumer, extra = fourier.random_piecewise_signal, "reconstruction_separation"
+    else:
+        consumer, extra = _MODEL_BUILDERS.get(spec.get("kind", "two-node")), "kind"
+        if consumer is None:
+            raise ValidationError(f"unknown model spec kind {spec['kind']!r}")
+    allowed = set(inspect.signature(consumer).parameters) - {"seed", "p_values"} | {extra}
+    unknown = set(spec) - allowed
+    if unknown:
+        raise ValidationError(f"unknown {what} spec keys: {sorted(unknown)}")
+
+
 def _build_model(config: SweepConfig, seed: int) -> PronyModel:
     spec = config.model
-    kind = spec.get("kind", "two-node")
-    if kind == "two-node":
+    if spec.get("kind", "two-node") == "two-node":
         return _two_node_model(spec.get("gap", 1e-2), spec.get("coefficient", 1.0))
-    if kind == "random-simple":
-        return _random_simple_model(
-            spec.get("num_nodes", 2),
-            seed,
-            config.p_values,
-            spec.get("min_stride_separation", 0.8),
-        )
-    raise ValidationError(f"unknown model spec kind {kind!r}")
+    return _random_simple_model(
+        spec.get("num_nodes", 2),
+        seed,
+        config.p_values,
+        spec.get("min_stride_separation", 0.8),
+    )
 
 
 def _count_for_stride(config: SweepConfig, p: int, truth: PronyModel) -> int:

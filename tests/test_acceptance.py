@@ -25,6 +25,7 @@ from pronydec import (
     signal_coeffs,
 )
 from pronydec.fourier import eckhoff_transform, induced_prony_model
+from pronydec.model import _random_model
 from pronydec.sweeps import (
     SweepConfig,
     emit_csv,
@@ -46,17 +47,7 @@ def criterion(number, name):
 
 
 def random_regular_model(rng, max_nodes=3, min_gap=0.3):
-    k = int(rng.integers(1, max_nodes + 1))
-    while True:
-        args = np.sort(rng.uniform(-math.pi, math.pi, size=k))
-        gaps = np.diff(args).tolist() + [2 * math.pi - (args[-1] - args[0])]
-        if k == 1 or min(gaps) >= min_gap:
-            break
-    coeffs = tuple(
-        (complex(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))),)
-        for _ in range(k)
-    )
-    return PronyModel([cmath.exp(1j * a) for a in args], (1,) * k, coeffs).canonical()
+    return _random_model(rng, int(rng.integers(1, max_nodes + 1)), min_gap)
 
 
 def test_criterion_1_exact_recovery_suite():

@@ -127,6 +127,35 @@ def test_solve_empty_structure_exit_code(tmp_path, model_file, extra):
                "--out", tmp_path / "est.json") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "model", "--angles", "0.1,abc"),
+    ("gen", "model", "--angles", "0.7", "--coefficients", "[[1]]"),
+    ("gen", "model", "--angles", "0.7", "--coefficients", "[["),
+    ("gen", "model", "--num-nodes", "0"),
+    ("gen", "signal", "-K", "0"),
+])
+def test_gen_malformed_arguments_exit_code(tmp_path, argv):
+    assert run(*argv, "--out", tmp_path / "out.json") == 2
+
+
+def test_moments_malformed_scheme_exit_code(tmp_path, model_file):
+    assert run("moments", "--model", model_file, "--scheme", "0,1,x",
+               "--out", tmp_path / "s.json") == 2
+
+
+def test_solve_malformed_hints_exit_code(tmp_path, samples_file):
+    assert run("solve", "--samples", samples_file, "--structure", "1,1",
+               "--hints", "a,b", "--out", tmp_path / "est.json") == 2
+
+
+@pytest.mark.parametrize("line", ["0.5 1.0 0", "0 1.0 x"])
+def test_reconstruct_malformed_window_exit_code(tmp_path, line):
+    win = tmp_path / "win.txt"
+    win.write_text(f"-1 0.0 0.0\n{line}\n1 0.0 0.0\n")
+    assert run("reconstruct", "--window", win, "-d", "0", "-K", "1",
+               "-J", "6.0", "--out", tmp_path / "rec.json") == 2
+
+
 def test_reconstruct_pipeline(tmp_path):
     sig = tmp_path / "sig.json"
     win = tmp_path / "win.txt"

@@ -526,3 +526,10 @@ class TestWindowFile:
         path.write_text("-1 0.0 0.0\n1 0.0 0.0\n")
         with pytest.raises(ValidationError):
             read_window_file(path)
+
+    @pytest.mark.parametrize("line", ["0.5 1.0 0", "0 1.0 x"])
+    def test_rejects_non_numeric_fields(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"-1 0.0 0.0\n{line}\n1 0.0 0.0\n")
+        with pytest.raises(ValidationError, match="bad window line"):
+            read_window_file(path)

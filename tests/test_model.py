@@ -204,6 +204,24 @@ class TestPiecewiseSignal:
         assert sig.psi_coeff(5) == 0.0
 
 
+    @pytest.mark.parametrize("args", [
+        (0, [0.5], [[math.nan]], [math.nan + 0j], math.nan),
+        (0, [0.5], [[math.nan]], [0.1], 1.0),
+        (0, [0.5], [[math.inf]], [0.1], 1.0),
+        (0, [0.5], [[1.0]], [0.1, math.inf], math.inf),
+        (0, [0.5], [[1.0]], [0.1, complex(0.0, math.nan)], 1.0),
+        (0, [0.5], [[1.0]], [0.1], math.nan),
+    ])
+    def test_rejects_nonfinite(self, args):
+        with pytest.raises(ValidationError, match="finite"):
+            PiecewiseSignal(*args)
+
+    def test_loader_rejects_nonfinite(self):
+        data = {**SIGNAL_DICT, "psi_coeffs": [[0.1, 0.0], [math.inf, 0.0]], "psi_decay": math.inf}
+        with pytest.raises(ValidationError, match="finite"):
+            signal_from_dict(json.loads(json.dumps(data)))
+
+
 class TestSerialization:
     def test_model_roundtrip_exact(self):
         m = PronyModel(

@@ -14,6 +14,7 @@ from pronydec import (
     add_noise,
     annihilation_solve_single,
     confluent_vandermonde_coeffs,
+    decimated_solve,
     esprit_solve,
     evaluate_moments,
     lm_refine,
@@ -21,6 +22,7 @@ from pronydec import (
     node_error_bound,
     prony_hankel_solve,
 )
+from pronydec.solvers import _cluster_roots
 
 
 def exact_samples(model, count, offset=0, stride=1):
@@ -65,18 +67,56 @@ class TestHankelSolve:
         # a double root splits numerically; the cluster centroid is looser
         assert abs(model.nodes[0] - truth.nodes[0]) < 1e-6
 
-    def test_clustering_ambiguity_flagged(self):
-        # a double node with a simple node only 0.002 away: two groupings of the
-        # three polynomial roots cost nearly the same
+    def test_double_node_next_to_close_simple_node(self):
+        # a double node with a simple node only 0.002 away: the double root's
+        # numerical split is far narrower than the gap to the simple node
         truth = PronyModel(
             [1.0, cmath.exp(0.002j)], [2, 1], [[1.0, 0.5], [0.8]]
         )
         samples = exact_samples(truth, 10)
-        _, report = prony_hankel_solve(samples, (2, 1))
-        assert "ambiguous-clustering" in report.flags
+        model, report = prony_hankel_solve(samples, (2, 1))
+        assert match_estimates(model, truth).max_node_error <= 1e-6
+        assert "ambiguous-clustering" not in report.flags
+
+    def test_mixed_multiplicities_exact(self):
+        truth = PronyModel(
+            [cmath.exp(0.7j), cmath.exp(-1.1j)], [2, 1], [[1.0, 0.5], [0.8]]
+        )
+        samples = exact_samples(truth, 12)
+        model, report = prony_hankel_solve(samples, (2, 1))
+        assert match_estimates(model, truth).max_node_error <= 1e-10
+        assert "ambiguous-clustering" not in report.flags
+        model, _ = decimated_solve(samples, (2, 1), refine=False)
+        assert match_estimates(model, truth).max_node_error <= 1e-10
+
+    def test_mixed_multiplicities_decimated(self):
+        truth = PronyModel(
+            [cmath.exp(0.7j), cmath.exp(-1.1j)], [2, 1], [[1.0, 0.5], [0.8]]
+        )
+        samples = exact_samples(truth, 12, stride=5)
+        model, _ = decimated_solve(samples, (2, 1), (0.7, -1.1), refine=False)
+        assert match_estimates(model, truth).max_node_error <= 1e-10
+
+    @pytest.mark.parametrize("mults", [(2, 1, 1), (1, 3, 1), (2, 2, 1), (3, 2, 1)])
+    def test_mixed_multiplicities_random(self, mults):
+        rng = np.random.default_rng([len(mults), *mults])
+        for _ in range(5):
+            while True:
+                args = np.sort(rng.uniform(-math.pi, math.pi, size=len(mults)))
+                gaps = np.append(np.diff(args), 2 * math.pi - (args[-1] - args[0]))
+                if min(gaps) >= 0.5:
+                    break
+            coeffs = [
+                rng.uniform(0.5, 2.0, m) * np.exp(1j * rng.uniform(0, 2 * math.pi, m))
+                for m in mults
+            ]
+            truth = PronyModel(np.exp(1j * args), mults, coeffs)
+            samples = exact_samples(truth, 2 * sum(mults) + 6)
+            model, _ = prony_hankel_solve(samples, mults)
+            assert match_estimates(model, truth).max_node_error <= 1e-5
 
     def test_greedy_clustering_above_exhaustive_limit(self):
-        # nine roots exceed the exhaustive partition search
+        # nine roots in four clusters (the former greedy fallback's range)
         truth = PronyModel(
             [cmath.exp(1j * a) for a in (-2.5, -0.8, 0.9, 2.4)],
             (2, 2, 2, 3),
@@ -95,6 +135,28 @@ class TestHankelSolve:
         truth = PronyModel([1.0], [1], [[1.0]])
         with pytest.raises(ValidationError):
             prony_hankel_solve(exact_samples(truth, 1), (1,))
+
+
+class TestClusterRoots:
+    def test_radial_split_grouped(self):
+        # a double root split radially sits at one argument; a cost search
+        # pairs 1.05 with the simple root instead
+        simple = cmath.exp(0.01j)
+        centroids, flags = _cluster_roots(np.array([1.05, 0.95, simple]), (2, 1))
+        assert abs(centroids[0] - 1.0) < 1e-12
+        assert centroids[1] == simple
+        assert flags == []
+
+    def test_ambiguity_flagged(self):
+        # three roots at one argument: no gap tells which two belong together
+        _, flags = _cluster_roots(np.array([1.01, 0.99, 1.0]), (2, 1))
+        assert "ambiguous-clustering" in flags
+
+    def test_size_mismatch(self):
+        # two pairs of close roots cannot form a triple and a single
+        roots = np.exp(1j * np.array([0.0, 0.1, 2.0, 2.1]))
+        with pytest.raises(SolverError, match="multiplicities"):
+            _cluster_roots(roots, (3, 1))
 
 
 class TestAnnihilationSolve:

@@ -58,6 +58,25 @@ class TestConfig:
                 small_fig1_config(workers=workers)
 
 
+    @pytest.mark.parametrize("model", [
+        {"kind": "two-node", "gapp": 0.5},
+        {"kind": "random-simple", "num_nodes": 2, "gapp": 0.5},
+    ])
+    def test_rejects_unknown_model_key(self, model):
+        with pytest.raises(ValidationError, match="gapp"):
+            small_fig1_config(model=model)
+
+    def test_rejects_unknown_signal_key(self):
+        with pytest.raises(ValidationError, match="smoothnes"):
+            SweepConfig(kind="fourier-convergence", seeds=[0], m_values=[64, 128],
+                        signal={"smoothnes": 1, "reconstruction_separation": 8.0})
+
+    @pytest.mark.parametrize("field", [{"seeds": 5}, {"model": [1]}, {"noise": "a"}])
+    def test_from_dict_rejects_wrong_types(self, field):
+        with pytest.raises(ValidationError):
+            SweepConfig.from_dict({**small_fig1_config().to_dict(), **field})
+
+
 class TestWorkerPool:
     """The pool is sized at min(workers, cpu count, task count).  A fake
     executor records the size and runs tasks inline, so no process starts."""
