@@ -540,6 +540,8 @@ def sup_error_away(
 def synthesize_psi(smoothness: int, decay: float, degree: int, rng) -> tuple:
     """Smooth-part coefficients r_n * n^(-d-2) * exp(i phi_n) with random
     amplitudes r_n in [0, decay) and phases, plus a random real mean."""
+    if degree < 0:
+        raise ValidationError(f"smooth-part degree must be nonnegative, got {degree}")
     coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
     for n in range(1, int(degree) + 1):
         r = decay * rng.random()

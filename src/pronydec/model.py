@@ -21,9 +21,6 @@ TWO_PI = 2.0 * math.pi
 #: tolerance for the unit-modulus node invariant
 UNIT_MODULUS_TOL = 1e-12
 
-#: exhaustive matching is only attempted up to this many nodes
-MAX_MATCH_NODES = 8
-
 
 class PronydecError(Exception):
     """Base class for all library errors."""
@@ -356,50 +353,42 @@ def _assign_nodes(est_args, est_mults, target_args, target_mults) -> tuple:
     """Pair estimated nodes with targets of equal multiplicity.
 
     Returns perm with perm[i] the estimate assigned to target i, minimizing the
-    total circle distance between est_args[perm[i]] and target_args[i]: an
-    exhaustive search over multiplicity-preserving permutations up to
-    MAX_MATCH_NODES nodes, a greedy nearest-first pass in target order above.
+    total circle distance between est_args[perm[i]] and target_args[i] over
+    multiplicity-preserving assignments.  The cost splits by multiplicity
+    class; within a class, estimates and targets are sorted by argument
+    (mod 2*pi) and the cheapest cyclic shift of that order is taken, the
+    lowest shift on a tie.  Some cyclic shift is an optimal min-sum matching
+    on the circle (Karp & Li, 1975), so this is exact for every node count.
     """
     if sorted(est_mults) != sorted(target_mults):
         raise ValidationError("the two sides have different multiplicity structures")
-    k = len(target_args)
+    perm = [0] * len(target_args)
+    for m in set(target_mults):
+        targets = [i for i, mi in enumerate(target_mults) if mi == m]
+        by_arg = sorted((j for j, mj in enumerate(est_mults) if mj == m),
+                        key=lambda j: est_args[j] % TWO_PI)
+        rank = {i: r for r, i in enumerate(sorted(targets, key=lambda i: target_args[i] % TWO_PI))}
 
-    def dist(j, i):
-        return circle_distance(est_args[j], target_args[i])
+        def shifted(s):
+            return [by_arg[(rank[i] + s) % len(targets)] for i in targets]
 
-    if k > MAX_MATCH_NODES:
-        available = list(range(k))
-        perm = []
-        for i in range(k):
-            j = min((j for j in available if est_mults[j] == target_mults[i]),
-                    key=lambda j: dist(j, i))
-            perm.append(j)
-            available.remove(j)
-        return tuple(perm)
-    best, best_cost = None, math.inf
-    for perm in itertools.permutations(range(k)):
-        if any(est_mults[perm[i]] != target_mults[i] for i in range(k)):
-            continue
-        cost = sum(dist(perm[i], i) for i in range(k))
-        if cost < best_cost:
-            best, best_cost = perm, cost
-    return best
+        def cost(s):
+            return sum(circle_distance(est_args[j], target_args[i])
+                       for i, j in zip(targets, shifted(s)))
+
+        for i, j in zip(targets, shifted(min(range(len(targets)), key=cost))):
+            perm[i] = j
+    return tuple(perm)
 
 
 def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
-    """Match estimated nodes to true nodes, minimizing total circle distance.
-
-    Exhaustive search over permutations that preserve multiplicities; requires
-    the same structure on both sides and at most MAX_MATCH_NODES nodes.
-    """
-    if estimated.num_nodes != truth.num_nodes:
-        raise ValidationError("models have different numbers of nodes")
-    k = truth.num_nodes
-    if k > MAX_MATCH_NODES:
-        raise ValidationError(f"matching supports at most {MAX_MATCH_NODES} nodes")
+    """Match estimated nodes to true nodes, minimizing total circle distance
+    over multiplicity-preserving assignments (_assign_nodes); requires the
+    same multiplicity structure on both sides, for any node count."""
     t_args = truth.node_args
     e_args = estimated.node_args
     best = _assign_nodes(e_args, estimated.multiplicities, t_args, truth.multiplicities)
+    k = truth.num_nodes
 
     node_errors = tuple(circle_distance(e_args[best[j]], t_args[j]) for j in range(k))
     coeff_errors = tuple(

@@ -11,6 +11,7 @@ from __future__ import annotations
 import cmath
 import inspect
 import math
+import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -33,7 +34,7 @@ from .model import (
     circle_distance,
     match_estimates,
 )
-from .solvers import _fit_coefficients, lm_refine, max_residual
+from .solvers import _fit_coefficients, lm_refine
 
 KINDS = (
     "fixed-count-decimation",
@@ -132,7 +133,6 @@ class SweepResult:
     rows: list
     slopes: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
-    artifacts: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +169,9 @@ _MODEL_BUILDERS = {"two-node": _two_node_model, "random-simple": _random_simple_
 
 def _check_spec(spec, what: str) -> None:
     """A model or signal spec is an object whose keys are parameters of the
-    function that consumes it, less those the sweep supplies itself."""
+    function that consumes it, less those the sweep supplies itself.  Every
+    value but the model kind is a number: an integer where the parameter is
+    annotated int, a pair of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must be an object, got {spec!r}")
     if what == "signal":
@@ -178,10 +180,20 @@ def _check_spec(spec, what: str) -> None:
         consumer, extra = _MODEL_BUILDERS.get(spec.get("kind", "two-node")), "kind"
         if consumer is None:
             raise ValidationError(f"unknown model spec kind {spec['kind']!r}")
-    allowed = set(inspect.signature(consumer).parameters) - {"seed", "p_values"} | {extra}
+    params = inspect.signature(consumer, eval_str=True).parameters
+    allowed = set(params) - {"seed", "p_values"} | {extra}
     unknown = set(spec) - allowed
     if unknown:
         raise ValidationError(f"unknown {what} spec keys: {sorted(unknown)}")
+    for key, value in spec.items():
+        if key == "kind":
+            continue
+        pair = key == "base_magnitude_range"
+        items = value if pair and isinstance(value, (list, tuple)) else [value]
+        annotation = params[key].annotation if key in params else float
+        kind = {int: numbers.Integral, complex: numbers.Complex}.get(annotation, numbers.Real)
+        if len(items) != (2 if pair else 1) or not all(isinstance(v, kind) for v in items):
+            raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type")
 
 
 def _build_model(config: SweepConfig, seed: int) -> PronyModel:
@@ -246,7 +258,6 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
     q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
     samples = SampleSet(scheme, tuple(q), config.noise)
 
-    artifact = None
     start = time.perf_counter()
     try:
         estimate, report = _solve_decimated(config, truth, samples, ks, q)
@@ -256,7 +267,6 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
         errors = [abs(estimate.nodes[match.assignment[j]] - z) for j, z in enumerate(truth.nodes)]
         shared = {"residual": report.residual, "method": report.method,
                   "iterations": report.iterations, "flags": ";".join(report.flags)}
-        artifact = (estimate, samples)
     except PronydecError as exc:
         elapsed = time.perf_counter() - start
         errors = bounds = [math.nan] * truth.num_nodes
@@ -266,7 +276,7 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
         {"p": p, "seed": seed, "node_index": j, "error": err, "bound": float(bound), **shared}
         for j, (err, bound) in enumerate(zip(errors, bounds))
     ]
-    return (p, seed), rows, elapsed, artifact
+    return (p, seed), rows, elapsed
 
 
 def _signal_for_seed(config: SweepConfig, seed: int):
@@ -313,7 +323,7 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
             row[f"mag_error_{l}"] = math.nan
         row["sup_away"] = math.nan
         row["flags"] = f"reconstruction-error:{type(exc).__name__}"
-    return (m, seed), [row], elapsed, None
+    return (m, seed), [row], elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +331,8 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
 # ---------------------------------------------------------------------------
 
 def _run_tasks(config: SweepConfig, task, grid):
-    """Run task(config, a, b) over the grid; rows, timings and artifacts in
-    grid-key order, whatever the worker count."""
+    """Run task(config, a, b) over the grid; rows and timings in grid-key
+    order, whatever the worker count."""
     workers = min(config.workers, os.cpu_count() or 1, len(grid))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -331,20 +341,9 @@ def _run_tasks(config: SweepConfig, task, grid):
     else:
         results = [task(config, a, b) for a, b in grid]
     results.sort(key=lambda r: r[0])
-    rows = [row for _, task_rows, _, _ in results for row in task_rows]
-    timings = {key: elapsed for key, _, elapsed, _ in results}
-    artifacts = {key: artifact for key, _, _, artifact in results if artifact is not None}
-    return rows, timings, artifacts
-
-
-def _collect_decimation(config: SweepConfig) -> SweepResult:
-    grid = [(p, seed) for p in config.p_values for seed in config.seeds]
-    rows, timings, artifacts = _run_tasks(config, _decimation_task, grid)
-    columns = (
-        "p", "seed", "node_index", "error", "bound",
-        "residual", "method", "iterations", "flags",
-    )
-    return SweepResult(columns=columns, rows=rows, timings=timings, artifacts=artifacts)
+    rows = [row for _, task_rows, _ in results for row in task_rows]
+    timings = {key: elapsed for key, _, elapsed in results}
+    return rows, timings
 
 
 def run_fourier_convergence(config: SweepConfig) -> SweepResult:
@@ -358,7 +357,7 @@ def run_fourier_convergence(config: SweepConfig) -> SweepResult:
     if len(config.m_values) < 2:
         raise ValidationError("need at least two bandwidths")
     grid = [(m, seed) for m in config.m_values for seed in config.seeds]
-    rows, timings, _ = _run_tasks(config, _fourier_task, grid)
+    rows, timings = _run_tasks(config, _fourier_task, grid)
 
     d = config.signal.get("smoothness", 0)
     error_cols = ["jump_error"] + [f"mag_error_{l}" for l in range(d + 1)] + ["sup_away"]
@@ -390,27 +389,35 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     if config.kind == "fourier-convergence":
         return run_fourier_convergence(config)
-    return _collect_decimation(config)
+    grid = [(p, seed) for p in config.p_values for seed in config.seeds]
+    rows, timings = _run_tasks(config, _decimation_task, grid)
+    columns = (
+        "p", "seed", "node_index", "error", "bound",
+        "residual", "method", "iterations", "flags",
+    )
+    return SweepResult(columns=columns, rows=rows, timings=timings)
 
 
-def audit_rows(result: SweepResult, fraction: float = 0.01, seed: int = 0) -> int:
-    """Recompute residuals from the per-solve artifacts (estimate, samples) for
-    a random subset of rows; returns the number audited.  Raises if any
-    residual disagrees."""
-    keys = sorted(result.artifacts)
-    if not keys:
-        return 0
+def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01, seed: int = 0) -> int:
+    """Re-run a random subset of the sweep's tasks (keys drawn from
+    result.timings) and compare their rows with the recorded ones as CSV
+    text, so NaN rows compare too; a row belongs to the task whose key its
+    first two columns hold.  Returns the number of tasks audited.  Tasks are
+    deterministic, so any difference raises."""
+    keys = sorted(result.timings)
+    task = _fourier_task if config.kind == "fourier-convergence" else _decimation_task
     rng = np.random.default_rng(seed)
     n_pick = max(1, int(math.ceil(fraction * len(keys))))
     picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
+
+    def text(rows):
+        return [[_format_cell(r[c]) for c in result.columns] for r in rows]
+
     for key in picked:
-        recomputed = max_residual(*result.artifacts[key])
-        recorded = [r["residual"] for r in result.rows if (r["p"], r["seed"]) == key]
-        for value in recorded:
-            if not math.isclose(value, recomputed, rel_tol=1e-12, abs_tol=1e-15):
-                raise AssertionError(
-                    f"residual audit failed at {key}: recorded {value}, recomputed {recomputed}"
-                )
+        _, rows, _ = task(config, *key)
+        recorded = [r for r in result.rows if tuple(r[c] for c in result.columns[:2]) == key]
+        if text(rows) != text(recorded):
+            raise AssertionError(f"row audit failed at {key}: {text(recorded)} != {text(rows)}")
     return n_pick
 
 

@@ -133,6 +133,7 @@ def test_solve_empty_structure_exit_code(tmp_path, model_file, extra):
     ("gen", "model", "--angles", "0.7", "--coefficients", "[["),
     ("gen", "model", "--num-nodes", "0"),
     ("gen", "signal", "-K", "0"),
+    ("gen", "signal", "--psi-degree", "-1"),
 ])
 def test_gen_malformed_arguments_exit_code(tmp_path, argv):
     assert run(*argv, "--out", tmp_path / "out.json") == 2
@@ -212,6 +213,19 @@ def test_validation_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "bogus", "seeds": [0]}))
     assert run("sweep", "--config", cfg) == 2
+
+
+@pytest.mark.parametrize("config, key", [
+    ({"kind": "fixed-count-decimation", "seeds": [0], "p_values": [1], "count": 8,
+      "model": {"kind": "two-node", "gap": "a"}}, "gap"),
+    ({"kind": "fourier-convergence", "seeds": [0], "m_values": [64, 128],
+      "signal": {"smoothness": "x"}}, "smoothness"),
+])
+def test_sweep_spec_value_type_exit_code(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert key in capsys.readouterr().err
 
 
 def test_solver_failure_exit_code(tmp_path):

@@ -132,8 +132,7 @@ class TestDecimatedSolve:
         assert res.max_node_error < 1e-10
         assert res.max_coeff_error < 1e-8
 
-    def test_hint_matching_greedy_above_exhaustive_limit(self):
-        # ten nodes exceed MAX_MATCH_NODES, so the hints are paired greedily
+    def test_hint_matching_ten_nodes(self):
         args = np.linspace(-1.4, 1.4, 10)
         truth = PronyModel(
             [cmath.exp(1j * a) for a in args], (1,) * 10, [[1.0 + 0.1j * j] for j in range(10)]
@@ -142,6 +141,21 @@ class TestDecimatedSolve:
         model, _ = decimated_solve(samples, (1,) * 10, list(args[::-1]), base_solver="hankel")
         for a in args:
             assert min(circle_distance(a, b) for b in model.node_args) <= 1e-8
+
+    def test_hint_matching_nine_nodes(self):
+        # a nearest-first pass in target order pairs one of these hints with
+        # the wrong powered root and misses a node by 0.154 rad, although
+        # every hint is within pi/2 of its node
+        args = [-1.5622, -1.3909, -1.237, -0.9577, -0.6952, -0.1661, -0.0258, 0.1672, 1.1447]
+        hints = [-1.5933, -1.3068, -1.1604, -0.9615, -0.7041, -0.1333, 0.0446, 0.1352, 1.2024]
+        truth = PronyModel(
+            [cmath.exp(1j * a) for a in args], (1,) * 9, [[1.0 + 0.2j * j] for j in range(9)]
+        )
+        samples = evaluate_moments(truth, SamplingScheme(0, 2, 27))
+        for refine in (False, True):
+            model, _ = decimated_solve(samples, (1,) * 9, hints, base_solver="hankel",
+                                       refine=refine)
+            assert match_estimates(model, truth).max_node_error <= 1e-10
 
     @pytest.mark.parametrize("mults", [(), (0,), (1, -1)])
     def test_rejects_bad_multiplicities(self, mults):

@@ -135,6 +135,12 @@ class TestMatchEstimates:
         assert res.max_coeff_error == 0.0
         assert res.assignment == (0, 1)
 
+    def test_identity_ten_nodes(self):
+        m = PronyModel(
+            [cmath.exp(0.6j * j) for j in range(10)], (1,) * 10, [[1.0]] * 10
+        )
+        assert match_estimates(m, m).assignment == tuple(range(10))
+
     def test_crossed_assignment(self):
         truth = PronyModel(
             [cmath.exp(0j), cmath.exp(1j * math.pi / 2)], [1, 1], [[1.0], [1.0]]

@@ -7,6 +7,7 @@ seeded numpy sweeps where model construction is involved.
 """
 
 import cmath
+import itertools
 import math
 
 import numpy as np
@@ -74,6 +75,26 @@ def check_match_self_is_zero(seed=0, trials=20):
 
 def test_match_self_is_zero():
     check_match_self_is_zero()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from([1, 2]), ANGLES, ANGLES), min_size=1, max_size=6),
+       st.data())
+def test_match_cost_is_brute_force_minimum(nodes, data):
+    order = data.draw(st.permutations(range(len(nodes))))
+
+    def model(args, mults):
+        return PronyModel([cmath.exp(1j * a) for a in args], mults, [[1.0] * m for m in mults])
+
+    truth = model([t for _, t, _ in nodes], [m for m, _, _ in nodes])
+    est = model([nodes[j][2] for j in order], [nodes[j][0] for j in order])
+    t, e, k = truth.node_args, est.node_args, len(nodes)
+    brute = min(
+        sum(circle_distance(e[perm[i]], t[i]) for i in range(k))
+        for perm in itertools.permutations(range(k))
+        if all(est.multiplicities[perm[i]] == truth.multiplicities[i] for i in range(k))
+    )
+    assert sum(match_estimates(est, truth).node_errors) == pytest.approx(brute, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

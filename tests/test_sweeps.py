@@ -147,10 +147,17 @@ class TestFixedCountSweep:
         assert len(result.rows) == len(cfg.p_values) * 2  # two nodes
         assert set(result.timings) == {(p, 3) for p in cfg.p_values}
 
-    def test_residual_audit(self):
-        cfg = small_fig1_config(seeds=[0, 1, 2])
+    @pytest.mark.parametrize("cfg", [
+        small_fig1_config(seeds=[0, 1, 2]),
+        SweepConfig(kind="fourier-convergence", seeds=[0, 1], m_values=[32, 64],
+                    signal={"smoothness": 0, "num_jumps": 1, "psi_degree": 256}),
+    ], ids=["fixed-count", "fourier-convergence"])
+    def test_residual_audit(self, cfg):
         result = run_sweep(cfg)
-        assert audit_rows(result, fraction=0.5) >= 1
+        assert audit_rows(result, cfg, fraction=0.5) >= 1
+        result.rows[-1]["flags"] += "tampered"
+        with pytest.raises(AssertionError, match="audit failed"):
+            audit_rows(result, cfg, fraction=1.0)
 
 
 class TestFixedTopSweep:
