@@ -185,14 +185,12 @@ def _cmd_bounds(args) -> int:
 def _cmd_reconstruct(args) -> int:
     window = fourier.read_window_file(args.window)
     result = fourier.reconstruct(window, args.smoothness, args.num_jumps, args.separation)
+    m, coeffs = result.corrected.bandwidth, result.corrected.coeffs
     payload = {
         "jumps": list(result.jumps),
         "magnitudes": [list(row) for row in result.magnitudes],
         "smoothness": result.smoothness,
-        "corrected": [
-            [int(k), result.corrected.coeffs[i].real, result.corrected.coeffs[i].imag]
-            for i, k in enumerate(range(-result.corrected.bandwidth, result.corrected.bandwidth + 1))
-        ],
+        "corrected": list(zip(range(-m, m + 1), coeffs.real.tolist(), coeffs.imag.tolist())),
     }
     save_json(payload, args.out)
     jumps = ", ".join(f"{x:.6g}" for x in result.jumps)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -377,10 +378,12 @@ def identity_mollifier(degree: int) -> Mollifier:
 def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> CoefficientWindow:
     """Coefficients of (signal * mollifier) for |k| <= out_bandwidth.
 
-    Discrete convolution of the window with the mollifier coefficients.  The
-    output bandwidth is capped at half the input bandwidth so the truncation
-    only drops products against mollifier coefficients of order >= bandwidth/2,
-    which are super-polynomially small.
+    Discrete convolution of the window with the mollifier coefficients, as one
+    zero-padded FFT product of power-of-two size >= the full convolution
+    length (no wrap-around), of which the 2 * out_bandwidth + 1 central
+    outputs are kept.  The output bandwidth is capped at half the input
+    bandwidth so the truncation only drops products against mollifier
+    coefficients of order >= bandwidth/2, which are super-polynomially small.
     """
     b = int(out_bandwidth)
     m = window.bandwidth
@@ -392,7 +395,9 @@ def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> 
         raise ValidationError(
             f"mollifier degree {moll.degree} too small: need >= bandwidth + out_bandwidth = {m + b}"
         )
-    conv = np.convolve(window.coeffs, moll.two_sided())
+    taps = moll.two_sided()
+    size = 1 << (len(window.coeffs) + len(taps) - 2).bit_length()
+    conv = np.fft.ifft(np.fft.fft(window.coeffs, size) * np.fft.fft(taps, size))
     center = m + moll.degree
     out = conv[center - b: center + b + 1]
     return CoefficientWindow(out, b, real_signal=window.real_signal)
@@ -599,25 +604,21 @@ def write_window_file(window: CoefficientWindow, path) -> None:
 
 
 def read_window_file(path) -> CoefficientWindow:
-    ks = []
-    coeffs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                k, real, imag = line.split()
-                ks.append(int(k))
-                coeffs.append(complex(float(real), float(imag)))
-            except ValueError:
-                raise ValidationError(f"bad window line: {line!r}") from None
-    if not ks:
+    with warnings.catch_warnings():
+        # an empty file is reported below, not as numpy's "no data" warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            rows = np.loadtxt(path, dtype=[("k", "i8"), ("re", "f8"), ("im", "f8")],
+                              comments=None, ndmin=1, encoding="utf-8")
+        except ValueError as exc:
+            raise ValidationError(f"bad window line: {str(exc).split(';')[0]}") from None
+    if not len(rows):
         raise ValidationError("empty window file")
-    m = max(ks)
-    if sorted(ks) != list(range(-m, m + 1)):
+    order = np.argsort(rows["k"], kind="stable")
+    m = int(rows["k"].max())
+    if len(rows) != 2 * m + 1 or not np.array_equal(rows["k"][order], np.arange(-m, m + 1)):
         raise ValidationError("window file must cover every k from -M to M exactly once")
-    order = np.argsort(ks)
-    arr = np.asarray(coeffs, dtype=complex)[order]
+    arr = np.empty(len(rows), dtype=complex)
+    arr.real, arr.imag = rows["re"][order], rows["im"][order]
     symmetric = float(np.max(np.abs(arr - np.conj(arr[::-1])))) <= REAL_WINDOW_TOL
     return CoefficientWindow(arr, m, real_signal=symmetric)

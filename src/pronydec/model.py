@@ -498,8 +498,7 @@ def signal_from_dict(data: dict) -> PiecewiseSignal:
 
 def save_json(obj: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(obj, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(obj) + "\n")
 
 
 def load_json(path) -> dict:

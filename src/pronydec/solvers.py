@@ -36,7 +36,6 @@ from .model import (
     SampleSet,
     SolverError,
     ValidationError,
-    wrap_angle,
 )
 
 #: relative singular-value threshold below which linear systems count as degenerate
@@ -238,10 +237,8 @@ def _annihilation_node(q: np.ndarray, m: int, expected_node: complex):
     candidates = [w for w in roots if 0.5 <= abs(w) <= 2.0]
     if not candidates:
         raise SolverError("no unimodular root")
-    hint_arg = cmath.phase(complex(expected_node))
-    dists = sorted(
-        (abs(wrap_angle(cmath.phase(w) - hint_arg)), idx) for idx, w in enumerate(candidates)
-    )
+    # spurious roots lie on the true root's ray, so compare complex distances
+    dists = sorted((abs(w - expected_node), idx) for idx, w in enumerate(candidates))
     if len(dists) > 1 and dists[1][0] - dists[0][0] < 1e-9:
         raise SolverError("hint ambiguous: two roots equally close")
     return (_project_unit(candidates[dists[0][1]]),), ()
@@ -254,8 +251,8 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
     samples yields a degree-m polynomial equation in w with w as a simple root.
     Multiple shifted equations are averaged into one polynomial by least squares
     (principal right singular vector of the stacked coefficient rows).  The root
-    with modulus in [0.5, 2] and argument nearest the hint wins; its amplitudes
-    come from confluent-Vandermonde least squares on all samples.
+    with modulus in [0.5, 2] nearest the hint in the complex plane wins; its
+    amplitudes come from confluent-Vandermonde least squares on all samples.
     """
     m = int(multiplicity)
     if m < 1:

@@ -109,6 +109,11 @@ class SweepConfig:
             raise ValidationError("fixed-count-decimation needs count >= 2")
         if self.kind == "fixed-top-index-decimation" and self.top_index < 1:
             raise ValidationError("fixed-top-index-decimation needs top_index >= 1")
+        if self.kind == "bound-check" and self.solver == "esprit":
+            raise ValidationError(
+                "bound-check samples the square system (2 per simple node) and "
+                "solver 'esprit' needs at least 2 * num_nodes + 1; pick 'hankel' or 'lm'"
+            )
 
     def to_dict(self) -> dict:
         data = asdict(self)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from pronydec import fourier
 from pronydec.cli import main
 from pronydec.model import load_json
 
@@ -170,6 +171,27 @@ def test_reconstruct_pipeline(tmp_path):
     assert abs(data["jumps"][0] - true_jump) < 1e-3
 
 
+def test_reconstruct_output_matches_result(tmp_path):
+    sig = tmp_path / "sig.json"
+    win = tmp_path / "win.txt"
+    rec = tmp_path / "rec.json"
+    assert run("gen", "signal", "-d", "1", "-K", "2", "--seed", "3",
+               "--min-separation", "1.6", "--out", sig) == 0
+    assert run("gen", "window", "--signal", sig, "-M", "256", "--out", win) == 0
+    assert run("reconstruct", "--window", win, "-d", "1", "-K", "2",
+               "-J", "1.5", "--out", rec) == 0
+    result = fourier.reconstruct(fourier.read_window_file(win), 1, 2, 1.5)
+    data = load_json(rec)
+    assert rec.read_text().count("\n") == 1
+    assert data["smoothness"] == 1
+    assert data["jumps"] == list(result.jumps)
+    assert data["magnitudes"] == [list(row) for row in result.magnitudes]
+    m = result.corrected.bandwidth
+    assert data["corrected"] == [
+        [k, c.real, c.imag] for k, c in zip(range(-m, m + 1), result.corrected.coeffs)
+    ]
+
+
 def test_sweep_outputs_and_determinism(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
@@ -226,6 +248,18 @@ def test_sweep_spec_value_type_exit_code(tmp_path, capsys, config, key):
     cfg.write_text(json.dumps(config))
     assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
     assert key in capsys.readouterr().err
+
+
+def test_sweep_esprit_bound_check_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "bound-check", "seeds": [0, 1], "solver": "esprit", "p_values": [1, 4],
+        "model": {"kind": "random-simple", "num_nodes": 2},
+    }))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert "bound-check" in err and "esprit" in err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_solver_failure_exit_code(tmp_path):

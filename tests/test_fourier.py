@@ -1,5 +1,6 @@
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -358,6 +359,22 @@ class TestLocalize:
         with pytest.raises(ValidationError):
             localize(window, identity_mollifier(64), 32)
 
+    @pytest.mark.parametrize("real_signal", [True, False])
+    @pytest.mark.parametrize("m", [64, 1024, 2048])
+    def test_matches_direct_convolution(self, m, real_signal):
+        # np.convolve is the oracle for the FFT product; the non-real window is
+        # the real one turned by a phase, so it is not conjugate-symmetric
+        sig = random_piecewise_signal(1, 2, seed=m, min_separation=1.6)
+        window = signal_coeffs(sig, m)
+        if not real_signal:
+            window = CoefficientWindow(window.coeffs * cmath.exp(0.7j), m, real_signal=False)
+        moll = build_mollifier(sig.jumps[0], 0.5, 0.5 / 3, m + m // 2)
+        out = localize(window, moll, m // 2)
+        center = m + moll.degree
+        want = np.convolve(window.coeffs, moll.two_sided())[center - m // 2: center + m // 2 + 1]
+        assert out.real_signal == real_signal
+        assert np.max(np.abs(out.coeffs - want)) <= 1e-15
+
     def test_two_jump_localization_isolates(self):
         sig = PiecewiseSignal(
             0, [-1.0, 1.0], [[2.0, -2.5]], [0.0], 0.0
@@ -376,6 +393,16 @@ class TestReconstruct:
         result = reconstruct(window, 0, 1, 8.0)
         assert circle_distance(result.jumps[0], math.pi) < 1e-10
         assert abs(result.magnitudes[0][0] + 2 * math.pi) < 1e-8
+
+    @pytest.mark.parametrize("seed", [344, 748, 1130])
+    def test_spurious_root_on_hint_ray(self, seed):
+        # criterion 6's (d, K) = (2, 1) signals at M = 2048, where the hint fell
+        # midway in argument between the true root w0 and the spurious root
+        # 1.7251 * w0 on its ray; by argument the pick was a tie ("hint ambiguous")
+        sig = random_piecewise_signal(2, 1, seed, base_magnitude_range=(3.0, 5.0),
+                                      psi_decay=4.0, psi_degree=8192)
+        result = reconstruct(signal_coeffs(sig, 2048), 2, 1, 8.0)
+        assert circle_distance(result.jumps[0], sig.jumps[0]) < 1e-10
 
     def test_localized_magnitudes_match_source(self):
         # through the full pipeline, each jump's recovered magnitudes come from
@@ -533,3 +560,52 @@ class TestWindowFile:
         path.write_text(f"-1 0.0 0.0\n{line}\n1 0.0 0.0\n")
         with pytest.raises(ValidationError, match="bad window line"):
             read_window_file(path)
+
+    def test_skips_blank_lines(self, tmp_path):
+        path = tmp_path / "win.txt"
+        path.write_text("\n-1 0.5 0.25\n\n  \n0 1.0 0.0\n1 0.5 -0.25\n\n")
+        window = read_window_file(path)
+        assert window.bandwidth == 1
+        assert window.real_signal
+        assert np.array_equal(window.coeffs, [0.5 + 0.25j, 1.0, 0.5 - 0.25j])
+
+    @pytest.mark.parametrize("line", ["# comment", "0 1.0", "0 1.0 0.0 2.0"])
+    def test_rejects_malformed_lines(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"-1 0.0 0.0\n{line}\n1 0.0 0.0\n")
+        with pytest.raises(ValidationError, match="bad window line"):
+            read_window_file(path)
+
+    @pytest.mark.parametrize("text", ["", "\n  \n"])
+    def test_rejects_empty_file_without_warning(self, tmp_path, text):
+        path = tmp_path / "empty.txt"
+        path.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="empty window file"):
+                read_window_file(path)
+
+    def test_rejects_huge_index_without_allocating(self, tmp_path):
+        # M = 10^12 from one line: the count check fires before any -M..M range
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000000 0.0 0.0\n")
+        with pytest.raises(ValidationError, match="every k"):
+            read_window_file(path)
+
+    def test_rejects_nan(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("-1 0.0 0.0\n0 nan 0.0\n1 0.0 0.0\n")
+        with pytest.raises(ValidationError):
+            read_window_file(path)
+
+    def test_shuffled_order_roundtrip(self, tmp_path):
+        window = signal_coeffs(random_piecewise_signal(2, 1, seed=8), 40)
+        path = tmp_path / "win.txt"
+        write_window_file(window, path)
+        lines = path.read_text().splitlines()
+        np.random.default_rng(0).shuffle(lines)
+        path.write_text("\n".join(lines) + "\n")
+        back = read_window_file(path)
+        assert back.bandwidth == 40
+        assert back.real_signal
+        assert back.coeffs.tobytes() == window.coeffs.tobytes()

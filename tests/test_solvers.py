@@ -190,6 +190,15 @@ class TestAnnihilationSolve:
         with pytest.raises(SolverError, match="no unimodular root"):
             annihilation_solve_single(samples, 1, 1.0)
 
+    def test_root_on_hint_ray(self):
+        # q_0 w^2 - 2 q_1 w + q_2 with roots w0 and 1.7 * w0 (inside [0.5, 2]):
+        # their arguments tie at the hint w0, their complex distances do not
+        w0 = cmath.exp(0.8j)
+        values = [1.0, 1.35 * w0, 1.7 * w0 * w0]
+        samples = SampleSet(SamplingScheme(0, 1, 3), values)
+        model, _ = annihilation_solve_single(samples, 2, w0)
+        assert abs(model.nodes[0] - w0) < 1e-14
+
     def test_ambiguous_hint(self):
         # with exactly mult+1 samples the solved polynomial is
         # q_0 w^2 - 2 q_1 w + q_2; pick q so its roots are exp(+-0.5i),

@@ -77,6 +77,14 @@ class TestConfig:
             SweepConfig.from_dict({**small_fig1_config().to_dict(), **field})
 
 
+    def test_rejects_esprit_bound_check(self):
+        # the bound-check count is the square system, 2 per simple node, and
+        # ESPRIT needs at least 2k + 1 samples: every row would fail
+        with pytest.raises(ValidationError, match="bound-check.*esprit"):
+            SweepConfig(kind="bound-check", seeds=[0], solver="esprit", p_values=[1, 4],
+                        model={"kind": "random-simple", "num_nodes": 2})
+
+
 class TestWorkerPool:
     """The pool is sized at min(workers, cpu count, task count).  A fake
     executor records the size and runs tasks inline, so no process starts."""
