@@ -41,6 +41,9 @@ from .model import (
 #: relative singular-value threshold below which linear systems count as degenerate
 RANK_TOL = 1e-12
 
+#: lm_refine stops when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s column-scaled)
+GRAD_TOL = 1e-10
+
 #: root clustering is flagged ambiguous when the widest uncut angular gap is
 #: within this fraction of the narrowest cut
 CLUSTER_AMBIGUITY = 0.10
@@ -300,7 +303,7 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 
 
 # ---------------------------------------------------------------------------
-# damped Gauss-Newton refinement
+# Levenberg-Marquardt refinement
 # ---------------------------------------------------------------------------
 
 def _pack_params(model: PronyModel) -> np.ndarray:
@@ -320,18 +323,28 @@ def _real_residual(params, multiplicities, ks, q) -> np.ndarray:
     return np.concatenate([diff.real, diff.imag])
 
 
-def _real_jacobian(params, multiplicities, ks) -> np.ndarray:
-    """Jacobian of _real_residual in the packed parameters."""
+def _jacobian_order(multiplicities) -> np.ndarray:
+    """Columns of `_kernel(..., coeffs)` in packed-parameter order: the node
+    columns, then every coefficient column twice (Re c, Im c)."""
+    ends = np.cumsum(np.asarray(multiplicities) + 1)
+    coeff_cols = np.setdiff1d(np.arange(ends[-1]), ends - 1)
+    return np.concatenate([ends - 1, np.repeat(coeff_cols, 2)])
+
+
+def _real_jacobian(params, multiplicities, ks, order) -> np.ndarray:
+    """Jacobian of _real_residual in the packed parameters; `order` is
+    _jacobian_order(multiplicities)."""
     k = len(multiplicities)
     thetas, coeffs = _unpack_params(params, k)
-    jac = _kernel(thetas, multiplicities, ks, coeffs)
-    node_cols = np.cumsum(np.asarray(multiplicities) + 1) - 1
-    coeff_cols = np.delete(jac, node_cols, axis=1)
-    cols = np.empty((len(ks), len(params)), dtype=complex)
-    cols[:, :k] = jac[:, node_cols] * (1j * np.exp(1j * thetas))  # dz/dtheta = i z
-    cols[:, k::2] = coeff_cols          # d/d Re(c)
-    cols[:, k + 1::2] = coeff_cols * 1j  # d/d Im(c)
-    return np.vstack([cols.real, cols.imag])
+    cols = _kernel(thetas, multiplicities, ks, coeffs)[:, order]
+    cols[:, :k] *= 1j * np.exp(1j * thetas)  # dz/dtheta = i z
+    cols[:, k + 1::2] *= 1j                   # d/d Im(c)
+    return np.concatenate([cols.real, cols.imag])
+
+
+def _damped_step(s, vt, g, lam):
+    """argmin_h ||J h + r||^2 + lam ||h||^2 for J = U diag(s) vt and g = U^T r."""
+    return -vt.T @ (s / (s * s + lam) * g)
 
 
 def lm_refine(
@@ -340,12 +353,20 @@ def lm_refine(
     max_iterations: int = 200,
     step_tol: float = 1e-12,
 ):
-    """Damped Gauss-Newton fit of the model to the samples.
+    """Levenberg-Marquardt fit of the model to the samples.
 
     Parameters are the node arguments (unit modulus enforced by construction)
-    and coefficient real/imaginary parts.  The damping factor is divided by 10
-    on accepted steps and multiplied by 10 on rejected ones; iteration stops
-    when the proposed step norm drops below step_tol or at the iteration cap.
+    and coefficient real/imaginary parts.  At the start and after each
+    accepted step the column-scaled Jacobian J_s = U S V^T is factored once;
+    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r, so a
+    rejected step costs one trial residual.  The damping follows Nielsen's
+    gain-ratio rule (Madsen, Nielsen & Tingleff 2004, section 3.2): with rho
+    the actual over the predicted cost decrease, an accepted step sets
+    lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor 1e-15) and nu <- 2, a
+    rejected one lam <- lam * nu and nu <- 2 nu.  Iteration stops when
+    ||J_s^T r||_inf <= GRAD_TOL * ||r||, when the step norm drops below
+    step_tol, when lam exceeds 1e14 ("damping-saturated") or at the
+    iteration cap ("max-iterations").
     """
     report_flags = []
     if not regularity_check(init, samples.scheme.stride):
@@ -354,32 +375,42 @@ def lm_refine(
 
     multiplicities = init.multiplicities
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+    order = _jacobian_order(multiplicities)
     start = params = _pack_params(init)
     residual = _real_residual(params, multiplicities, ks, q)
     cost = float(np.sum(residual ** 2))
-    lam = 1e-3
+    lam, nu = 1e-3, 2.0
     iterations = 0
+    factored = False
 
     while iterations < max_iterations:
         iterations += 1
-        jac = _real_jacobian(params, multiplicities, ks)
-        col_norms = np.linalg.norm(jac, axis=0)
-        col_norms[col_norms == 0] = 1.0
-        scaled = jac / col_norms
-        augmented = np.vstack([scaled, math.sqrt(lam) * np.eye(jac.shape[1])])
-        rhs = np.concatenate([-residual, np.zeros(jac.shape[1])])
-        step_scaled, *_ = np.linalg.lstsq(augmented, rhs, rcond=None)
-        step = step_scaled / col_norms
+        if not factored:
+            jac = _real_jacobian(params, multiplicities, ks, order)
+            col_norms = np.linalg.norm(jac, axis=0)
+            col_norms[col_norms == 0] = 1.0
+            u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
+            g = u.T @ residual
+            factored = True
+            if np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost):
+                break
+        step = _damped_step(s, vt, g, lam) / col_norms
         if float(np.linalg.norm(step)) < step_tol:
             break
         trial_params = params + step
         trial_residual = _real_residual(trial_params, multiplicities, ks, q)
         trial_cost = float(np.sum(trial_residual ** 2))
         if trial_cost < cost:
+            # predicted decrease sum g^2 (1 - t^2), t = lam / (s^2 + lam), as (1 - t)(1 + t)
+            fit = s * s / (s * s + lam)
+            rho = (cost - trial_cost) / float(np.sum(g * g * fit * (2.0 - fit)))
             params, residual, cost = trial_params, trial_residual, trial_cost
-            lam = max(lam / 10.0, 1e-15)
+            lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
+            nu = 2.0
+            factored = False
         else:
-            lam *= 10.0
+            lam *= nu
+            nu *= 2.0
             if lam > 1e14:
                 report_flags.append("damping-saturated")
                 break

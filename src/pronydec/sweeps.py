@@ -29,6 +29,7 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _assign_nodes,
     _check_level,
     _loader,
     circle_distance,
@@ -310,12 +311,14 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
     try:
         result = fourier.reconstruct(window, d, k, sep)
         elapsed = time.perf_counter() - start
+        # perm[i] is the estimate paired with true jump i (cheapest cyclic pairing)
+        perm = _assign_nodes(result.jumps, (1,) * k, signal.jumps, (1,) * k)
         row["jump_error"] = max(
-            circle_distance(a, b) for a, b in zip(result.jumps, signal.jumps)
+            circle_distance(result.jumps[j], b) for j, b in zip(perm, signal.jumps)
         )
         for l in range(d + 1):
             row[f"mag_error_{l}"] = max(
-                abs(a - b) for a, b in zip(result.magnitudes[l], signal.magnitudes[l])
+                abs(result.magnitudes[l][j] - b) for j, b in zip(perm, signal.magnitudes[l])
             )
         row["sup_away"] = fourier.sup_error_away(
             signal, result, config.exclusion_radius, config.grid_size

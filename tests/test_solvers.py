@@ -22,7 +22,8 @@ from pronydec import (
     node_error_bound,
     prony_hankel_solve,
 )
-from pronydec.solvers import _cluster_roots
+from pronydec.solvers import _cluster_roots, _damped_step
+from pronydec.sweeps import SweepConfig, run_sweep
 
 
 def exact_samples(model, count, offset=0, stride=1):
@@ -313,6 +314,52 @@ class TestLmRefine:
         with pytest.raises(ValidationError):
             lm_refine(samples, truth)
 
+
+class TestDampedStep:
+    @pytest.mark.parametrize("lam", [1e-15, 1e-3, 1e6])
+    def test_matches_augmented_lstsq(self, lam):
+        # the oracle is the damped normal equations solved as one augmented
+        # least-squares system; at lam = 1e6 its own rounding is near 5e-13
+        rng = np.random.default_rng(0)
+        for trial in range(20):
+            cols = int(rng.integers(1, 10))
+            rows = cols if trial % 2 else int(rng.integers(cols + 1, 4 * cols + 2))
+            jac = rng.normal(size=(rows, cols)) * 10.0 ** rng.uniform(-3, 3, size=cols)
+            scaled = jac / np.linalg.norm(jac, axis=0)
+            r = rng.normal(size=rows)
+            u, s, vt = np.linalg.svd(scaled, full_matrices=False)
+            step = _damped_step(s, vt, u.T @ r, lam)
+            augmented = np.vstack([scaled, math.sqrt(lam) * np.eye(cols)])
+            oracle, *_ = np.linalg.lstsq(
+                augmented, np.concatenate([-r, np.zeros(cols)]), rcond=None
+            )
+            assert np.linalg.norm(step - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+class TestLmIterations:
+    """Iteration counts on criterion 3's fixed-count shape (p = 1 rows)."""
+
+    @staticmethod
+    def _p1_rows(solver):
+        cfg = SweepConfig(
+            kind="fixed-count-decimation",
+            seeds=list(range(50)),
+            noise=1e-4,
+            solver=solver,
+            p_values=[1, 8, 32],
+            count=66,
+            model={"kind": "two-node", "gap": 1e-2},
+        )
+        return [r for r in run_sweep(cfg).rows if r["p"] == 1 and r["node_index"] == 0]
+
+    def test_hankel_lm(self):
+        rows = self._p1_rows("hankel")
+        assert np.median([r["iterations"] for r in rows]) <= 45
+        assert sum("max-iterations" in r["flags"] for r in rows) <= 2
+
+    def test_oracle_initialised_lm(self):
+        rows = self._p1_rows("lm")
+        assert np.median([r["iterations"] for r in rows]) <= 12
 
 class TestConfluentVandermonde:
     def test_constant_sequence(self):

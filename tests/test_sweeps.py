@@ -3,7 +3,8 @@ from concurrent.futures import Future
 import numpy as np
 import pytest
 
-from pronydec import ValidationError, sweeps
+from pronydec import ValidationError, fourier, sweeps
+from pronydec.model import circle_distance
 from pronydec.sweeps import (
     SweepConfig,
     audit_rows,
@@ -258,6 +259,32 @@ class TestFourierConvergence:
         assert result.slopes["mag_error_1"] < 0
         assert result.slopes["mag_error_0"] < 0
 
+
+    def test_jumps_paired_cyclically(self):
+        # criterion 6's (1, 2) signal at M = 64, seed 6: one estimate crosses
+        # +-pi, so pairing the sorted lists by position read 2.36 rad
+        spec = {
+            "smoothness": 1, "num_jumps": 2, "min_separation": 1.6,
+            "psi_decay": 1.0, "psi_degree": 8192,
+            "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5,
+            "reconstruction_separation": 1.5,
+        }
+        cfg = SweepConfig(
+            kind="fourier-convergence", seeds=[6], m_values=[64], signal=spec,
+            exclusion_radius=0.1, grid_size=1024,
+        )
+        _, (row,), _ = sweeps._fourier_task(cfg, 64, 6)
+        signal = sweeps._signal_for_seed(cfg, 6)
+        result = fourier.reconstruct(fourier.signal_coeffs(signal, 64), 1, 2, 1.5)
+        pairings = [(0, 1), (1, 0)]
+        best = min(pairings, key=lambda perm: sum(
+            circle_distance(result.jumps[j], x) for j, x in zip(perm, signal.jumps)))
+        assert row["jump_error"] == max(
+            circle_distance(result.jumps[j], x) for j, x in zip(best, signal.jumps))
+        assert 0.13 < row["jump_error"] < 0.14
+        for l in range(2):
+            assert row[f"mag_error_{l}"] == max(
+                abs(result.magnitudes[l][j] - a) for j, a in zip(best, signal.magnitudes[l]))
 
 class TestSlopeFit:
     def test_linear(self):
