@@ -211,13 +211,11 @@ def _cmd_sweep(args) -> int:
         sweeps.emit_csv(result.rows, csv_path, result.columns)
         print(f"wrote {len(result.rows)} rows to {csv_path}")
     if svg_path:
-        x_col = "M" if config.kind == "fourier-convergence" else "p"
-        y_col = "jump_error" if config.kind == "fourier-convergence" else "error"
-        sweeps.emit_svg(result.rows, svg_path, x_col, y_col, title=config.kind)
+        y_col = next(c for c in result.columns if c.endswith("error"))  # the first error column
+        sweeps.emit_svg(result.rows, svg_path, result.columns[0], y_col, title=config.kind)
         print(f"wrote plot to {svg_path}")
     if timing_path:
-        names = ("M", "seed") if config.kind == "fourier-convergence" else ("p", "seed")
-        sweeps.emit_timings_csv(result.timings, timing_path, names)
+        sweeps.emit_timings_csv(result.timings, timing_path, result.columns[:2])
         print(f"wrote timings to {timing_path}")
     for name, slope in sorted(result.slopes.items()):
         print(f"slope[{name}] = {slope:.4f}")

@@ -27,6 +27,8 @@ from .model import (
 MAX_INDEX = 10**7
 #: largest node multiplicity accepted by the forward map
 MAX_MULTIPLICITY = 12
+#: regularity_check's floor on powered-node separations and leading coefficients
+REGULARITY_TOL = 1e-10
 
 
 def _check_limits(multiplicities, extent: int) -> None:
@@ -141,15 +143,10 @@ def stride_separation(model: PronyModel, p: int) -> float:
     )
 
 
-def regularity_check(
-    model: PronyModel,
-    p: int,
-    tol_sep: float = 1e-10,
-    tol_coeff: float = 1e-10,
-) -> RegularityReport:
-    """Local invertibility at stride p: distinct p-th node powers and nonzero
-    leading coefficients.  Degenerate inputs yield ok=False with a report,
-    never an exception."""
+def regularity_check(model: PronyModel, p: int) -> RegularityReport:
+    """Local invertibility at stride p: p-th node powers farther apart than
+    REGULARITY_TOL and leading coefficients larger than it in modulus.
+    Degenerate inputs yield ok=False with a report, never an exception."""
     if p < 1:
         raise ValidationError("stride must be positive")
     powered = [cmath.exp(1j * theta * p) for theta in model.node_args]
@@ -157,12 +154,12 @@ def regularity_check(
     for i in range(model.num_nodes):
         for j in range(i + 1, model.num_nodes):
             sep = abs(powered[i] - powered[j])
-            if sep <= tol_sep:
+            if sep <= REGULARITY_TOL:
                 pair_violations.append((i, j, sep))
     coeff_violations = []
     for j, row in enumerate(model.coefficients):
         lead = abs(row[-1])
-        if lead <= tol_coeff:
+        if lead <= REGULARITY_TOL:
             coeff_violations.append((j, lead))
     return RegularityReport(
         ok=not pair_violations and not coeff_violations,

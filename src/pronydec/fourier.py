@@ -596,11 +596,13 @@ def random_piecewise_signal(
 # ---------------------------------------------------------------------------
 
 def write_window_file(window: CoefficientWindow, path) -> None:
-    m = window.bandwidth
+    m, coeffs = window.bandwidth, window.coeffs
+    text = "".join(
+        f"{k} {re!r} {im!r}\n"
+        for k, re, im in zip(range(-m, m + 1), coeffs.real.tolist(), coeffs.imag.tolist())
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        for i, k in enumerate(range(-m, m + 1)):
-            c = complex(window.coeffs[i])
-            fh.write(f"{k} {c.real!r} {c.imag!r}\n")
+        fh.write(text)
 
 
 def read_window_file(path) -> CoefficientWindow:

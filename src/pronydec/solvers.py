@@ -41,8 +41,11 @@ from .model import (
 #: relative singular-value threshold below which linear systems count as degenerate
 RANK_TOL = 1e-12
 
-#: lm_refine stops when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s column-scaled)
+#: lm_refine stops when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s column-scaled),
+#: when a step is shorter than STEP_TOL, or after MAX_ITERATIONS iterations
 GRAD_TOL = 1e-10
+STEP_TOL = 1e-12
+MAX_ITERATIONS = 200
 
 #: root clustering is flagged ambiguous when the widest uncut angular gap is
 #: within this fraction of the narrowest cut
@@ -115,14 +118,20 @@ def _full_rank_lstsq(matrix, rhs, message):
 
 
 def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
+    """Least-squares amplitudes on columns z^k k^l.  Each column is divided by
+    the power of two nearest its norm (exact in floating point), so the rank
+    test sees the nodes' conditioning, not the k^l growth of the columns."""
     if len(ks) < sum(multiplicities):
         raise ValidationError("need at least as many samples as coefficients")
+    matrix = coefficient_matrix(nodes, multiplicities, ks)
+    scale = np.exp2(np.round(np.log2(np.linalg.norm(matrix, axis=0))))
+    matrix /= scale
     solution = _full_rank_lstsq(
-        coefficient_matrix(nodes, multiplicities, ks),
+        matrix,
         q,
         "coefficient basis is numerically rank-deficient (aliased nodes?)",
     )
-    return _split(solution, multiplicities)
+    return _split(solution / scale, multiplicities)
 
 
 def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags):
@@ -347,12 +356,7 @@ def _damped_step(s, vt, g, lam):
     return -vt.T @ (s / (s * s + lam) * g)
 
 
-def lm_refine(
-    samples: SampleSet,
-    init: PronyModel,
-    max_iterations: int = 200,
-    step_tol: float = 1e-12,
-):
+def lm_refine(samples: SampleSet, init: PronyModel):
     """Levenberg-Marquardt fit of the model to the samples.
 
     Parameters are the node arguments (unit modulus enforced by construction)
@@ -365,8 +369,8 @@ def lm_refine(
     lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor 1e-15) and nu <- 2, a
     rejected one lam <- lam * nu and nu <- 2 nu.  Iteration stops when
     ||J_s^T r||_inf <= GRAD_TOL * ||r||, when the step norm drops below
-    step_tol, when lam exceeds 1e14 ("damping-saturated") or at the
-    iteration cap ("max-iterations").
+    STEP_TOL, when lam exceeds 1e14 ("damping-saturated") or at the
+    iteration cap MAX_ITERATIONS ("max-iterations").
     """
     report_flags = []
     if not regularity_check(init, samples.scheme.stride):
@@ -383,7 +387,7 @@ def lm_refine(
     iterations = 0
     factored = False
 
-    while iterations < max_iterations:
+    while iterations < MAX_ITERATIONS:
         iterations += 1
         if not factored:
             jac = _real_jacobian(params, multiplicities, ks, order)
@@ -395,7 +399,7 @@ def lm_refine(
             if np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost):
                 break
         step = _damped_step(s, vt, g, lam) / col_norms
-        if float(np.linalg.norm(step)) < step_tol:
+        if float(np.linalg.norm(step)) < STEP_TOL:
             break
         trial_params = params + step
         trial_residual = _real_residual(trial_params, multiplicities, ks, q)

@@ -51,14 +51,13 @@ DECIMATION_SOLVERS = ("hankel", "esprit", "lm")
 class SweepConfig:
     """Declarative description of one experiment.
 
-    model:  {"kind": "two-node", "gap": g, "coefficient": c}          fixed model
-            {"kind": "random-simple", "num_nodes": k,
-             "min_stride_separation": s}                              per-seed model
-    signal: {"smoothness": d, "num_jumps": k, "min_separation": s,
-             "psi_decay": r, "psi_degree": n,
-             "base_magnitude_range": [lo, hi],
-             "higher_magnitude_scale": s,
-             "reconstruction_separation": J}
+    model:  {"kind": "two-node" (fixed model) | "random-simple" (per seed), ...}
+    signal: {"smoothness": d, "num_jumps": k, ..., "reconstruction_separation": J}
+
+    The other keys of a spec are keyword arguments of the function that
+    consumes it (_two_node_model, _random_simple_model or
+    fourier.random_piecewise_signal), and an omitted key takes its default.
+    J defaults to the signal's min_separation.
     """
 
     kind: str
@@ -145,7 +144,7 @@ class SweepResult:
 # model construction
 # ---------------------------------------------------------------------------
 
-def _two_node_model(gap: float, coefficient: complex = 1.0) -> PronyModel:
+def _two_node_model(gap: float = 1e-2, coefficient: complex = 1.0) -> PronyModel:
     half = float(gap) / 2.0
     return PronyModel(
         (cmath.exp(1j * half), cmath.exp(-1j * half)),
@@ -154,7 +153,9 @@ def _two_node_model(gap: float, coefficient: complex = 1.0) -> PronyModel:
     ).canonical()
 
 
-def _random_simple_model(num_nodes: int, seed: int, p_values, min_stride_separation: float) -> PronyModel:
+def _random_simple_model(
+    seed: int, p_values, num_nodes: int = 2, min_stride_separation: float = 0.8
+) -> PronyModel:
     """Seeded random simple-node model, rejection-sampled so that the powered
     node separation stays above the floor for every stride in the sweep."""
     rng = np.random.default_rng([int(seed), 0x5EED])
@@ -175,9 +176,10 @@ _MODEL_BUILDERS = {"two-node": _two_node_model, "random-simple": _random_simple_
 
 def _check_spec(spec, what: str) -> None:
     """A model or signal spec is an object whose keys are parameters of the
-    function that consumes it, less those the sweep supplies itself.  Every
-    value but the model kind is a number: an integer where the parameter is
-    annotated int, a pair of numbers for base_magnitude_range."""
+    function that consumes it, less those the sweep supplies itself; the
+    parameters without a default are required.  Every value but the model
+    kind is a number: an integer where the parameter is annotated int, a pair
+    of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must be an object, got {spec!r}")
     if what == "signal":
@@ -187,8 +189,8 @@ def _check_spec(spec, what: str) -> None:
         if consumer is None:
             raise ValidationError(f"unknown model spec kind {spec['kind']!r}")
     params = inspect.signature(consumer, eval_str=True).parameters
-    allowed = set(params) - {"seed", "p_values"} | {extra}
-    unknown = set(spec) - allowed
+    supplied = {"seed", "p_values"}
+    unknown = set(spec) - (set(params) - supplied | {extra})
     if unknown:
         raise ValidationError(f"unknown {what} spec keys: {sorted(unknown)}")
     for key, value in spec.items():
@@ -200,18 +202,17 @@ def _check_spec(spec, what: str) -> None:
         kind = {int: numbers.Integral, complex: numbers.Complex}.get(annotation, numbers.Real)
         if len(items) != (2 if pair else 1) or not all(isinstance(v, kind) for v in items):
             raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type")
+    missing = [k for k, p in params.items()
+               if p.default is p.empty and k not in supplied and k not in spec]
+    if missing:
+        raise ValidationError(f"{what} spec is missing required keys: {missing}")
 
 
 def _build_model(config: SweepConfig, seed: int) -> PronyModel:
-    spec = config.model
-    if spec.get("kind", "two-node") == "two-node":
-        return _two_node_model(spec.get("gap", 1e-2), spec.get("coefficient", 1.0))
-    return _random_simple_model(
-        spec.get("num_nodes", 2),
-        seed,
-        config.p_values,
-        spec.get("min_stride_separation", 0.8),
-    )
+    spec = dict(config.model)
+    if spec.pop("kind", "two-node") == "two-node":
+        return _two_node_model(**spec)
+    return _random_simple_model(seed, config.p_values, **spec)
 
 
 def _count_for_stride(config: SweepConfig, p: int, truth: PronyModel) -> int:
@@ -286,25 +287,17 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
 
 
 def _signal_for_seed(config: SweepConfig, seed: int):
-    spec = config.signal
-    return fourier.random_piecewise_signal(
-        smoothness=spec.get("smoothness", 0),
-        num_jumps=spec.get("num_jumps", 1),
-        seed=seed,
-        min_separation=spec.get("min_separation", 1.5),
-        base_magnitude_range=tuple(spec.get("base_magnitude_range", (3.0, 5.0))),
-        higher_magnitude_scale=spec.get("higher_magnitude_scale", 0.5),
-        psi_decay=spec.get("psi_decay", 1.0),
-        psi_degree=spec.get("psi_degree", 8192),
-    )
+    spec = {k: v for k, v in config.signal.items() if k != "reconstruction_separation"}
+    return fourier.random_piecewise_signal(seed=seed, **spec)
 
 
 def _fourier_task(config: SweepConfig, m: int, seed: int):
-    spec = config.signal
-    d = spec.get("smoothness", 0)
-    k = spec.get("num_jumps", 1)
-    sep = spec.get("reconstruction_separation", spec.get("min_separation", 1.5))
+    spec, defaults = config.signal, inspect.signature(fourier.random_piecewise_signal).parameters
+    sep = spec.get("min_separation", defaults["min_separation"].default)
+    sep = spec.get("reconstruction_separation", sep)
     signal = _signal_for_seed(config, seed)
+    d, k = signal.smoothness, len(signal.jumps)
+    errors = ["jump_error", *(f"mag_error_{l}" for l in range(d + 1)), "sup_away"]
     window = fourier.signal_coeffs(signal, m)
     row = {"M": m, "seed": seed}
     start = time.perf_counter()
@@ -326,11 +319,7 @@ def _fourier_task(config: SweepConfig, m: int, seed: int):
         row["flags"] = ""
     except PronydecError as exc:
         elapsed = time.perf_counter() - start
-        row["jump_error"] = math.nan
-        for l in range(d + 1):
-            row[f"mag_error_{l}"] = math.nan
-        row["sup_away"] = math.nan
-        row["flags"] = f"reconstruction-error:{type(exc).__name__}"
+        row.update(dict.fromkeys(errors, math.nan), flags=f"reconstruction-error:{type(exc).__name__}")
     return (m, seed), [row], elapsed
 
 
@@ -354,37 +343,11 @@ def _run_tasks(config: SweepConfig, task, grid):
     return rows, timings
 
 
-def run_fourier_convergence(config: SweepConfig) -> SweepResult:
-    """Reconstruction error sweep over bandwidths, with fitted log-log slopes.
-
-    Slopes are fitted on the per-bandwidth medians over seeds, using the largest
-    ceil(half) of the bandwidth list.
-    """
-    if config.kind != "fourier-convergence":
-        raise ValidationError("config kind mismatch")
-    if len(config.m_values) < 2:
-        raise ValidationError("need at least two bandwidths")
-    grid = [(m, seed) for m in config.m_values for seed in config.seeds]
-    rows, timings = _run_tasks(config, _fourier_task, grid)
-
-    d = config.signal.get("smoothness", 0)
-    error_cols = ["jump_error"] + [f"mag_error_{l}" for l in range(d + 1)] + ["sup_away"]
-    columns = tuple(["M", "seed"] + error_cols + ["flags"])
-
-    ms = sorted(set(config.m_values))
-    top = ms[-math.ceil(len(ms) / 2):]
-    slopes = {}
-    for col in error_cols:
-        points = []
-        for m in top:
-            vals = [r[col] for r in rows if r["M"] == m and not math.isnan(r[col])]
-            if vals:
-                points.append((float(m), float(np.median(vals))))
-        if len(points) >= 2 and all(y > 0 for _, y in points):
-            slopes[col] = fit_loglog_slope(points)
-        else:
-            slopes[col] = math.nan
-    return SweepResult(columns=columns, rows=rows, slopes=slopes, timings=timings)
+def _task(config: SweepConfig):
+    """The per-(x, seed) task of the config's kind and the x values it sweeps."""
+    if config.kind == "fourier-convergence":
+        return _fourier_task, config.m_values
+    return _decimation_task, config.p_values
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -393,17 +356,20 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     The decimation kinds solve on indices {0, p, ..., (count-1)p}: a fixed
     count ("fixed-count-decimation"), count = top_index // p
     ("fixed-top-index-decimation"), or the model's square system on per-seed
-    random models ("bound-check").
+    random models ("bound-check").  "fourier-convergence" reconstructs over
+    the bandwidths M and fits the log-log slope of each error column against
+    M (see _median_slope).  Columns are the row builders' keys, in their
+    order: the task key (x, seed) first, flags last, and for the Fourier
+    sweep the errors between.
     """
-    if config.kind == "fourier-convergence":
-        return run_fourier_convergence(config)
-    grid = [(p, seed) for p in config.p_values for seed in config.seeds]
-    rows, timings = _run_tasks(config, _decimation_task, grid)
-    columns = (
-        "p", "seed", "node_index", "error", "bound",
-        "residual", "method", "iterations", "flags",
-    )
-    return SweepResult(columns=columns, rows=rows, timings=timings)
+    task, x_values = _task(config)
+    fit = config.kind == "fourier-convergence"
+    if fit and len(x_values) < 2:
+        raise ValidationError("need at least two bandwidths")
+    rows, timings = _run_tasks(config, task, [(x, seed) for x in x_values for seed in config.seeds])
+    columns = tuple(rows[0])
+    slopes = {col: _median_slope(rows, col) for col in columns[2:-1]} if fit else {}
+    return SweepResult(columns=columns, rows=rows, slopes=slopes, timings=timings)
 
 
 def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01, seed: int = 0) -> int:
@@ -413,7 +379,7 @@ def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01,
     first two columns hold.  Returns the number of tasks audited.  Tasks are
     deterministic, so any difference raises."""
     keys = sorted(result.timings)
-    task = _fourier_task if config.kind == "fourier-convergence" else _decimation_task
+    task, _ = _task(config)
     rng = np.random.default_rng(seed)
     n_pick = max(1, int(math.ceil(fraction * len(keys))))
     picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
@@ -432,6 +398,21 @@ def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01,
 # ---------------------------------------------------------------------------
 # slope fitting and emission
 # ---------------------------------------------------------------------------
+
+def _median_slope(rows, col) -> float:
+    """Log-log slope of col's per-M medians over seeds at the largest
+    ceil(half) of the bandwidths; NaN unless at least two medians are defined
+    and positive."""
+    ms = sorted({r["M"] for r in rows})
+    points = []
+    for m in ms[-math.ceil(len(ms) / 2):]:
+        vals = [r[col] for r in rows if r["M"] == m and not math.isnan(r[col])]
+        if vals:
+            points.append((float(m), float(np.median(vals))))
+    if len(points) >= 2 and all(y > 0 for _, y in points):
+        return fit_loglog_slope(points)
+    return math.nan
+
 
 def fit_loglog_slope(points) -> float:
     """Least-squares slope of log(y) against log(x)."""

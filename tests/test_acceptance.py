@@ -29,7 +29,6 @@ from pronydec.model import _random_model
 from pronydec.sweeps import (
     SweepConfig,
     emit_csv,
-    run_fourier_convergence,
     run_sweep,
 )
 
@@ -215,7 +214,7 @@ def test_criterion_6_full_accuracy_rates():
                 exclusion_radius=0.1,
                 grid_size=1024,
             )
-            result = run_fourier_convergence(cfg)
+            result = run_sweep(cfg)
             slopes = result.slopes
             assert slopes["jump_error"] <= -(d + 2) + slack, (
                 f"(d={d},K={k}) jump slope {slopes['jump_error']:.2f}"

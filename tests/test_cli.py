@@ -250,6 +250,33 @@ def test_sweep_spec_value_type_exit_code(tmp_path, capsys, config, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("missing", ["smoothness", "num_jumps"])
+def test_sweep_signal_spec_missing_key_exit_code(tmp_path, capsys, missing):
+    signal = {"smoothness": 0, "num_jumps": 1}
+    del signal[missing]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "fourier-convergence", "seeds": [0],
+                               "m_values": [64, 128], "signal": signal}))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert missing in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config, x_col, y_col", [
+    ({"kind": "fourier-convergence", "seeds": [0], "m_values": [32, 64],
+      "signal": {"smoothness": 0, "num_jumps": 1, "psi_degree": 256}}, "M", "jump_error"),
+    ({"kind": "fixed-count-decimation", "seeds": [0], "noise": 1e-6, "p_values": [1, 4],
+      "count": 20, "model": {"kind": "two-node", "gap": 0.01}}, "p", "error"),
+])
+def test_sweep_timing_keys_and_plot_axes(tmp_path, config, x_col, y_col):
+    cfg, svg, timing = tmp_path / "cfg.json", tmp_path / "plot.svg", tmp_path / "t.csv"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", cfg, "--svg", svg, "--timing-out", timing) == 0
+    assert timing.read_text().splitlines()[0] == f"{x_col},seed,seconds"
+    plot = svg.read_text()
+    assert plot.startswith("<svg")
+    assert f">{x_col}</text>" in plot and f">{y_col}</text>" in plot
+
+
 def test_sweep_esprit_bound_check_exit_code(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({

@@ -404,6 +404,17 @@ class TestReconstruct:
         result = reconstruct(signal_coeffs(sig, 2048), 2, 1, 8.0)
         assert circle_distance(result.jumps[0], sig.jumps[0]) < 1e-10
 
+    @pytest.mark.parametrize("m", [512, 2048])
+    @pytest.mark.parametrize("d", [3, 4, 5])
+    def test_high_smoothness_recovers(self, d, m):
+        # the amplitude fit's columns z^k k^l span M^d in norm; on raw columns
+        # the rank test refused every signal at (d, M) = (4, 2048), (5, 512)
+        # and (5, 2048)
+        for seed in range(3):
+            sig = random_piecewise_signal(d, 1, seed)
+            result = reconstruct(signal_coeffs(sig, m), d, 1, 1.5)
+            assert circle_distance(result.jumps[0], sig.jumps[0]) < 1e-11
+
     def test_localized_magnitudes_match_source(self):
         # through the full pipeline, each jump's recovered magnitudes come from
         # the mollified window yet match the original jump data
@@ -547,6 +558,20 @@ class TestWindowFile:
         assert back.bandwidth == 24
         assert back.real_signal
         assert np.array_equal(back.coeffs, window.coeffs)
+
+    def test_text_is_one_k_re_im_line_per_index(self, tmp_path):
+        # the line format: k, then repr of the real and imaginary parts
+        window = signal_coeffs(random_piecewise_signal(1, 2, seed=5), 24)
+        coeffs = np.array(window.coeffs)
+        coeffs[0], coeffs[-1] = complex(-0.0, 0.0), complex(1e-300, -0.0)
+        window = CoefficientWindow(coeffs, 24, real_signal=False)
+        path = tmp_path / "win.txt"
+        write_window_file(window, path)
+        want = "".join(
+            f"{k} {complex(c).real!r} {complex(c).imag!r}\n"
+            for k, c in zip(range(-24, 25), window.coeffs)
+        )
+        assert path.read_bytes() == want.encode("utf-8")
 
     def test_rejects_gaps(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -12,7 +12,6 @@ from pronydec.sweeps import (
     emit_svg,
     emit_timings_csv,
     fit_loglog_slope,
-    run_fourier_convergence,
     run_sweep,
 )
 
@@ -77,6 +76,14 @@ class TestConfig:
         with pytest.raises(ValidationError):
             SweepConfig.from_dict({**small_fig1_config().to_dict(), **field})
 
+
+    @pytest.mark.parametrize("missing", ["smoothness", "num_jumps"])
+    def test_signal_spec_requires_smoothness_and_num_jumps(self, missing):
+        # random_piecewise_signal has no default for either
+        signal = {"smoothness": 1, "num_jumps": 1}
+        del signal[missing]
+        with pytest.raises(ValidationError, match=missing):
+            SweepConfig(kind="fourier-convergence", seeds=[0], m_values=[64, 128], signal=signal)
 
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
@@ -232,7 +239,7 @@ class TestFourierConvergence:
             },
             grid_size=256,
         )
-        result = run_fourier_convergence(cfg)
+        result = run_sweep(cfg)
         assert set(result.slopes) == {"jump_error", "mag_error_0", "sup_away"}
         # slopes are fitted on per-M medians over the top half of the list
         assert result.slopes["jump_error"] < -1.2
@@ -254,11 +261,16 @@ class TestFourierConvergence:
             },
             grid_size=256,
         )
-        result = run_fourier_convergence(cfg)
+        result = run_sweep(cfg)
         assert result.slopes["mag_error_1"] > result.slopes["mag_error_0"]
         assert result.slopes["mag_error_1"] < 0
         assert result.slopes["mag_error_0"] < 0
 
+
+    def test_omitted_signal_keys_take_generator_defaults(self):
+        cfg = SweepConfig(kind="fourier-convergence", seeds=[3], m_values=[64, 128],
+                          signal={"smoothness": 1, "num_jumps": 2})
+        assert sweeps._signal_for_seed(cfg, 3) == fourier.random_piecewise_signal(1, 2, 3)
 
     def test_jumps_paired_cyclically(self):
         # criterion 6's (1, 2) signal at M = 64, seed 6: one estimate crosses
