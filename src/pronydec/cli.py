@@ -89,14 +89,9 @@ def _cmd_gen(args) -> int:
         print(f"wrote model with {model.num_nodes} node(s) to {args.out}")
         return 0
     if args.what == "signal":
-        signal = fourier.random_piecewise_signal(
-            smoothness=args.smoothness,
-            num_jumps=args.num_jumps,
-            seed=args.seed,
-            min_separation=args.min_separation,
-            psi_decay=args.psi_decay,
-            psi_degree=args.psi_degree,
-        )
+        # an option left out is absent from args and takes the generator's default
+        options = {k: v for k, v in vars(args).items() if k not in ("command", "what", "out")}
+        signal = fourier.random_piecewise_signal(**options)
         save_json(signal_to_dict(signal), args.out)
         print(f"wrote signal (d={args.smoothness}, K={args.num_jumps}) to {args.out}")
         return 0
@@ -249,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     gs.add_argument("--smoothness", "-d", type=int, default=0)
     gs.add_argument("--num-jumps", "-K", type=int, default=1)
     gs.add_argument("--seed", type=int, default=0)
-    gs.add_argument("--min-separation", type=float, default=1.5)
-    gs.add_argument("--psi-decay", type=float, default=1.0)
-    gs.add_argument("--psi-degree", type=int, default=4096)
+    gs.add_argument("--min-separation", type=float, default=argparse.SUPPRESS)
+    gs.add_argument("--psi-decay", type=float, default=argparse.SUPPRESS)
+    gs.add_argument("--psi-degree", type=int, default=argparse.SUPPRESS)
     gs.add_argument("--out", required=True)
     gw = gen_sub.add_parser("window", help="coefficient window text file from a signal")
     gw.add_argument("--signal", required=True)

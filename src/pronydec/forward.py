@@ -2,7 +2,7 @@
 
 `_kernel` is the one place where the confluent-Vandermonde block
 z_j^k * k^l is formed.  The moments, the coefficient matrix, the Jacobian,
-and (through `_moments`) every residual in the solvers are thin callers of it,
+and every residual in the solvers are thin callers of it,
 working on index arrays k = offset + stride * arange(count).
 """
 

@@ -8,7 +8,10 @@ amplitudes on given indices by confluent-Vandermonde least squares, builds the
 canonical model and measures the residual.  The public base solvers run
 validate -> finder -> `_solution` on the progression index s;
 decimate.decimated_solve calls the finders itself, selects the branches of
-w -> z, and calls `_solution` once on the original indices.
+w -> z, and calls `_solution` once on the original indices.  `lm_refine`
+polishes a model by variable projection: it iterates on the node arguments
+only and refits the amplitudes at every step with the same column-scaled
+least squares (`_scaled_lstsq`) that `_solution` uses.
 """
 
 from __future__ import annotations
@@ -117,21 +120,26 @@ def _full_rank_lstsq(matrix, rhs, message):
     return solution
 
 
-def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
-    """Least-squares amplitudes on columns z^k k^l.  Each column is divided by
-    the power of two nearest its norm (exact in floating point), so the rank
-    test sees the nodes' conditioning, not the k^l growth of the columns."""
-    if len(ks) < sum(multiplicities):
-        raise ValidationError("need at least as many samples as coefficients")
-    matrix = coefficient_matrix(nodes, multiplicities, ks)
+def _scaled_lstsq(matrix, rhs):
+    """Least-squares solution of matrix @ x = rhs for one right-hand side or a
+    matrix of them.  Each column of the matrix is divided by the power of two
+    nearest its norm (exact in floating point), so the rank test sees the
+    nodes' conditioning, not the k^l growth of the columns."""
     scale = np.exp2(np.round(np.log2(np.linalg.norm(matrix, axis=0))))
-    matrix /= scale
     solution = _full_rank_lstsq(
-        matrix,
-        q,
+        matrix / scale,
+        rhs,
         "coefficient basis is numerically rank-deficient (aliased nodes?)",
     )
-    return _split(solution / scale, multiplicities)
+    return (solution.T / scale).T
+
+
+def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
+    """Least-squares amplitudes on columns z^k k^l (see `_scaled_lstsq`)."""
+    if len(ks) < sum(multiplicities):
+        raise ValidationError("need at least as many samples as coefficients")
+    solution = _scaled_lstsq(coefficient_matrix(nodes, multiplicities, ks), q)
+    return _split(solution, multiplicities)
 
 
 def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags):
@@ -312,43 +320,20 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 
 
 # ---------------------------------------------------------------------------
-# Levenberg-Marquardt refinement
+# Levenberg-Marquardt refinement by variable projection
 # ---------------------------------------------------------------------------
 
-def _pack_params(model: PronyModel) -> np.ndarray:
-    """Node arguments, then (Re c, Im c) per coefficient."""
-    thetas, _, coeffs = _model_arrays(model)
-    return np.concatenate([thetas, np.column_stack([coeffs.real, coeffs.imag]).ravel()])
-
-
-def _unpack_params(params: np.ndarray, num_nodes: int):
-    """(node arguments, flat complex coefficients) from packed parameters."""
-    return params[:num_nodes], params[num_nodes::2] + 1j * params[num_nodes + 1::2]
-
-
-def _real_residual(params, multiplicities, ks, q) -> np.ndarray:
-    thetas, coeffs = _unpack_params(params, len(multiplicities))
-    diff = _moments(thetas, multiplicities, coeffs, ks) - q
-    return np.concatenate([diff.real, diff.imag])
-
-
-def _jacobian_order(multiplicities) -> np.ndarray:
-    """Columns of `_kernel(..., coeffs)` in packed-parameter order: the node
-    columns, then every coefficient column twice (Re c, Im c)."""
-    ends = np.cumsum(np.asarray(multiplicities) + 1)
-    coeff_cols = np.setdiff1d(np.arange(ends[-1]), ends - 1)
-    return np.concatenate([ends - 1, np.repeat(coeff_cols, 2)])
-
-
-def _real_jacobian(params, multiplicities, ks, order) -> np.ndarray:
-    """Jacobian of _real_residual in the packed parameters; `order` is
-    _jacobian_order(multiplicities)."""
-    k = len(multiplicities)
-    thetas, coeffs = _unpack_params(params, k)
-    cols = _kernel(thetas, multiplicities, ks, coeffs)[:, order]
-    cols[:, :k] *= 1j * np.exp(1j * thetas)  # dz/dtheta = i z
-    cols[:, k + 1::2] *= 1j                   # d/d Im(c)
-    return np.concatenate([cols.real, cols.imag])
+def _projected_fit(thetas, multiplicities, ks: np.ndarray, q: np.ndarray):
+    """At node arguments `thetas`, with A = [z_j^k k^l] and its derivative
+    columns D = i k A (d/dtheta of each column): the coefficients c, the
+    residual A c - q as one real vector (Re, Im), and D projected off the
+    range of A, D - A A^+ D.  One `_scaled_lstsq` solve serves q and D."""
+    matrix = _kernel(thetas, multiplicities, ks)
+    deriv = 1j * ks[:, None] * matrix
+    solution = _scaled_lstsq(matrix, np.column_stack([q, deriv]))
+    coeffs = solution[:, 0]
+    diff = matrix @ coeffs - q
+    return coeffs, np.concatenate([diff.real, diff.imag]), deriv - matrix @ solution[:, 1:]
 
 
 def _damped_step(s, vt, g, lam):
@@ -357,20 +342,28 @@ def _damped_step(s, vt, g, lam):
 
 
 def lm_refine(samples: SampleSet, init: PronyModel):
-    """Levenberg-Marquardt fit of the model to the samples.
+    """Levenberg-Marquardt fit of the model to the samples by variable projection.
 
-    Parameters are the node arguments (unit modulus enforced by construction)
-    and coefficient real/imaginary parts.  At the start and after each
+    The coefficients enter linearly, so the iterate is the node arguments
+    theta alone (unit modulus by construction): at each theta the coefficients
+    c(theta) are the column-scaled least-squares fit on A(theta) = [z_j^k k^l]
+    and the residual is r = A c - q (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    1973).  The Jacobian is Kaufman's (BIT 15, 1975): column j is
+    P (dA/dtheta_j) c with P = I - A A^+ the projector off the range of A and
+    d(z^k k^l)/dtheta = i k z^k k^l.  Each trial point costs one kernel and
+    one least-squares solve, for q and D = dA/dtheta together, so an accepted
+    point forms P D c with no further solve.  At the start and after each
     accepted step the column-scaled Jacobian J_s = U S V^T is factored once;
-    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r, so a
-    rejected step costs one trial residual.  The damping follows Nielsen's
-    gain-ratio rule (Madsen, Nielsen & Tingleff 2004, section 3.2): with rho
-    the actual over the predicted cost decrease, an accepted step sets
-    lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor 1e-15) and nu <- 2, a
-    rejected one lam <- lam * nu and nu <- 2 nu.  Iteration stops when
-    ||J_s^T r||_inf <= GRAD_TOL * ||r||, when the step norm drops below
-    STEP_TOL, when lam exceeds 1e14 ("damping-saturated") or at the
-    iteration cap MAX_ITERATIONS ("max-iterations").
+    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r.  The
+    damping follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff
+    2004, section 3.2): with rho the actual over the predicted cost decrease,
+    an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
+    1e-15) and nu <- 2, a rejected one lam <- lam * nu and nu <- 2 nu.
+    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when the step
+    norm drops below STEP_TOL, when lam exceeds 1e14 ("damping-saturated") or
+    at the iteration cap MAX_ITERATIONS ("max-iterations").  When no step is
+    accepted, `init` itself is returned unless the coefficients refitted at
+    its nodes give a smaller max-abs residual.
     """
     report_flags = []
     if not regularity_check(init, samples.scheme.stride):
@@ -379,10 +372,11 @@ def lm_refine(samples: SampleSet, init: PronyModel):
 
     multiplicities = init.multiplicities
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
-    order = _jacobian_order(multiplicities)
-    start = params = _pack_params(init)
-    residual = _real_residual(params, multiplicities, ks, q)
-    cost = float(np.sum(residual ** 2))
+    # first column of each node's block in A
+    starts = np.cumsum((0,) + multiplicities[:-1])
+    start = thetas = np.array(init.node_args)
+    coeffs, residual, projected = _projected_fit(thetas, multiplicities, ks, q)
+    cost = float(residual @ residual)
     lam, nu = 1e-3, 2.0
     iterations = 0
     factored = False
@@ -390,7 +384,9 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if not factored:
-            jac = _real_jacobian(params, multiplicities, ks, order)
+            # P (dA/dtheta_j) c sums node j's projected columns times its coefficients
+            kaufman = np.add.reduceat(projected * coeffs, starts, axis=1)
+            jac = np.concatenate([kaufman.real, kaufman.imag])
             col_norms = np.linalg.norm(jac, axis=0)
             col_norms[col_norms == 0] = 1.0
             u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
@@ -399,16 +395,19 @@ def lm_refine(samples: SampleSet, init: PronyModel):
             if np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost):
                 break
         step = _damped_step(s, vt, g, lam) / col_norms
-        if float(np.linalg.norm(step)) < STEP_TOL:
+        if math.sqrt(step @ step) < STEP_TOL:
             break
-        trial_params = params + step
-        trial_residual = _real_residual(trial_params, multiplicities, ks, q)
-        trial_cost = float(np.sum(trial_residual ** 2))
+        trial_thetas = thetas + step
+        try:
+            trial = _projected_fit(trial_thetas, multiplicities, ks, q)
+            trial_cost = float(trial[1] @ trial[1])
+        except RankDeficiencyError:  # the step merged two nodes
+            trial_cost = math.inf
         if trial_cost < cost:
             # predicted decrease sum g^2 (1 - t^2), t = lam / (s^2 + lam), as (1 - t)(1 + t)
             fit = s * s / (s * s + lam)
             rho = (cost - trial_cost) / float(np.sum(g * g * fit * (2.0 - fit)))
-            params, residual, cost = trial_params, trial_residual, trial_cost
+            thetas, (coeffs, residual, projected), cost = trial_thetas, trial, trial_cost
             lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
             nu = 2.0
             factored = False
@@ -421,19 +420,15 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     else:
         report_flags.append("max-iterations")
 
-    if params is start:
-        final = init  # no step was accepted
-    else:
-        thetas, coeffs = _unpack_params(params, len(multiplicities))
-        final = PronyModel(
-            tuple(cmath.exp(1j * a) for a in thetas),
-            multiplicities,
-            _split(coeffs, multiplicities),
-        )
-    report = SolverReport(
-        method="lm",
-        iterations=iterations,
-        residual=_max_residual(final, ks, q),
-        flags=tuple(report_flags),
+    final = PronyModel(
+        tuple(cmath.exp(1j * a) for a in thetas),
+        multiplicities,
+        _split(coeffs, multiplicities),
     )
-    return final, report
+    max_res = _max_residual(final, ks, q)
+    if thetas is start:
+        # no step was accepted: keep init unless the refit at its nodes fits better
+        init_res = _max_residual(init, ks, q)
+        if init_res <= max_res:
+            final, max_res = init, init_res
+    return final, SolverReport("lm", iterations, max_res, tuple(report_flags))

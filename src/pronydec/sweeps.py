@@ -89,8 +89,6 @@ class SweepConfig:
         if self.workers < 1:
             raise ValidationError("workers must be at least 1")
         if self.kind == "fourier-convergence":
-            if not self.m_values:
-                raise ValidationError("fourier-convergence needs m_values")
             if self.signal is None:
                 raise ValidationError("fourier-convergence needs a signal spec")
         else:
@@ -105,6 +103,9 @@ class SweepConfig:
         for what in ("model", "signal"):
             if getattr(self, what) is not None:
                 _check_spec(getattr(self, what), what)
+        if self.kind == "fourier-convergence" and len(set(self.m_values)) < 3:
+            # _median_slope fits the largest ceil(half), which needs two points
+            raise ValidationError("fourier-convergence needs at least 3 distinct bandwidths")
         if self.kind == "fixed-count-decimation" and self.count < 2:
             raise ValidationError("fixed-count-decimation needs count >= 2")
         if self.kind == "fixed-top-index-decimation" and self.top_index < 1:
@@ -364,8 +365,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     """
     task, x_values = _task(config)
     fit = config.kind == "fourier-convergence"
-    if fit and len(x_values) < 2:
-        raise ValidationError("need at least two bandwidths")
     rows, timings = _run_tasks(config, task, [(x, seed) for x in x_values for seed in config.seeds])
     columns = tuple(rows[0])
     slopes = {col: _median_slope(rows, col) for col in columns[2:-1]} if fit else {}

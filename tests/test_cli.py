@@ -4,7 +4,7 @@ import pytest
 
 from pronydec import fourier
 from pronydec.cli import main
-from pronydec.model import load_json
+from pronydec.model import load_json, signal_to_dict
 
 
 def run(*argv):
@@ -262,7 +262,7 @@ def test_sweep_signal_spec_missing_key_exit_code(tmp_path, capsys, missing):
 
 
 @pytest.mark.parametrize("config, x_col, y_col", [
-    ({"kind": "fourier-convergence", "seeds": [0], "m_values": [32, 64],
+    ({"kind": "fourier-convergence", "seeds": [0], "m_values": [32, 64, 128],
       "signal": {"smoothness": 0, "num_jumps": 1, "psi_degree": 256}}, "M", "jump_error"),
     ({"kind": "fixed-count-decimation", "seeds": [0], "noise": 1e-6, "p_values": [1, 4],
       "count": 20, "model": {"kind": "two-node", "gap": 0.01}}, "p", "error"),
@@ -287,6 +287,25 @@ def test_sweep_esprit_bound_check_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bound-check" in err and "esprit" in err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("m_values", [[64, 128], [64, 64, 128]])
+def test_sweep_two_bandwidths_exit_code(tmp_path, capsys, m_values):
+    # the slopes are fitted on the largest ceil(half) bandwidths: one point here
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "kind": "fourier-convergence", "seeds": [0], "m_values": m_values,
+        "signal": {"smoothness": 0, "num_jumps": 1, "reconstruction_separation": 8.0},
+    }))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert "bandwidths" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_gen_signal_takes_generator_defaults(tmp_path):
+    sig = tmp_path / "sig.json"
+    assert run("gen", "signal", "-d", "1", "-K", "2", "--seed", "3", "--out", sig) == 0
+    assert load_json(sig) == signal_to_dict(fourier.random_piecewise_signal(1, 2, 3))
 
 
 def test_solver_failure_exit_code(tmp_path):

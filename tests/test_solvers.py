@@ -361,6 +361,56 @@ class TestLmIterations:
         rows = self._p1_rows("lm")
         assert np.median([r["iterations"] for r in rows]) <= 12
 
+
+class TestLmRecovery:
+    def test_merged_pair_start(self):
+        # criterion 3's seeds whose Hankel start merges the two nodes (error 5e-3)
+        cfg = SweepConfig(
+            kind="fixed-count-decimation",
+            seeds=[25, 43],
+            noise=1e-4,
+            solver="hankel",
+            p_values=[1],
+            count=66,
+            model={"kind": "two-node", "gap": 1e-2},
+        )
+        rows = run_sweep(cfg).rows
+        assert len(rows) == 4
+        for row in rows:
+            assert row["error"] <= 1e-4
+            assert "max-iterations" not in row["flags"]
+
+    def test_refits_coefficients_at_optimal_nodes(self):
+        # the nodes need no step, so only the coefficient refit can repair init
+        truth = PronyModel(
+            [cmath.exp(0.8j), cmath.exp(-1.7j)], [1, 1], [[1.0 + 0.5j], [2.0]]
+        ).canonical()
+        init = PronyModel(truth.nodes, truth.multiplicities, [[3.0], [0.5]])
+        model, report = lm_refine(exact_samples(truth, 8), init)
+        assert match_estimates(model, truth).max_coeff_error < 1e-10
+        assert report.residual < 1e-12
+
+    @pytest.mark.parametrize(
+        "args, coeffs",
+        [
+            ((0.7, -1.1), [[1.0, 0.5], [0.8]]),
+            ((2.0, -0.4), [[1.0, -0.3j, 0.05], [0.5 + 0.5j, 0.2]]),
+            ((-2.2, 0.1, 1.9), [[1.2j], [0.7, 0.4, -0.1], [1.5 - 0.5j]]),
+        ],
+    )
+    def test_mixed_multiplicities(self, args, coeffs):
+        mults = tuple(len(row) for row in coeffs)
+        truth = PronyModel([cmath.exp(1j * a) for a in args], mults, coeffs).canonical()
+        samples = exact_samples(truth, 2 * sum(mults) + 6)
+        init = PronyModel(
+            [z * cmath.exp(1e-3j) for z in truth.nodes],
+            truth.multiplicities,
+            [[c + 1e-3 for c in row] for row in truth.coefficients],
+        )
+        model, report = lm_refine(samples, init)
+        assert match_estimates(model, truth).max_node_error <= 1e-10
+        assert report.flags == ()
+
 class TestConfluentVandermonde:
     def test_constant_sequence(self):
         samples = SampleSet(SamplingScheme(0, 1, 5), [2.5] * 5)

@@ -85,6 +85,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=missing):
             SweepConfig(kind="fourier-convergence", seeds=[0], m_values=[64, 128], signal=signal)
 
+    @pytest.mark.parametrize("m_values", [[64, 128], [64, 64, 128], []])
+    def test_rejects_fewer_than_three_bandwidths(self, m_values):
+        with pytest.raises(ValidationError, match="bandwidths"):
+            SweepConfig(kind="fourier-convergence", seeds=[0, 1], m_values=m_values,
+                        signal={"smoothness": 0, "num_jumps": 1})
+
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
         # ESPRIT needs at least 2k + 1 samples: every row would fail
@@ -165,7 +171,7 @@ class TestFixedCountSweep:
 
     @pytest.mark.parametrize("cfg", [
         small_fig1_config(seeds=[0, 1, 2]),
-        SweepConfig(kind="fourier-convergence", seeds=[0, 1], m_values=[32, 64],
+        SweepConfig(kind="fourier-convergence", seeds=[0, 1], m_values=[32, 64, 128],
                     signal={"smoothness": 0, "num_jumps": 1, "psi_degree": 256}),
     ], ids=["fixed-count", "fourier-convergence"])
     def test_residual_audit(self, cfg):
@@ -268,7 +274,7 @@ class TestFourierConvergence:
 
 
     def test_omitted_signal_keys_take_generator_defaults(self):
-        cfg = SweepConfig(kind="fourier-convergence", seeds=[3], m_values=[64, 128],
+        cfg = SweepConfig(kind="fourier-convergence", seeds=[3], m_values=[64, 128, 256],
                           signal={"smoothness": 1, "num_jumps": 2})
         assert sweeps._signal_for_seed(cfg, 3) == fourier.random_piecewise_signal(1, 2, 3)
 
@@ -282,7 +288,7 @@ class TestFourierConvergence:
             "reconstruction_separation": 1.5,
         }
         cfg = SweepConfig(
-            kind="fourier-convergence", seeds=[6], m_values=[64], signal=spec,
+            kind="fourier-convergence", seeds=[6], m_values=[64, 128, 256], signal=spec,
             exclusion_radius=0.1, grid_size=1024,
         )
         _, (row,), _ = sweeps._fourier_task(cfg, 64, 6)
