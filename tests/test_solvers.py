@@ -411,6 +411,7 @@ class TestLmRecovery:
         assert match_estimates(model, truth).max_node_error <= 1e-10
         assert report.flags == ()
 
+
 class TestConfluentVandermonde:
     def test_constant_sequence(self):
         samples = SampleSet(SamplingScheme(0, 1, 5), [2.5] * 5)
