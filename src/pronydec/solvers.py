@@ -45,8 +45,10 @@ from .model import (
 RANK_TOL = 1e-12
 
 #: lm_refine stops when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s column-scaled),
-#: when a step is shorter than STEP_TOL, or after MAX_ITERATIONS iterations
+#: when no step can lower the cost by more than _DECREASE_TOL of itself, when a
+#: step is shorter than STEP_TOL, or after MAX_ITERATIONS iterations
 GRAD_TOL = 1e-10
+_DECREASE_TOL = 1e-13
 STEP_TOL = 1e-12
 MAX_ITERATIONS = 200
 
@@ -359,9 +361,12 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     2004, section 3.2): with rho the actual over the predicted cost decrease,
     an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
     1e-15) and nu <- 2, a rejected one lam <- lam * nu and nu <- 2 nu.
-    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when the step
-    norm drops below STEP_TOL, when lam exceeds 1e14 ("damping-saturated") or
-    at the iteration cap MAX_ITERATIONS ("max-iterations").  When no step is
+    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when no step
+    can lower the cost by more than _DECREASE_TOL of itself (||U^T r||^2 <=
+    _DECREASE_TOL * ||r||^2: trial costs then differ by rounding alone), when
+    the step norm drops below STEP_TOL, when lam exceeds 1e14
+    ("damping-saturated") or at the iteration cap MAX_ITERATIONS
+    ("max-iterations").  When no step is
     accepted, `init` itself is returned unless the coefficients refitted at
     its nodes give a smaller max-abs residual.
     """
@@ -392,7 +397,8 @@ def lm_refine(samples: SampleSet, init: PronyModel):
             u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
             g = u.T @ residual
             factored = True
-            if np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost):
+            if (np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost)
+                    or g @ g <= _DECREASE_TOL * cost):
                 break
         step = _damped_step(s, vt, g, lam) / col_norms
         if math.sqrt(step @ step) < STEP_TOL:

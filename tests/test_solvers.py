@@ -411,6 +411,31 @@ class TestLmRecovery:
         assert match_estimates(model, truth).max_node_error <= 1e-10
         assert report.flags == ()
 
+    @pytest.mark.parametrize("amplitude", [0.3, 1.0, 3.0])
+    def test_large_residual_stops_at_cost_resolution(self, amplitude):
+        # reconstruct's shape: one double node on three samples, plus a part
+        # the model cannot fit; the step converges linearly and, once no step
+        # can lower the cost beyond rounding, trials were a coin toss that ran
+        # up to 42 iterations
+        truth = PronyModel([cmath.exp(0.9j)], [2], [[1.0, 0.02 - 0.01j]])
+        scheme = SamplingScheme(21, 21, 3)
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            unfit = amplitude * (rng.normal(size=3) + 1j * rng.normal(size=3))
+            samples = SampleSet(
+                scheme, tuple(np.array(evaluate_moments(truth, scheme).values) + unfit), 0.0
+            )
+            args = []
+            for shift in (1e-3, -1e-3):
+                init = PronyModel(
+                    [truth.nodes[0] * cmath.exp(1j * shift)], [2], truth.coefficients
+                )
+                model, report = lm_refine(samples, init)
+                assert report.flags == ()
+                assert report.iterations <= 25
+                args.append(cmath.phase(model.nodes[0]))
+            assert abs(args[0] - args[1]) <= 1e-7
+
 
 class TestConfluentVandermonde:
     def test_constant_sequence(self):
