@@ -19,6 +19,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from pronydec.sweeps import (  # noqa: E402
+    DECIMATION_SOLVERS,
     SweepConfig,
     emit_csv,
     emit_svg,
@@ -43,7 +44,7 @@ def main():
     parser.add_argument("--seeds", type=int, default=50)
     parser.add_argument("--noise", type=float, default=1e-4)
     parser.add_argument("--gap", type=float, default=1e-2)
-    parser.add_argument("--solver", default="hankel", choices=["hankel", "esprit", "lm"])
+    parser.add_argument("--solver", default="hankel", choices=DECIMATION_SOLVERS)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--quick", action="store_true", help="8 seeds, smaller sweeps")
     args = parser.parse_args()

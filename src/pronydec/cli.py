@@ -11,7 +11,6 @@ Exit codes: 0 success, 2 validation error, 3 solver failure.
 from __future__ import annotations
 
 import argparse
-import cmath
 import json
 import sys
 from dataclasses import asdict
@@ -27,7 +26,6 @@ from .decimate import (
 )
 from .forward import add_noise, evaluate_moments, stride_separation
 from .model import (
-    PronyModel,
     PronydecError,
     SampleSet,
     SamplingScheme,
@@ -42,7 +40,7 @@ from .model import (
     signal_from_dict,
     signal_to_dict,
 )
-from .solvers import confluent_vandermonde_coeffs, lm_refine
+from .solvers import BASE_SOLVERS, lm_refine
 
 
 def _parse_list(text: str, kind):
@@ -52,16 +50,8 @@ def _parse_list(text: str, kind):
         raise ValidationError(f"not a comma-separated list of {kind.__name__}s: {text!r}") from None
 
 
-def _parse_int_list(text: str):
-    return _parse_list(text, int)
-
-
-def _parse_float_list(text: str):
-    return _parse_list(text, float)
-
-
 def _parse_scheme(text: str) -> SamplingScheme:
-    parts = _parse_int_list(text)
+    parts = _parse_list(text, int)
     if len(parts) != 3:
         raise ValidationError("scheme must be offset,stride,count")
     return SamplingScheme(*parts)
@@ -74,8 +64,8 @@ def _parse_scheme(text: str) -> SamplingScheme:
 def _cmd_gen(args) -> int:
     if args.what == "model":
         if args.angles is not None:
-            angles = _parse_float_list(args.angles)
-            mults = _parse_int_list(args.multiplicities) if args.multiplicities else [1] * len(angles)
+            angles = _parse_list(args.angles, float)
+            mults = _parse_list(args.multiplicities, int) if args.multiplicities else [1] * len(angles)
             rows = [[[1.0, 0.0]] * m for m in mults]
             if args.coefficients:
                 try:
@@ -106,12 +96,10 @@ def _cmd_gen(args) -> int:
 def _cmd_moments(args) -> int:
     model = model_from_dict(load_json(args.model))
     scheme = _parse_scheme(args.scheme)
-    samples = evaluate_moments(model, scheme)
-    if args.noise > 0:
-        samples = add_noise(
-            samples, args.noise, args.seed,
-            distribution="gaussian" if args.gaussian else "disk",
-        )
+    samples = add_noise(
+        evaluate_moments(model, scheme), args.noise, args.seed,
+        distribution="gaussian" if args.gaussian else "disk",
+    )
     save_json(samples_to_dict(samples), args.out)
     print(f"wrote {scheme.count} samples on indices {scheme.offset}+{scheme.stride}*s to {args.out}")
     return 0
@@ -133,18 +121,11 @@ def _cmd_solve(args) -> int:
     samples = samples_from_dict(load_json(args.samples))
     if args.scheme:
         samples = _extract_subscheme(samples, _parse_scheme(args.scheme))
-    mults = tuple(_parse_int_list(args.structure))
-    hints = _parse_float_list(args.hints) if args.hints else None
+    mults = tuple(_parse_list(args.structure, int))
+    hints = _parse_list(args.hints, float) if args.hints else None
 
-    if args.solver == "lm":
-        if args.init:
-            init = model_from_dict(load_json(args.init))
-        elif hints:
-            nodes = tuple(cmath.exp(1j * a) for a in hints)
-            init = PronyModel(nodes, mults, confluent_vandermonde_coeffs(nodes, mults, samples))
-        else:
-            raise ValidationError("the lm solver needs --init or --hints")
-        model, report = lm_refine(samples, init)
+    if args.solver == "lm" and args.init:
+        model, report = lm_refine(samples, model_from_dict(load_json(args.init)))
     else:
         model, report = decimated_solve(
             samples, mults, hints, base_solver=args.solver, refine=not args.no_refine
@@ -268,11 +249,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="offset,stride,count: solve on this sub-progression of the sample file",
     )
     sol.add_argument("--structure", required=True, help="comma-separated multiplicities")
-    sol.add_argument(
-        "--solver", default="hankel", choices=["hankel", "esprit", "annihilation", "lm"]
-    )
+    sol.add_argument("--solver", default="hankel", choices=BASE_SOLVERS)
     sol.add_argument("--hints", help="comma-separated node-argument hints (radians)")
-    sol.add_argument("--init", help="initial model JSON (lm solver)")
+    sol.add_argument("--init", help="initial model JSON (lm solver, in place of --hints)")
     sol.add_argument("--no-refine", action="store_true")
     sol.add_argument("--out", required=True)
     sol.add_argument("--report-out")

@@ -1,5 +1,6 @@
-"""Solving on arithmetic progressions: powered-domain solves, branch selection,
-and the first-order a-priori error bounds."""
+"""Solving on arithmetic progressions: `decimated_solve`, the one solve entry
+for every base solver in solvers.BASE_SOLVERS (node finder, branch selection,
+fit, refinement), and the first-order a-priori error bounds."""
 
 from __future__ import annotations
 
@@ -8,7 +9,7 @@ import math
 
 import numpy as np
 
-from .forward import _check_scheme, _scheme_ks, regularity_check, stride_separation
+from .forward import _check_scheme, _scheme_ks, regularity_check
 from .model import (
     TWO_PI,
     AmbiguousBranchError,
@@ -20,20 +21,10 @@ from .model import (
     _check_level,
     wrap_angle,
 )
-from .solvers import (
-    SolverReport,
-    _annihilation_node,
-    _esprit_nodes,
-    _hankel_nodes,
-    _multiplicities,
-    _solution,
-    lm_refine,
-)
+from .solvers import SolverReport, _find_nodes, _multiplicities, _solution, lm_refine
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
-
-BASE_SOLVERS = ("hankel", "esprit", "annihilation")
 
 
 def undecimate_node(w: complex, p: int, hint: float) -> complex:
@@ -74,17 +65,17 @@ def decimated_solve(
 ):
     """Solve a polynomial Prony system sampled on an arithmetic progression.
 
-    Finds the nodes w = z^stride with the chosen base solver's node finder on
-    the progression-indexed values, pairs them with the coarse node-argument
+    Finds the nodes w = z^stride with the base solver's node finder on the
+    progression-indexed values ("lm" takes the powered hints as found, so
+    it refines from the hints), pairs them with the coarse node-argument
     hints and undoes the stride-th power by branch selection (without hints,
     at stride 1, the nodes are used as found), fits the coefficients once on
-    the original indices, and optionally polishes with a damped Gauss-Newton
-    pass.
+    the original indices, and optionally polishes with lm_refine.
 
-    Hints are required whenever stride > 1 (and always for the annihilation
-    base solver, which needs a root-selection hint); each hint must be within
-    pi/stride of the true node argument for the branch choice to be correct,
-    which cannot be verified at run time.
+    Hints must be finite, and are required whenever stride > 1 and by the
+    annihilation and lm base solvers; each must be within pi/stride of the
+    true node argument for the branch choice to be correct, which cannot be
+    verified at run time.
     """
     multiplicities = _multiplicities(multiplicities)
     k = len(multiplicities)
@@ -92,27 +83,15 @@ def decimated_solve(
     hints = None if coarse_node_args is None else [float(a) for a in coarse_node_args]
     if hints is not None and len(hints) != k:
         raise ValidationError("need one hint per node")
+    if hints is not None and not all(math.isfinite(h) for h in hints):
+        raise ValidationError("branch hint must be finite")
     if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
     _check_scheme(multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
 
-    if base_solver == "hankel":
-        nodes, flags = _hankel_nodes(q, multiplicities)
-    elif base_solver == "esprit":
-        if any(m != 1 for m in multiplicities):
-            raise ValidationError("the subspace solver handles simple nodes only")
-        nodes, flags = _esprit_nodes(q, k)
-    elif base_solver == "annihilation":
-        if k != 1:
-            raise ValidationError("the annihilation solver handles a single node only")
-        if hints is None:
-            raise ValidationError("the annihilation solver needs a node-argument hint")
-        w_hint = cmath.exp(1j * p * hints[0])
-        nodes, flags = _annihilation_node(q, multiplicities[0], w_hint)
-    else:
-        raise ValidationError(f"unknown base solver {base_solver!r}; pick from {BASE_SOLVERS}")
-
+    powered = None if hints is None else tuple(cmath.exp(1j * p * h) for h in hints)
+    nodes, flags = _find_nodes(base_solver, q, multiplicities, powered)
     if hints is not None:
         perm = _assign_nodes(
             [cmath.phase(w) for w in nodes],
@@ -156,8 +135,7 @@ def node_error_bound(model: PronyModel, p: int, eps: float) -> np.ndarray:
     convention for a single node).
     """
     _check_level(eps, "eps")
-    _require_regular(model, p)
-    sep = stride_separation(model, p)
+    sep = _require_regular(model, p).separation
     r = model.unknown_count
     bounds = []
     for m, lead in zip(model.multiplicities, model.leading_coefficients()):
@@ -187,10 +165,11 @@ def coeff_error_bound(
     bound (the printed factor t^(m_j - i) would zero it out).
     """
     _check_level(eps, "eps")
-    if constant <= 0:
-        raise ValidationError("the bound constant must be positive")
-    _require_regular(model, p)
-    sep = stride_separation(model, p)
+    if not (math.isfinite(constant) and constant > 0):
+        raise ValidationError(f"the bound constant must be finite and positive, got {constant}")
+    if t < 0:
+        raise ValidationError(f"the offset t must be nonnegative, got {t}")
+    sep = _require_regular(model, p).separation
     r = model.unknown_count
     t_eff = max(int(t), 1)
     out = []
@@ -227,5 +206,5 @@ def error_bounds(model: PronyModel, t: int, p: int, eps: float, constant: float 
     return ErrorBounds(
         node_bounds=tuple(float(b) for b in nodes),
         coeff_bounds=tuple(tuple(float(b) for b in row) for row in coeffs),
-        separation=stride_separation(model, p),
+        separation=regularity_check(model, p).separation,
     )

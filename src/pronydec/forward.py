@@ -133,14 +133,7 @@ class RegularityReport:
 
 def stride_separation(model: PronyModel, p: int) -> float:
     """min_{i != j} |z_j^p - z_i^p|; 2.0 by convention for a single node."""
-    if model.num_nodes == 1:
-        return 2.0
-    powered = [cmath.exp(1j * theta * p) for theta in model.node_args]
-    return min(
-        abs(powered[i] - powered[j])
-        for i in range(len(powered))
-        for j in range(i + 1, len(powered))
-    )
+    return regularity_check(model, p).separation
 
 
 def regularity_check(model: PronyModel, p: int) -> RegularityReport:
@@ -150,23 +143,17 @@ def regularity_check(model: PronyModel, p: int) -> RegularityReport:
     if p < 1:
         raise ValidationError("stride must be positive")
     powered = [cmath.exp(1j * theta * p) for theta in model.node_args]
-    pair_violations = []
-    for i in range(model.num_nodes):
-        for j in range(i + 1, model.num_nodes):
-            sep = abs(powered[i] - powered[j])
-            if sep <= REGULARITY_TOL:
-                pair_violations.append((i, j, sep))
-    coeff_violations = []
-    for j, row in enumerate(model.coefficients):
-        lead = abs(row[-1])
-        if lead <= REGULARITY_TOL:
-            coeff_violations.append((j, lead))
+    n = len(powered)
+    pairs = [(i, j, abs(powered[i] - powered[j])) for i in range(n) for j in range(i + 1, n)]
+    pair_violations = tuple(pair for pair in pairs if pair[2] <= REGULARITY_TOL)
+    leads = [abs(row[-1]) for row in model.coefficients]
+    coeff_violations = tuple((j, lead) for j, lead in enumerate(leads) if lead <= REGULARITY_TOL)
     return RegularityReport(
         ok=not pair_violations and not coeff_violations,
         stride=p,
-        separation=stride_separation(model, p),
-        node_pair_violations=tuple(pair_violations),
-        coefficient_violations=tuple(coeff_violations),
+        separation=min((sep for _, _, sep in pairs), default=2.0),
+        node_pair_violations=pair_violations,
+        coefficient_violations=coeff_violations,
     )
 
 

@@ -265,7 +265,7 @@ def initial_jump_estimates(window: CoefficientWindow, num_jumps: int):
     m = window.bandwidth
     if m < 4 * k:
         raise ValidationError(f"bandwidth {m} too small for {k} jumps (need >= {4 * k})")
-    nodes, _ = _esprit_nodes(_transform(window, 0, np.arange(m - 4 * k + 1, m + 1)), k)
+    nodes, _ = _esprit_nodes(_transform(window, 0, np.arange(m - 4 * k + 1, m + 1)), (1,) * k, None)
     return sorted(position_from_node(z) for z in nodes)
 
 

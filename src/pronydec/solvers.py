@@ -1,17 +1,17 @@
 """Inversion of the measurement map.
 
-The node finders `_hankel_nodes`, `_esprit_nodes` and `_annihilation_node`
-read the progression values q_s = m_{offset + s*stride} as an array and return
-node estimates in the "powered" domain w = z^stride, plus flags.  `_solution`
-is the one place where nodes become a model and a report: it fits the
-amplitudes on given indices by confluent-Vandermonde least squares, builds the
-canonical model and measures the residual.  The public base solvers run
-validate -> finder -> `_solution` on the progression index s;
-decimate.decimated_solve calls the finders itself, selects the branches of
-w -> z, and calls `_solution` once on the original indices.  `lm_refine`
-polishes a model by variable projection: it iterates on the node arguments
-only and refits the amplitudes at every step with the same column-scaled
-least squares (`_scaled_lstsq`) that `_solution` uses.
+`_FINDERS` maps each base-solver name (`BASE_SOLVERS`) to its node finder
+`finder(q, multiplicities, hints)`: from the progression values
+q_s = m_{offset + s*stride} and any hints, both in the "powered" domain
+w = z^stride, it returns node estimates w plus flags, and raises its own
+structural ValidationError (`lm`'s finder returns the hints).  `_solution`
+fits the amplitudes for given nodes on given indices by confluent-Vandermonde
+least squares, builds the canonical model and measures the residual.  The
+public base solvers run both on the progression index s; decimated_solve
+selects the branches of w -> z in between and fits on the original indices.
+`lm_refine` polishes a model by variable projection: it iterates on the node
+arguments only and refits the amplitudes at every step with the same
+column-scaled least squares (`_scaled_lstsq`) that `_solution` uses.
 """
 
 from __future__ import annotations
@@ -75,13 +75,6 @@ def max_residual(model: PronyModel, samples: SampleSet) -> float:
     """max_k |m_k(model) - value_k| over the sample scheme."""
     _check_scheme(model.multiplicities, samples.scheme)
     return _max_residual(model, _scheme_ks(samples.scheme), np.asarray(samples.values))
-
-
-def _progression_view(samples: SampleSet, multiplicities):
-    """Indices s = 0..count-1 and the values as the sequence q_s."""
-    q = np.asarray(samples.values, dtype=complex)
-    _check_limits(multiplicities, len(q))
-    return np.arange(len(q), dtype=float), q
 
 
 def _project_unit(w: complex) -> complex:
@@ -203,7 +196,7 @@ def _cluster_roots(roots, multiplicities):
 # Hankel / annihilating-polynomial solver
 # ---------------------------------------------------------------------------
 
-def _hankel_nodes(q: np.ndarray, multiplicities):
+def _hankel_nodes(q: np.ndarray, multiplicities, hints):
     """Unit-circle projections of the root-cluster centroids (see prony_hankel_solve)."""
     total = sum(multiplicities)
     if len(q) < 2 * total:
@@ -227,18 +220,20 @@ def prony_hankel_solve(samples: SampleSet, multiplicities):
     domain), then recovers polynomial amplitudes by confluent-Vandermonde least
     squares.
     """
-    multiplicities = _multiplicities(multiplicities)
-    ks, q = _progression_view(samples, multiplicities)
-    nodes, flags = _hankel_nodes(q, multiplicities)
-    return _solution("hankel", nodes, multiplicities, ks, q, flags)
+    return _progression_solve("hankel", samples, multiplicities)
 
 
 # ---------------------------------------------------------------------------
 # single-node annihilation solver
 # ---------------------------------------------------------------------------
 
-def _annihilation_node(q: np.ndarray, m: int, expected_node: complex):
+def _annihilation_node(q: np.ndarray, multiplicities, hints):
     """The hinted root of the averaged annihilation polynomial (see annihilation_solve_single)."""
+    if len(multiplicities) != 1:
+        raise ValidationError("the annihilation solver handles a single node only")
+    if hints is None:
+        raise ValidationError("the annihilation solver needs a node-argument hint")
+    m = multiplicities[0]
     if len(q) < m + 1:
         raise ValidationError(f"need at least {m + 1} samples, got {len(q)}")
 
@@ -260,7 +255,7 @@ def _annihilation_node(q: np.ndarray, m: int, expected_node: complex):
     if not candidates:
         raise SolverError("no unimodular root")
     # spurious roots lie on the true root's ray, so compare complex distances
-    dists = sorted((abs(w - expected_node), idx) for idx, w in enumerate(candidates))
+    dists = sorted((abs(w - hints[0]), idx) for idx, w in enumerate(candidates))
     if len(dists) > 1 and dists[1][0] - dists[0][0] < 1e-9:
         raise SolverError("hint ambiguous: two roots equally close")
     return (_project_unit(candidates[dists[0][1]]),), ()
@@ -276,20 +271,19 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
     with modulus in [0.5, 2] nearest the hint in the complex plane wins; its
     amplitudes come from confluent-Vandermonde least squares on all samples.
     """
-    m = int(multiplicity)
-    if m < 1:
-        raise ValidationError("multiplicity must be positive")
-    ks, q = _progression_view(samples, (m,))
-    nodes, flags = _annihilation_node(q, m, expected_node)
-    return _solution("annihilation", nodes, (m,), ks, q, flags)
+    hints = None if expected_node is None else (expected_node,)
+    return _progression_solve("annihilation", samples, (multiplicity,), hints)
 
 
 # ---------------------------------------------------------------------------
 # ESPRIT (subspace) solver
 # ---------------------------------------------------------------------------
 
-def _esprit_nodes(q: np.ndarray, k: int):
+def _esprit_nodes(q: np.ndarray, multiplicities, hints):
     """Unit-circle projections of the shift-invariance eigenvalues (see esprit_solve)."""
+    if any(m != 1 for m in multiplicities):
+        raise ValidationError("the subspace solver handles simple nodes only")
+    k = len(multiplicities)
     if len(q) < 2 * k + 1:
         raise ValidationError(f"need at least {2 * k + 1} samples, got {len(q)}")
 
@@ -313,12 +307,45 @@ def _esprit_nodes(q: np.ndarray, k: int):
 def esprit_solve(samples: SampleSet, num_nodes: int):
     """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
     shift-invariance equation between the first and last row blocks."""
-    k = int(num_nodes)
-    if k < 1:
-        raise ValidationError("num_nodes must be positive")
-    ks, q = _progression_view(samples, (1,))
-    nodes, flags = _esprit_nodes(q, k)
-    return _solution("esprit", nodes, (1,) * k, ks, q, flags)
+    return _progression_solve("esprit", samples, (1,) * int(num_nodes))
+
+
+# ---------------------------------------------------------------------------
+# the base-solver table
+# ---------------------------------------------------------------------------
+
+def _lm_finder(q: np.ndarray, multiplicities, hints):
+    if hints is None:
+        raise ValidationError("the lm solver needs node-argument hints")
+    return tuple(hints), ()
+
+
+_FINDERS = {
+    "hankel": _hankel_nodes,
+    "esprit": _esprit_nodes,
+    "annihilation": _annihilation_node,
+    "lm": _lm_finder,
+}
+
+BASE_SOLVERS = tuple(_FINDERS)
+
+
+def _find_nodes(base_solver: str, q: np.ndarray, multiplicities, hints):
+    """The named finder's powered nodes and flags for the progression values q."""
+    finder = _FINDERS.get(base_solver)
+    if finder is None:
+        raise ValidationError(f"unknown base solver {base_solver!r}; pick from {BASE_SOLVERS}")
+    return finder(q, multiplicities, hints)
+
+
+def _progression_solve(base_solver: str, samples: SampleSet, multiplicities, hints=None):
+    """The named finder on the sample values as the sequence q_s, fitted on
+    the progression index s = 0..count-1."""
+    multiplicities = _multiplicities(multiplicities)
+    q = np.asarray(samples.values, dtype=complex)
+    _check_limits(multiplicities, len(q))
+    nodes, flags = _find_nodes(base_solver, q, multiplicities, hints)
+    return _solution(base_solver, nodes, multiplicities, np.arange(len(q), dtype=float), q, flags)
 
 
 # ---------------------------------------------------------------------------

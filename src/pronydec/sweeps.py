@@ -35,7 +35,6 @@ from .model import (
     circle_distance,
     match_estimates,
 )
-from .solvers import _fit_coefficients, lm_refine
 
 KINDS = (
     "fixed-count-decimation",
@@ -78,16 +77,24 @@ class SweepConfig:
     timing_path: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "p_values", tuple(int(p) for p in self.p_values))
-        object.__setattr__(self, "m_values", tuple(int(m) for m in self.m_values))
+        for name in ("seeds", "p_values", "m_values"):
+            object.__setattr__(self, name, _integers(name, getattr(self, name)))
+        for name in ("count", "top_index", "grid_size", "workers"):
+            object.__setattr__(self, name, _integers(name, (getattr(self, name),))[0])
         if self.kind not in KINDS:
             raise ValidationError(f"unknown sweep kind {self.kind!r}; pick from {KINDS}")
         if not self.seeds:
             raise ValidationError("seed list must be non-empty")
         _check_level(self.noise, "noise level")
-        if self.workers < 1:
-            raise ValidationError("workers must be at least 1")
+        if min(self.p_values, default=1) < 1:
+            raise ValidationError(f"p_values must be at least 1, got {list(self.p_values)}")
+        for name in ("workers", "grid_size"):
+            if getattr(self, name) < 1:
+                raise ValidationError(f"{name} must be at least 1")
+        radius = self.exclusion_radius
+        if not (isinstance(radius, numbers.Real) and 0 < radius < math.pi):
+            # every grid point lies within pi of a jump
+            raise ValidationError(f"exclusion_radius must lie in (0, pi), got {radius!r}")
         if self.kind == "fourier-convergence":
             if self.signal is None:
                 raise ValidationError("fourier-convergence needs a signal spec")
@@ -131,6 +138,14 @@ class SweepConfig:
         if unknown:
             raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
         return SweepConfig(**data)
+
+
+def _integers(name: str, values) -> tuple:
+    """The values, each of which must be an integer, as a tuple of ints."""
+    for v in values:
+        if not isinstance(v, numbers.Integral):
+            raise ValidationError(f"{name}: {v!r} is not an integer")
+    return tuple(int(v) for v in values)
 
 
 @dataclass
@@ -243,19 +258,6 @@ def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
 # per-task solves
 # ---------------------------------------------------------------------------
 
-def _solve_decimated(config: SweepConfig, truth: PronyModel, samples: SampleSet, ks, q):
-    hints = truth.node_args
-    if config.solver in ("hankel", "esprit"):
-        return decimated_solve(
-            samples, truth.multiplicities, hints, base_solver=config.solver, refine=True
-        )
-    # "lm": initialize from the oracle hints plus a linear coefficient fit
-    init_nodes = tuple(cmath.exp(1j * a) for a in hints)
-    init_coeffs = _fit_coefficients(init_nodes, truth.multiplicities, ks, q)
-    init = PronyModel(init_nodes, truth.multiplicities, init_coeffs)
-    return lm_refine(samples, init)
-
-
 def _decimation_task(config: SweepConfig, p: int, seed: int):
     truth = _build_model(config, seed)
     count = _count_for_stride(config, p, truth)
@@ -268,7 +270,10 @@ def _decimation_task(config: SweepConfig, p: int, seed: int):
 
     start = time.perf_counter()
     try:
-        estimate, report = _solve_decimated(config, truth, samples, ks, q)
+        # the true node arguments are the hints ("lm" refines from them)
+        estimate, report = decimated_solve(
+            samples, truth.multiplicities, truth.node_args, base_solver=config.solver
+        )
         elapsed = time.perf_counter() - start
         match = match_estimates(estimate, truth)
         bounds = node_error_bound(truth, p, config.noise)

@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from pronydec import fourier
+from pronydec import ValidationError, fourier
 from pronydec.cli import main
 from pronydec.model import load_json, signal_to_dict
+from pronydec.sweeps import SweepConfig
 
 
 def run(*argv):
@@ -319,3 +320,61 @@ def test_solver_failure_exit_code(tmp_path):
     code = run("solve", "--samples", samples, "--structure", "1",
                "--solver", "annihilation", "--hints", "0.0", "--out", est)
     assert code == 3
+
+
+def test_solve_lm_no_refine_is_the_fit_at_the_hints(tmp_path, samples_file):
+    est, report = tmp_path / "est.json", tmp_path / "report.json"
+    assert run("solve", "--samples", samples_file, "--structure", "1,1", "--solver", "lm",
+               "--hints", "0.69,-1.12", "--no-refine", "--out", est,
+               "--report-out", report) == 0
+    rep = load_json(report)
+    assert rep["method"] == "lm" and rep["iterations"] == 1
+    assert sorted(load_json(est)["nodes"]) == pytest.approx([-1.12, 0.69], abs=1e-12)
+
+
+@pytest.mark.parametrize("argv", [
+    ("moments", "--noise", "nan"),
+    ("moments", "--noise", "-1"),
+    ("bounds", "--C", "nan"),
+    ("bounds", "--t", "-1"),
+    ("solve", "--solver", "lm", "--hints", "nan,0.2"),
+])
+def test_bad_numeric_option_exit_code(tmp_path, capsys, model_file, samples_file, argv):
+    command, *options = argv
+    given = {
+        "moments": ("--model", model_file, "--scheme", "0,1,8", "--out", tmp_path / "s.json"),
+        "bounds": ("--model", model_file, "--p", "5", "--eps", "1e-6"),
+        "solve": ("--samples", samples_file, "--structure", "1,1", "--out", tmp_path / "e.json"),
+    }[command]
+    assert run(command, *given, *options) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+_FIXED_TOP = {"kind": "fixed-top-index-decimation", "seeds": [0], "p_values": [1, 10],
+              "top_index": 200, "model": {"kind": "two-node", "gap": 0.01}}
+_FOURIER = {"kind": "fourier-convergence", "seeds": [0], "m_values": [32, 64, 128],
+            "signal": {"smoothness": 0, "num_jumps": 1, "psi_degree": 256}}
+_FIXED_COUNT = {"kind": "fixed-count-decimation", "seeds": [0], "p_values": [1, 4],
+                "count": 20, "model": {"kind": "two-node", "gap": 0.01}}
+
+
+@pytest.mark.parametrize("base, change", [
+    (_FIXED_TOP, {"p_values": [1, 0]}),
+    (_FIXED_COUNT, {"workers": 1.5}),
+    (_FOURIER, {"exclusion_radius": "abc"}),
+    (_FOURIER, {"exclusion_radius": 10.0}),
+    (_FOURIER, {"grid_size": 0}),
+    (_FOURIER, {"grid_size": 1024.5}),
+    (_FIXED_COUNT, {"seeds": [0.5]}),
+    (_FIXED_COUNT, {"count": 10.7}),
+    (_FIXED_COUNT, {"p_values": [1.5]}),
+], ids=lambda v: v["kind"].split("-")[0] if "kind" in v else "".join(f"{k}={w}" for k, w in v.items()))
+def test_sweep_bad_config_value_exit_code(tmp_path, capsys, base, change):
+    config = {**base, **change}
+    with pytest.raises(ValidationError):
+        SweepConfig.from_dict(config)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert next(iter(change)) in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()

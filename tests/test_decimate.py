@@ -7,22 +7,28 @@ import pytest
 from pronydec import (
     AmbiguousBranchError,
     PronyModel,
+    SampleSet,
     SamplingScheme,
     ValidationError,
+    annihilation_solve_single,
     circle_distance,
     close_node_improvement,
     coeff_error_bound,
+    confluent_vandermonde_coeffs,
     decimated_solve,
     error_bounds,
     evaluate_moments,
+    lm_refine,
     match_estimates,
     node_error_bound,
     prony_hankel_solve,
     undecimate_node,
 )
+from pronydec import sweeps
 from pronydec.decimate import BRANCH_TOL
 from pronydec.forward import stride_separation
 from pronydec.model import TWO_PI
+from pronydec.solvers import _progression_solve
 
 
 def brute_force_branch(w, p, hint):
@@ -171,6 +177,57 @@ class TestDecimatedSolve:
         samples = evaluate_moments(truth, SamplingScheme(0, 4, 9))
         model, _ = decimated_solve(samples, (1, 1), [1.0, -0.8], base_solver="esprit")
         assert match_estimates(model, truth).max_node_error < 1e-9
+
+
+_PAIR = PronyModel([cmath.exp(0.5j), cmath.exp(-1.2j)], [1, 1], [[1.0 + 1j], [2.0]])
+
+
+@pytest.mark.parametrize("name, mults, hints, base_solve", [
+    ("esprit", (2,), None, lambda s: _progression_solve("esprit", s, (2,))),
+    ("annihilation", (1, 1), [0.5, -1.2],
+     lambda s: _progression_solve("annihilation", s, (1, 1), (1.0, 1.0))),
+    ("annihilation", (1,), None, lambda s: annihilation_solve_single(s, 1, None)),
+    ("lm", (1, 1), None, lambda s: _progression_solve("lm", s, (1, 1))),
+    ("bogus", (1, 1), None, lambda s: _progression_solve("bogus", s, (1, 1))),
+])
+def test_structural_errors_agree(name, mults, hints, base_solve):
+    """Each base solver's structural check raises the same error on the base
+    solvers' path as through decimated_solve."""
+    samples = evaluate_moments(_PAIR, SamplingScheme(0, 1, 12))
+    with pytest.raises(ValidationError) as base:
+        base_solve(samples)
+    with pytest.raises(ValidationError) as decimated:
+        decimated_solve(samples, mults, hints, base_solver=name)
+    assert str(base.value) == str(decimated.value)
+
+
+@pytest.mark.parametrize("p", [1, 8, 32])
+def test_lm_base_matches_hint_start_refinement(p):
+    """decimated_solve(base_solver="lm") against LM started at the hints with
+    coefficients fitted there, on criterion 3's lm configuration."""
+    config = sweeps.SweepConfig(
+        kind="fixed-count-decimation", seeds=list(range(10)), noise=1e-4, solver="lm",
+        p_values=[1, 8, 32], count=66, model={"kind": "two-node", "gap": 1e-2},
+    )
+    scheme = SamplingScheme(0, p, config.count)
+    ks = np.asarray(scheme.indices)
+    for seed in config.seeds:
+        truth = sweeps._build_model(config, seed)
+        union, eta = sweeps._union_noise(config, seed, truth)
+        values = np.asarray(evaluate_moments(truth, scheme).values) + eta[np.searchsorted(union, ks)]
+        samples = SampleSet(scheme, tuple(values), config.noise)
+
+        nodes = tuple(cmath.exp(1j * a) for a in truth.node_args)
+        coeffs = confluent_vandermonde_coeffs(nodes, truth.multiplicities, samples)
+        reference = lm_refine(samples, PronyModel(nodes, truth.multiplicities, coeffs))
+        solved = decimated_solve(samples, truth.multiplicities, truth.node_args, base_solver="lm")
+        assert solved[1].iterations == reference[1].iterations
+        errors = []
+        for estimate, _ in (solved, reference):
+            match = match_estimates(estimate, truth)
+            errors.append([abs(estimate.nodes[match.assignment[j]] - z)
+                           for j, z in enumerate(truth.nodes)])
+        np.testing.assert_allclose(errors[0], errors[1], rtol=1e-9, atol=0)
 
 
 class TestNodeErrorBound:

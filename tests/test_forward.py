@@ -14,6 +14,7 @@ from pronydec import (
     jacobian,
     moment_at,
     regularity_check,
+    stride_separation,
 )
 from pronydec.fourier import induced_prony_model
 
@@ -170,6 +171,17 @@ class TestRegularity:
                 [[1.0], [1.0 + 1j], [2.0]],
             )
             assert regularity_check(m, 1)
+
+    def test_separation_is_stride_separation(self):
+        m = PronyModel([cmath.exp(0.3j), cmath.exp(-1.1j), cmath.exp(2.0j)], [1, 2, 1],
+                       [[1.0], [0.5, 1.0], [2.0]])
+        for p in (1, 3, 8):
+            powered = [cmath.exp(1j * theta * p) for theta in m.node_args]
+            pairwise = [abs(powered[i] - powered[j]) for i in range(3) for j in range(i + 1, 3)]
+            assert regularity_check(m, p).separation == stride_separation(m, p) == min(pairwise)
+        assert stride_separation(PronyModel([1.0], [1], [[1.0]]), 5) == 2.0
+        with pytest.raises(ValidationError):
+            stride_separation(m, 0)
 
 
 class TestConditionEstimate:
