@@ -13,18 +13,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from . import fourier, sweeps
-from .decimate import (
-    close_node_improvement,
-    coeff_error_bound,
-    decimated_solve,
-    node_error_bound,
-)
-from .forward import add_noise, evaluate_moments, stride_separation
+from .decimate import close_node_improvement, decimated_solve, error_bounds
+from .forward import add_noise, evaluate_moments
 from .model import (
     PronydecError,
     SampleSet,
@@ -142,17 +137,16 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = model_from_dict(load_json(args.model))
-    node_bounds = node_error_bound(model, args.p, args.eps)
-    coeff_bounds = coeff_error_bound(model, args.t, args.p, args.eps, args.C)
-    sep = stride_separation(model, args.p)
+    bounds = error_bounds(model, args.t, args.p, args.eps, args.C)
     r = model.unknown_count
-    print(f"stride={args.p} offset={args.t} eps={args.eps:.6g} separation={sep:.6g} unknowns={r}")
+    print(f"stride={args.p} offset={args.t} eps={args.eps:.6g} "
+          f"separation={bounds.separation:.6g} unknowns={r}")
     print("node  mult  |node error bound|  close-node gain p^-(R+m)")
-    for j, (m, b) in enumerate(zip(model.multiplicities, node_bounds)):
+    for j, (m, b) in enumerate(zip(model.multiplicities, bounds.node_bounds)):
         gain = close_node_improvement(m, r, args.p)
         print(f"{j:4d}  {m:4d}  {b:18.6g}  {gain:.6g}")
     print("node  coeff  |coefficient error bound|")
-    for j, row in enumerate(coeff_bounds):
+    for j, row in enumerate(bounds.coeff_bounds):
         for i, b in enumerate(row):
             print(f"{j:4d}  {i:5d}  {b:25.6g}")
     return 0
@@ -175,27 +169,23 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    config_dict = load_json(args.config)
+    config = sweeps.SweepConfig.from_dict(load_json(args.config))
     if args.workers is not None:
-        config_dict["workers"] = args.workers
-    config = sweeps.SweepConfig.from_dict(config_dict)
+        config = replace(config, workers=args.workers)
     result = sweeps.run_sweep(config)
-    csv_path = args.csv or config.csv_path
-    svg_path = args.svg or config.svg_path
-    timing_path = args.timing_out or config.timing_path
-    if csv_path:
-        sweeps.emit_csv(result.rows, csv_path, result.columns)
-        print(f"wrote {len(result.rows)} rows to {csv_path}")
-    if svg_path:
+    if args.csv:
+        sweeps.emit_csv(result.rows, args.csv, result.columns)
+        print(f"wrote {len(result.rows)} rows to {args.csv}")
+    if args.svg:
         y_col = next(c for c in result.columns if c.endswith("error"))  # the first error column
-        sweeps.emit_svg(result.rows, svg_path, result.columns[0], y_col, title=config.kind)
-        print(f"wrote plot to {svg_path}")
-    if timing_path:
-        sweeps.emit_timings_csv(result.timings, timing_path, result.columns[:2])
-        print(f"wrote timings to {timing_path}")
+        sweeps.emit_svg(result.rows, args.svg, result.columns[0], y_col, title=config.kind)
+        print(f"wrote plot to {args.svg}")
+    if args.timing_out:
+        sweeps.emit_timings_csv(result.timings, args.timing_out, result.columns[:2])
+        print(f"wrote timings to {args.timing_out}")
     for name, slope in sorted(result.slopes.items()):
         print(f"slope[{name}] = {slope:.4f}")
-    if not csv_path and not svg_path:
+    if not args.csv and not args.svg:
         print(f"ran {config.kind}: {len(result.rows)} rows (no output paths given)")
     return 0
 
@@ -295,7 +285,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except ValidationError as exc:
+    except (ValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PronydecError as exc:

@@ -1,6 +1,6 @@
-"""Solving on arithmetic progressions: `decimated_solve`, the one solve entry
-for every base solver in solvers.BASE_SOLVERS (node finder, branch selection,
-fit, refinement), and the first-order a-priori error bounds."""
+"""Solving on arithmetic progressions: `decimated_solve`, the one solve entry for
+every base solver in solvers.BASE_SOLVERS (finder, branch selection, then one fit
+or a refinement from the node arguments), and first-order a-priori error bounds."""
 
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from .model import (
     _check_level,
     wrap_angle,
 )
-from .solvers import SolverReport, _find_nodes, _multiplicities, _solution, lm_refine
+from .solvers import SolverReport, _find_nodes, _multiplicities, _solution
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
@@ -66,11 +66,11 @@ def decimated_solve(
     """Solve a polynomial Prony system sampled on an arithmetic progression.
 
     Finds the nodes w = z^stride with the base solver's node finder on the
-    progression-indexed values ("lm" takes the powered hints as found, so
-    it refines from the hints), pairs them with the coarse node-argument
-    hints and undoes the stride-th power by branch selection (without hints,
-    at stride 1, the nodes are used as found), fits the coefficients once on
-    the original indices, and optionally polishes with lm_refine.
+    progression-indexed values ("lm" takes the powered hints as found), pairs
+    them with the coarse node-argument hints and undoes the stride-th power by
+    branch selection (without hints, at stride 1, the nodes are used as found),
+    then fits the coefficients on the original indices once, or with `refine`
+    refines from the node arguments by lm_refine's iteration (one fit per step).
 
     Hints must be finite, and are required whenever stride > 1 and by the
     annihilation and lm base solvers; each must be within pi/stride of the
@@ -78,10 +78,9 @@ def decimated_solve(
     verified at run time.
     """
     multiplicities = _multiplicities(multiplicities)
-    k = len(multiplicities)
     p = samples.scheme.stride
     hints = None if coarse_node_args is None else [float(a) for a in coarse_node_args]
-    if hints is not None and len(hints) != k:
+    if hints is not None and len(hints) != len(multiplicities):
         raise ValidationError("need one hint per node")
     if hints is not None and not all(math.isfinite(h) for h in hints):
         raise ValidationError("branch hint must be finite")
@@ -99,12 +98,9 @@ def decimated_solve(
             [wrap_angle(p * h) for h in hints],
             multiplicities,
         )
-        nodes = tuple(undecimate_node(nodes[perm[i]], p, hints[i]) for i in range(k))
-    model, report = _solution(base_solver, nodes, multiplicities, ks, q, flags)
+        nodes = tuple(undecimate_node(nodes[j], p, hint) for j, hint in zip(perm, hints))
+    model, report = _solution(base_solver, nodes, multiplicities, ks, q, flags, p if refine else None)
     flags = report.flags
-    if refine:
-        model, report = lm_refine(samples, model)
-        flags += report.flags
     eps = samples.noise_level
     if eps > 0 and report.residual > 10.0 * eps * math.sqrt(samples.scheme.count):
         flags += ("large-residual",)

@@ -140,13 +140,16 @@ def regularity_check(model: PronyModel, p: int) -> RegularityReport:
     """Local invertibility at stride p: p-th node powers farther apart than
     REGULARITY_TOL and leading coefficients larger than it in modulus.
     Degenerate inputs yield ok=False with a report, never an exception."""
+    return _regularity(model.node_args, [abs(row[-1]) for row in model.coefficients], p)
+
+
+def _regularity(thetas, leads, p: int) -> RegularityReport:
     if p < 1:
         raise ValidationError("stride must be positive")
-    powered = [cmath.exp(1j * theta * p) for theta in model.node_args]
+    powered = [cmath.exp(1j * theta * p) for theta in thetas]
     n = len(powered)
     pairs = [(i, j, abs(powered[i] - powered[j])) for i in range(n) for j in range(i + 1, n)]
     pair_violations = tuple(pair for pair in pairs if pair[2] <= REGULARITY_TOL)
-    leads = [abs(row[-1]) for row in model.coefficients]
     coeff_violations = tuple((j, lead) for j, lead in enumerate(leads) if lead <= REGULARITY_TOL)
     return RegularityReport(
         ok=not pair_violations and not coeff_violations,

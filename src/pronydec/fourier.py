@@ -610,8 +610,9 @@ def read_window_file(path) -> CoefficientWindow:
         # an empty file is reported below, not as numpy's "no data" warning
         warnings.simplefilter("ignore", UserWarning)
         try:
-            rows = np.loadtxt(path, dtype=[("k", "i8"), ("re", "f8"), ("im", "f8")],
-                              comments=None, ndmin=1, encoding="utf-8")
+            with open(path, encoding="ascii") as fh:  # numpy's parser may crash on non-ASCII
+                rows = np.loadtxt(fh, dtype=[("k", "i8"), ("re", "f8"), ("im", "f8")],
+                                  comments=None, ndmin=1)
         except ValueError as exc:
             raise ValidationError(f"bad window line: {str(exc).split(';')[0]}") from None
     if not len(rows):

@@ -199,9 +199,8 @@ class SamplingScheme:
     count: int
 
     def __post_init__(self):
-        object.__setattr__(self, "offset", int(self.offset))
-        object.__setattr__(self, "stride", int(self.stride))
-        object.__setattr__(self, "count", int(self.count))
+        for name in ("offset", "stride", "count"):
+            object.__setattr__(self, name, int(getattr(self, name)))
         if self.offset < 0:
             raise ValidationError("offset must be nonnegative")
         if self.stride < 1:
@@ -406,8 +405,8 @@ def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
 # ---------------------------------------------------------------------------
 # Models store nodes as angles in radians (the node argument); complex values
 # are [re, im] pairs.  Round trips are lossless: floats survive JSON exactly.
-# The loaders report a missing key, a wrong type or a bad pair as a
-# ValidationError.
+# The loaders report a missing key, a wrong type, a bad pair or a number
+# out of range (an infinite count, an integer beyond float) as a ValidationError.
 
 def _c2pair(c: complex):
     return [c.real, c.imag]
@@ -425,7 +424,7 @@ def _loader(load):
     def checked(data):
         try:
             return load(data)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, ValidationError):
                 raise
             raise ValidationError(f"malformed {kind} data ({type(exc).__name__}: {exc})") from None

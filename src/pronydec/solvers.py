@@ -5,13 +5,13 @@
 q_s = m_{offset + s*stride} and any hints, both in the "powered" domain
 w = z^stride, it returns node estimates w plus flags, and raises its own
 structural ValidationError (`lm`'s finder returns the hints).  `_solution`
-fits the amplitudes for given nodes on given indices by confluent-Vandermonde
-least squares, builds the canonical model and measures the residual.  The
-public base solvers run both on the progression index s; decimated_solve
-selects the branches of w -> z in between and fits on the original indices.
-`lm_refine` polishes a model by variable projection: it iterates on the node
-arguments only and refits the amplitudes at every step with the same
-column-scaled least squares (`_scaled_lstsq`) that `_solution` uses.
+turns given nodes into the canonical model and its residual on given indices:
+one confluent-Vandermonde least-squares fit, or `_refine` from their arguments.
+The public base solvers run both on the progression index s; decimated_solve
+selects the branches of w -> z in between and uses the original indices.
+`_refine` is variable projection: it iterates on the node arguments only and
+refits the amplitudes at every step with the column-scaled least squares
+`_scaled_lstsq`; `lm_refine` runs it from a caller's model.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .forward import (
     _kernel,
     _model_arrays,
     _moments,
+    _regularity,
     _scheme_ks,
     coefficient_matrix,
     regularity_check,
@@ -39,6 +40,7 @@ from .model import (
     SampleSet,
     SolverError,
     ValidationError,
+    wrap_angle,
 )
 
 #: relative singular-value threshold below which linear systems count as degenerate
@@ -51,6 +53,8 @@ GRAD_TOL = 1e-10
 _DECREASE_TOL = 1e-13
 STEP_TOL = 1e-12
 MAX_ITERATIONS = 200
+
+_IRREGULAR_START = "initial model is not a regular point at the scheme stride"
 
 #: root clustering is flagged ambiguous when the widest uncut angular gap is
 #: within this fraction of the narrowest cut
@@ -137,12 +141,22 @@ def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> t
     return _split(solution, multiplicities)
 
 
-def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags):
+def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags,
+              refine_stride=None):
     """Amplitudes for the fixed nodes on indices ks, the canonical model, and
-    its report (residual over ks)."""
-    coefficients = _fit_coefficients(nodes, multiplicities, ks, q)
-    model = PronyModel(nodes, multiplicities, coefficients).canonical()
-    return model, SolverReport(method, 1, _max_residual(model, ks, q), tuple(flags))
+    its report (residual over ks); with a stride, `_refine` from the nodes'
+    arguments in canonical order instead (the refined model keeps that order)."""
+    if refine_stride is None:
+        model = PronyModel(nodes, multiplicities, _fit_coefficients(nodes, multiplicities, ks, q))
+        model, iterations = model.canonical(), 1
+    else:
+        order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
+        multiplicities = tuple(multiplicities[j] for j in order)
+        thetas, coeffs, iterations, more = _refine(
+            np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, refine_stride)
+        model = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), multiplicities, coeffs)
+        flags = tuple(flags) + more
+    return model, SolverReport(method, iterations, _max_residual(model, ks, q), tuple(flags))
 
 
 def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
@@ -317,6 +331,8 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 def _lm_finder(q: np.ndarray, multiplicities, hints):
     if hints is None:
         raise ValidationError("the lm solver needs node-argument hints")
+    if len(q) < sum(multiplicities):
+        raise ValidationError("need at least as many samples as coefficients")
     return tuple(hints), ()
 
 
@@ -370,48 +386,20 @@ def _damped_step(s, vt, g, lam):
     return -vt.T @ (s / (s * s + lam) * g)
 
 
-def lm_refine(samples: SampleSet, init: PronyModel):
-    """Levenberg-Marquardt fit of the model to the samples by variable projection.
-
-    The coefficients enter linearly, so the iterate is the node arguments
-    theta alone (unit modulus by construction): at each theta the coefficients
-    c(theta) are the column-scaled least-squares fit on A(theta) = [z_j^k k^l]
-    and the residual is r = A c - q (Golub & Pereyra, SIAM J. Numer. Anal. 10,
-    1973).  The Jacobian is Kaufman's (BIT 15, 1975): column j is
-    P (dA/dtheta_j) c with P = I - A A^+ the projector off the range of A and
-    d(z^k k^l)/dtheta = i k z^k k^l.  Each trial point costs one kernel and
-    one least-squares solve, for q and D = dA/dtheta together, so an accepted
-    point forms P D c with no further solve.  At the start and after each
-    accepted step the column-scaled Jacobian J_s = U S V^T is factored once;
-    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r.  The
-    damping follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff
-    2004, section 3.2): with rho the actual over the predicted cost decrease,
-    an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
-    1e-15) and nu <- 2, a rejected one lam <- lam * nu and nu <- 2 nu.
-    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when no step
-    can lower the cost by more than _DECREASE_TOL of itself (||U^T r||^2 <=
-    _DECREASE_TOL * ||r||^2: trial costs then differ by rounding alone), when
-    the step norm drops below STEP_TOL, when lam exceeds 1e14
-    ("damping-saturated") or at the iteration cap MAX_ITERATIONS
-    ("max-iterations").  When no step is
-    accepted, `init` itself is returned unless the coefficients refitted at
-    its nodes give a smaller max-abs residual.
-    """
-    report_flags = []
-    if not regularity_check(init, samples.scheme.stride):
-        raise ValidationError("initial model is not a regular point at the scheme stride")
-    _check_scheme(init.multiplicities, samples.scheme)
-
-    multiplicities = init.multiplicities
-    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride=None):
+    """lm_refine's iteration from the node-argument array `thetas`: final arguments
+    (`thetas` itself if no step is accepted), coefficient tuples, iterations and
+    flags.  With a stride, the fit at `thetas` must be a regular point there."""
     # first column of each node's block in A
     starts = np.cumsum((0,) + multiplicities[:-1])
-    start = thetas = np.array(init.node_args)
     coeffs, residual, projected = _projected_fit(thetas, multiplicities, ks, q)
+    if stride is not None and not _regularity(thetas, abs(coeffs[np.cumsum(multiplicities) - 1]), stride):
+        raise ValidationError(_IRREGULAR_START)
     cost = float(residual @ residual)
     lam, nu = 1e-3, 2.0
     iterations = 0
     factored = False
+    flags = ()
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
@@ -448,20 +436,50 @@ def lm_refine(samples: SampleSet, init: PronyModel):
             lam *= nu
             nu *= 2.0
             if lam > 1e14:
-                report_flags.append("damping-saturated")
+                flags = ("damping-saturated",)
                 break
     else:
-        report_flags.append("max-iterations")
+        flags = ("max-iterations",)
+    return thetas, _split(coeffs, multiplicities), iterations, flags
 
-    final = PronyModel(
-        tuple(cmath.exp(1j * a) for a in thetas),
-        multiplicities,
-        _split(coeffs, multiplicities),
-    )
+
+def lm_refine(samples: SampleSet, init: PronyModel):
+    """Levenberg-Marquardt fit of the model to the samples by variable projection.
+
+    The coefficients enter linearly, so the iterate is the node arguments
+    theta alone (unit modulus by construction): at each theta the coefficients
+    c(theta) are the column-scaled least-squares fit on A(theta) = [z_j^k k^l]
+    and the residual is r = A c - q (Golub & Pereyra, SIAM J. Numer. Anal. 10,
+    1973).  The Jacobian is Kaufman's (BIT 15, 1975): column j is
+    P (dA/dtheta_j) c with P = I - A A^+ the projector off the range of A and
+    d(z^k k^l)/dtheta = i k z^k k^l.  Each trial point costs one kernel and
+    one least-squares solve, for q and D = dA/dtheta together, so an accepted
+    point forms P D c with no further solve.  At the start and after each
+    accepted step the column-scaled Jacobian J_s = U S V^T is factored once;
+    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r.  The
+    damping follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff
+    2004, section 3.2): with rho the actual over the predicted cost decrease,
+    an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
+    1e-15) and nu <- 2, a rejected one lam <- lam * nu and nu <- 2 nu.
+    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when no step
+    can lower the cost by more than _DECREASE_TOL of itself (||U^T r||^2 <=
+    _DECREASE_TOL * ||r||^2: trial costs then differ by rounding alone), when
+    the step norm drops below STEP_TOL, when lam exceeds 1e14
+    ("damping-saturated") or at the iteration cap MAX_ITERATIONS
+    ("max-iterations").  When no step is accepted, `init` itself is returned
+    unless the coefficients refitted at its nodes give a smaller max-abs residual.
+    """
+    if not regularity_check(init, samples.scheme.stride):
+        raise ValidationError(_IRREGULAR_START)
+    _check_scheme(init.multiplicities, samples.scheme)
+    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+    start = np.array(init.node_args)
+    thetas, coeffs, iterations, flags = _refine(start, init.multiplicities, ks, q)
+    final = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), init.multiplicities, coeffs)
     max_res = _max_residual(final, ks, q)
     if thetas is start:
         # no step was accepted: keep init unless the refit at its nodes fits better
         init_res = _max_residual(init, ks, q)
         if init_res <= max_res:
             final, max_res = init, init_res
-    return final, SolverReport("lm", iterations, max_res, tuple(report_flags))
+    return final, SolverReport("lm", iterations, max_res, flags)

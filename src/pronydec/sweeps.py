@@ -72,9 +72,6 @@ class SweepConfig:
     exclusion_radius: float = 0.1
     grid_size: int = 1024
     workers: int = 1
-    csv_path: str | None = None
-    svg_path: str | None = None
-    timing_path: str | None = None
 
     def __post_init__(self):
         for name in ("seeds", "p_values", "m_values"):
@@ -124,17 +121,12 @@ class SweepConfig:
             )
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["seeds"] = list(self.seeds)
-        data["p_values"] = list(self.p_values)
-        data["m_values"] = list(self.m_values)
-        return data
+        return asdict(self)
 
     @staticmethod
     @_loader
     def from_dict(data: dict) -> "SweepConfig":
-        known = {f for f in SweepConfig.__dataclass_fields__}
-        unknown = set(data) - known
+        unknown = set(data) - set(SweepConfig.__dataclass_fields__)
         if unknown:
             raise ValidationError(f"unknown sweep config fields: {sorted(unknown)}")
         return SweepConfig(**data)
@@ -194,8 +186,8 @@ def _check_spec(spec, what: str) -> None:
     """A model or signal spec is an object whose keys are parameters of the
     function that consumes it, less those the sweep supplies itself; the
     parameters without a default are required.  Every value but the model
-    kind is a number: an integer where the parameter is annotated int, a pair
-    of numbers for base_magnitude_range."""
+    kind is a finite number: an integer where the parameter is annotated int,
+    a pair of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must be an object, got {spec!r}")
     if what == "signal":
@@ -216,8 +208,9 @@ def _check_spec(spec, what: str) -> None:
         items = value if pair and isinstance(value, (list, tuple)) else [value]
         annotation = params[key].annotation if key in params else float
         kind = {int: numbers.Integral, complex: numbers.Complex}.get(annotation, numbers.Real)
-        if len(items) != (2 if pair else 1) or not all(isinstance(v, kind) for v in items):
-            raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type")
+        if len(items) != (2 if pair else 1) or not all(
+                isinstance(v, kind) and cmath.isfinite(v) for v in items):
+            raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type or is not finite")
     missing = [k for k, p in params.items()
                if p.default is p.empty and k not in supplied and k not in spec]
     if missing:

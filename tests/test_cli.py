@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -84,6 +85,28 @@ def test_bounds_prints_table(capsys, model_file):
     out = capsys.readouterr().out
     assert "node error bound" in out
     assert "coefficient error bound" in out
+
+
+BOUNDS_TEXT = """\
+stride=3 offset=2 eps=1e-06 separation=0.85476 unknowns=5
+node  mult  |node error bound|  close-node gain p^-(R+m)
+   0     1         1.55854e-05  0.00137174
+   1     2         3.86625e-06  0.000457247
+node  coeff  |coefficient error bound|
+   0      0                 0.00133597
+   1      0                  0.0169658
+   1      1                 0.00439611
+"""
+
+
+def test_bounds_text_is_fixed(tmp_path, capsys):
+    path = tmp_path / "model.json"
+    assert run("gen", "model", "--angles", "0.7,-1.1", "--multiplicities", "2,1",
+               "--coefficients", "[[[1.0,0.5],[0.25,-2.0]],[[3.0,0.0]]]", "--out", path) == 0
+    capsys.readouterr()
+    assert run("bounds", "--model", path, "--t", "2", "--p", "3", "--eps", "1e-6",
+               "--C", "1.5") == 0
+    assert capsys.readouterr().out == BOUNDS_TEXT
 
 
 def test_bounds_nan_angle_exit_code(tmp_path):
@@ -215,8 +238,12 @@ def test_sweep_outputs_and_determinism(tmp_path):
     assert timing.exists()
 
 
-def test_sweep_paths_from_config(tmp_path):
-    csv_path = tmp_path / "from_config.csv"
+@pytest.mark.parametrize("field, value", [
+    ("csv_path", "from_config.csv"), ("csv_path", 5), ("svg_path", 1), ("timing_path", 2),
+])
+def test_sweep_config_path_field_rejected(tmp_path, capsys, field, value):
+    """Output paths come from the CLI flags only: a path field in the config
+    exits 2, names the field and writes nothing (1 and 2 are stdout/stderr)."""
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({
         "kind": "fixed-count-decimation",
@@ -226,10 +253,42 @@ def test_sweep_paths_from_config(tmp_path):
         "p_values": [1, 4],
         "count": 20,
         "model": {"kind": "two-node", "gap": 0.01},
-        "csv_path": str(csv_path),
+        field: value,
     }))
-    assert run("sweep", "--config", cfg) == 0
-    assert csv_path.exists()
+    assert run("sweep", "--config", cfg) == 2
+    out, err = capsys.readouterr()
+    assert field in err and out == ""
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--model", "missing.json", "--eps", "1e-6"),
+    ("reconstruct", "--window", "missing.txt", "-d", "0", "-K", "1", "-J", "1.0", "--out", "o.json"),
+    ("sweep", "--config", "missing.json"),
+])
+def test_missing_input_file_exit_code(tmp_path, capsys, argv):
+    command, *options = argv
+    options = [tmp_path / o if o.startswith(("missing", "o.")) else o for o in options]
+    assert run(command, *options) == 2
+    assert "missing" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_sweep_workers_flag_on_non_object_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[1, 2]")
+    assert run("sweep", "--config", cfg, "--workers", "2") == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_sweep_spec_value_must_be_finite(tmp_path, capsys):
+    """A NaN reconstruction_separation made every row NaN with exit 0."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_FOURIER, "signal": {**_FOURIER["signal"],
+                                                      "reconstruction_separation": math.nan}}))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert "reconstruction_separation" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_validation_exit_code(tmp_path):

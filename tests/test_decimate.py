@@ -10,6 +10,7 @@ from pronydec import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    add_noise,
     annihilation_solve_single,
     circle_distance,
     close_node_improvement,
@@ -201,12 +202,18 @@ def test_structural_errors_agree(name, mults, hints, base_solve):
     assert str(base.value) == str(decimated.value)
 
 
-@pytest.mark.parametrize("p", [1, 8, 32])
-def test_lm_base_matches_hint_start_refinement(p):
+@pytest.mark.parametrize("p, solver", [
+    pytest.param(1, "lm", id="1"),
+    pytest.param(8, "lm", id="8"),
+    pytest.param(32, "lm", id="32"),
+    pytest.param(1, "hankel", id="hankel-1"),
+])
+def test_lm_base_matches_hint_start_refinement(p, solver):
     """decimated_solve(base_solver="lm") against LM started at the hints with
-    coefficients fitted there, on criterion 3's lm configuration."""
+    coefficients fitted there, on criterion 3's lm configuration; for another
+    base solver, against lm_refine from its unrefined solve."""
     config = sweeps.SweepConfig(
-        kind="fixed-count-decimation", seeds=list(range(10)), noise=1e-4, solver="lm",
+        kind="fixed-count-decimation", seeds=list(range(10)), noise=1e-4, solver=solver,
         p_values=[1, 8, 32], count=66, model={"kind": "two-node", "gap": 1e-2},
     )
     scheme = SamplingScheme(0, p, config.count)
@@ -217,10 +224,15 @@ def test_lm_base_matches_hint_start_refinement(p):
         values = np.asarray(evaluate_moments(truth, scheme).values) + eta[np.searchsorted(union, ks)]
         samples = SampleSet(scheme, tuple(values), config.noise)
 
-        nodes = tuple(cmath.exp(1j * a) for a in truth.node_args)
-        coeffs = confluent_vandermonde_coeffs(nodes, truth.multiplicities, samples)
-        reference = lm_refine(samples, PronyModel(nodes, truth.multiplicities, coeffs))
-        solved = decimated_solve(samples, truth.multiplicities, truth.node_args, base_solver="lm")
+        if solver == "lm":
+            nodes = tuple(cmath.exp(1j * a) for a in truth.node_args)
+            coeffs = confluent_vandermonde_coeffs(nodes, truth.multiplicities, samples)
+            start = PronyModel(nodes, truth.multiplicities, coeffs)
+        else:
+            start = decimated_solve(samples, truth.multiplicities, truth.node_args,
+                                    base_solver=solver, refine=False)[0]
+        reference = lm_refine(samples, start)
+        solved = decimated_solve(samples, truth.multiplicities, truth.node_args, base_solver=solver)
         assert solved[1].iterations == reference[1].iterations
         errors = []
         for estimate, _ in (solved, reference):
@@ -228,6 +240,35 @@ def test_lm_base_matches_hint_start_refinement(p):
             errors.append([abs(estimate.nodes[match.assignment[j]] - z)
                            for j, z in enumerate(truth.nodes)])
         np.testing.assert_allclose(errors[0], errors[1], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("hints", [(0.5, -1.2), (-1.2, 0.5)])
+def test_refined_solve_is_lm_refine_of_the_unrefined_solve(hints):
+    """Refinement starts from the undecimated node arguments in canonical
+    order, whatever the hint order: the parent's pipeline, bit for bit."""
+    scheme = SamplingScheme(2, 3, 16)
+    samples = add_noise(evaluate_moments(_PAIR, scheme), 1e-4, seed=5)
+    start, _ = decimated_solve(samples, (1, 1), hints, base_solver="hankel", refine=False)
+    reference = lm_refine(samples, start)
+    solved = decimated_solve(samples, (1, 1), hints, base_solver="hankel")
+    assert solved[0] == reference[0]
+    assert solved[1].iterations == reference[1].iterations > 1
+    assert solved[1].residual == reference[1].residual
+
+
+def test_refine_start_must_be_regular():
+    """The coefficients fitted at the start decide regularity: a vanishing
+    top-order coefficient is rejected before refining."""
+    samples = evaluate_moments(PronyModel([1.0], [2], [[1.0, 0.0]]), SamplingScheme(0, 1, 12))
+    with pytest.raises(ValidationError, match="not a regular point at the scheme stride"):
+        decimated_solve(samples, (2,), [0.0], base_solver="lm")
+
+
+def test_refine_needs_as_many_samples_as_coefficients():
+    samples = evaluate_moments(_PAIR, SamplingScheme(0, 3, 1))
+    for refine in (True, False):
+        with pytest.raises(ValidationError, match="need at least as many samples as coefficients"):
+            decimated_solve(samples, (1, 1), [0.5, -1.2], base_solver="lm", refine=refine)
 
 
 class TestNodeErrorBound:

@@ -617,6 +617,14 @@ class TestWindowFile:
         with pytest.raises(ValidationError, match="every k"):
             read_window_file(path)
 
+    def test_rejects_non_ascii_index(self, tmp_path):
+        # numpy's loadtxt crashed the interpreter now and then on this index
+        path = tmp_path / "bad.txt"
+        path.write_text("-1 0.0 0.0\n\U0006eed34\x90\x9b 1.0 0.0\n1 0.0 0.0\n", encoding="utf-8")
+        for _ in range(20):
+            with pytest.raises(ValidationError, match="bad window line"):
+                read_window_file(path)
+
     def test_rejects_nan(self, tmp_path):
         path = tmp_path / "nan.txt"
         path.write_text("-1 0.0 0.0\n0 nan 0.0\n1 0.0 0.0\n")

@@ -303,5 +303,22 @@ class TestMalformedData:
         with pytest.raises(ValidationError, match="malformed"):
             signal_from_dict(data)
 
+    @pytest.mark.parametrize("load, data", [
+        (model_from_dict, {"nodes": [0.1], "multiplicities": [math.inf],
+                           "coefficients": [[[1.0, 0.0]]]}),
+        (model_from_dict, {"nodes": [0.1], "multiplicities": [1],
+                           "coefficients": [[[10**400, 0.0]]]}),
+        (samples_from_dict, {"scheme": {"offset": math.inf, "stride": 1, "count": 1},
+                             "values": [[1.0, 0.0]], "noise_level": 0.0}),
+        (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
+                             "values": [[1.0, 0.0]], "noise_level": 10**400}),
+        (signal_from_dict, {**SIGNAL_DICT, "smoothness": -math.inf}),
+    ])
+    def test_out_of_range_number(self, load, data):
+        """An infinite integer field or an integer beyond float range raised
+        OverflowError past the loader."""
+        with pytest.raises(ValidationError, match="OverflowError"):
+            load(data)
+
     def test_signal_reference_loads(self):
         assert signal_from_dict(SIGNAL_DICT).jumps == (0.5,)

@@ -7,6 +7,7 @@ seeded numpy sweeps where model construction is involved.
 """
 
 import cmath
+import copy
 import itertools
 import math
 
@@ -19,6 +20,7 @@ from pronydec import (
     CoefficientWindow,
     PronyModel,
     SamplingScheme,
+    ValidationError,
     build_mollifier,
     circle_distance,
     decimated_solve,
@@ -27,11 +29,14 @@ from pronydec import (
     match_estimates,
     prony_hankel_solve,
     random_piecewise_signal,
+    read_window_file,
     reconstruct,
     signal_coeffs,
     undecimate_node,
     wrap_position,
 )
+from pronydec.model import model_from_dict, samples_from_dict, signal_from_dict
+from pronydec.sweeps import SweepConfig
 
 ANGLES = st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False)
 
@@ -293,3 +298,126 @@ def check_real_window_symmetry(seed=0, trials=10):
 
 def test_real_window_symmetry():
     check_real_window_symmetry()
+
+
+# ---------------------------------------------------------------------------
+# boundary loaders: malformed and non-finite input is a ValidationError
+# ---------------------------------------------------------------------------
+
+NONFINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+#: JSON-like values: non-finite floats, integers beyond float range, nesting
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.sampled_from([10**400, -10**400]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+
+_LOADER_INPUTS = {
+    model_from_dict: {
+        "nodes": [0.7, -1.1], "multiplicities": [2, 1],
+        "coefficients": [[[1.0, 0.5], [0.25, -2.0]], [[3.0, 0.0]]],
+    },
+    samples_from_dict: {
+        "scheme": {"offset": 1, "stride": 2, "count": 3},
+        "values": [[1.0, 0.0], [0.5, -0.5], [0.0, 2.0]], "noise_level": 1e-6,
+    },
+    signal_from_dict: {
+        "smoothness": 1, "jumps": [-1.0, 1.5], "magnitudes": [[2.0, -3.0], [0.5, 0.25]],
+        "psi_coeffs": [[0.5, 0.0], [0.1, 0.2]], "psi_decay": 1.0,
+    },
+    SweepConfig.from_dict: {
+        "kind": "fourier-convergence", "seeds": [0, 1], "m_values": [64, 128, 256],
+        "signal": {"smoothness": 1, "num_jumps": 2, "min_separation": 1.6,
+                   "base_magnitude_range": [3.0, 5.0], "reconstruction_separation": 1.5},
+        "noise": 0.0, "exclusion_radius": 0.1, "grid_size": 64, "workers": 1,
+    },
+}
+LOADERS = list(_LOADER_INPUTS)
+
+
+def _paths(data, numeric):
+    """Paths (key tuples) to every value of the JSON-like data, the whole of
+    it included, or with numeric=True to its numbers only."""
+    if isinstance(data, dict):
+        items = data.items()
+    elif isinstance(data, list):
+        items = enumerate(data)
+    else:
+        items = ()
+    own = not numeric or (isinstance(data, (int, float)) and not isinstance(data, bool))
+    paths = [()] if own else []
+    for key, value in items:
+        paths += [(key,) + path for path in _paths(value, numeric)]
+    return paths
+
+
+def _replaced(data, path, value):
+    if not path:
+        return value
+    out = copy.copy(data)
+    out[path[0]] = _replaced(data[path[0]], path[1:], value)
+    return out
+
+
+@pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__qualname__)
+def test_loader_inputs_are_valid(load):
+    load(_LOADER_INPUTS[load])
+
+
+@pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__qualname__)
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_loader_rejects_only_with_validation_error(load, data):
+    """Any one value (or a whole subtree) replaced by junk: the loader returns
+    or raises ValidationError, never another exception."""
+    base = _LOADER_INPUTS[load]
+    path = data.draw(st.sampled_from(_paths(base, numeric=False)))
+    try:
+        load(_replaced(base, path, data.draw(JUNK)))
+    except ValidationError:
+        pass
+
+
+@pytest.mark.parametrize("load", LOADERS, ids=lambda f: f.__qualname__)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_loader_rejects_nonfinite_numbers(load, data):
+    """Every number in these inputs must be finite: NaN or an infinity in
+    any numeric field is a ValidationError."""
+    base = _LOADER_INPUTS[load]
+    path = data.draw(st.sampled_from(_paths(base, numeric=True)))
+    with pytest.raises(ValidationError):
+        load(_replaced(base, path, data.draw(NONFINITE)))
+
+
+_WINDOW_TEXT = "".join(f"{k} {1.0 / (1 + abs(k))!r} {0.1 * k!r}\n" for k in range(-3, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_read_window_file_rejects_corrupted_text(tmp_path_factory, data):
+    """A window file with one token or line replaced by arbitrary text (or
+    bytes), or cut short: read_window_file returns or raises ValidationError."""
+    lines = _WINDOW_TEXT.splitlines(keepends=True)
+    row = data.draw(st.integers(0, len(lines) - 1))
+    tokens = lines[row].split()
+    how = data.draw(st.sampled_from(["token", "line", "bytes", "cut"]))
+    if how == "token":
+        tokens[data.draw(st.integers(0, 2))] = data.draw(st.text(min_size=1, max_size=6) | st.sampled_from(
+            ["nan", "inf", "-inf", "1e400", str(10**30), "0x1", "1j"]))
+        lines[row] = " ".join(tokens) + "\n"
+    elif how == "line":
+        lines[row] = data.draw(st.text(max_size=12))
+    text = "".join(lines).encode("utf-8", "surrogatepass")
+    if how == "bytes":
+        text = text[:row * 5] + data.draw(st.binary(min_size=1, max_size=6)) + text[row * 5:]
+    elif how == "cut":
+        text = text[:data.draw(st.integers(0, len(text)))]
+    path = tmp_path_factory.getbasetemp() / "corrupted_window.txt"
+    path.write_bytes(text)
+    try:
+        read_window_file(path)
+    except ValidationError:
+        pass
