@@ -25,6 +25,7 @@ from .model import (
     SampleSet,
     SamplingScheme,
     ValidationError,
+    _integer,
     _random_model,
     load_json,
     model_from_dict,
@@ -69,7 +70,8 @@ def _cmd_gen(args) -> int:
                     raise ValidationError(f"--coefficients is not valid JSON ({exc})") from None
             model = model_from_dict({"nodes": angles, "multiplicities": mults, "coefficients": rows})
         else:
-            model = _random_model(np.random.default_rng(args.seed), args.num_nodes, args.min_separation)
+            rng = np.random.default_rng(_integer("seed", args.seed))
+            model = _random_model(rng, args.num_nodes, args.min_separation)
         save_json(model_to_dict(model.canonical()), args.out)
         print(f"wrote model with {model.num_nodes} node(s) to {args.out}")
         return 0

@@ -19,6 +19,7 @@ from .model import (
     ValidationError,
     _assign_nodes,
     _check_level,
+    _integer,
     wrap_angle,
 )
 from .solvers import SolverReport, _find_nodes, _multiplicities, _solution
@@ -36,9 +37,7 @@ def undecimate_node(w: complex, p: int, hint: float) -> complex:
     is n = round(t) mod p and the runner-up is (2*pi/p)*(1 - 2|t - round(t)|)
     farther away; a gap below BRANCH_TOL is ambiguous.
     """
-    p = int(p)
-    if p < 1:
-        raise ValidationError("stride must be positive")
+    p = _integer("stride", p, 1)
     if not 0.5 <= abs(w) <= 2.0:
         raise ValidationError(f"powered node modulus {abs(w):.3g} is outside [0.5, 2]")
     if not math.isfinite(hint):
@@ -163,11 +162,9 @@ def coeff_error_bound(
     _check_level(eps, "eps")
     if not (math.isfinite(constant) and constant > 0):
         raise ValidationError(f"the bound constant must be finite and positive, got {constant}")
-    if t < 0:
-        raise ValidationError(f"the offset t must be nonnegative, got {t}")
+    t_eff = max(_integer("offset", t), 1)
     sep = _require_regular(model, p).separation
     r = model.unknown_count
-    t_eff = max(int(t), 1)
     out = []
     for m, row in zip(model.multiplicities, model.coefficients):
         lead = abs(row[-1])
@@ -190,9 +187,8 @@ def coeff_error_bound(
 
 def close_node_improvement(multiplicity: int, unknown_count: int, p: int) -> float:
     """Accuracy gain factor p^-(R + m) when the powered separation scales like p."""
-    if p < 1:
-        raise ValidationError("stride must be positive")
-    return float(p) ** (-(int(unknown_count) + int(multiplicity)))
+    exponent = _integer("unknown_count", unknown_count) + _integer("multiplicity", multiplicity, 1)
+    return float(_integer("stride", p, 1)) ** -exponent
 
 
 def error_bounds(model: PronyModel, t: int, p: int, eps: float, constant: float = 1.0):

@@ -21,6 +21,7 @@ from .model import (
     SamplingScheme,
     ValidationError,
     _check_level,
+    _integer,
 )
 
 #: largest sample index accepted by the forward map (k^l stays in double range)
@@ -144,8 +145,7 @@ def regularity_check(model: PronyModel, p: int) -> RegularityReport:
 
 
 def _regularity(thetas, leads, p: int) -> RegularityReport:
-    if p < 1:
-        raise ValidationError("stride must be positive")
+    p = _integer("stride", p, 1)
     powered = [cmath.exp(1j * theta * p) for theta in thetas]
     n = len(powered)
     pairs = [(i, j, abs(powered[i] - powered[j])) for i in range(n) for j in range(i + 1, n)]
@@ -190,6 +190,7 @@ def add_noise(
     bounded-error model).  "gaussian" draws a complex normal with E|eta|^2 =
     eps^2; it is off-model (unbounded) and only offered for comparison.
     """
+    seed = _integer("seed", seed)
     if _check_level(eps, "noise level") == 0:
         return SampleSet(samples.scheme, samples.values, 0.0)
     rng = np.random.default_rng(seed)

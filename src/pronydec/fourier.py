@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -31,6 +30,7 @@ from .model import (
     SamplingScheme,
     ValidationError,
     _circle_angles,
+    _integer,
     position_from_node,
     wrap_angle,
 )
@@ -103,7 +103,7 @@ def piecewise_poly_coeffs(jumps, magnitudes, smoothness: int, ks) -> np.ndarray:
             "k = 0 has no formula coefficient; the absorbing part is zero-mean "
             "and the mean belongs to the smooth remainder"
         )
-    d = int(smoothness)
+    d = _integer("smoothness", smoothness)
     if len(magnitudes) != d + 1:
         raise ValidationError("magnitudes must have smoothness+1 rows")
     out = np.zeros(len(ks), dtype=complex)
@@ -132,15 +132,13 @@ class CoefficientWindow:
 
     def __post_init__(self):
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        self.bandwidth = int(self.bandwidth)
+        self.bandwidth = _integer("bandwidth", self.bandwidth)
         if self.coeffs.shape != (2 * self.bandwidth + 1,):
             raise ValidationError("window needs 2*bandwidth + 1 coefficients")
         if not np.all(np.isfinite(self.coeffs)):
             raise ValidationError("window coefficients must be finite")
-        if self.real_signal:
-            flipped = np.conj(self.coeffs[::-1])
-            if float(np.max(np.abs(self.coeffs - flipped))) > REAL_WINDOW_TOL:
-                raise ValidationError("window tagged real-signal is not conjugate-symmetric")
+        if self.real_signal and not _conjugate_symmetric(self.coeffs):
+            raise ValidationError("window tagged real-signal is not conjugate-symmetric")
         self.coeffs.flags.writeable = False
 
     def coeff(self, k: int) -> complex:
@@ -149,12 +147,15 @@ class CoefficientWindow:
         return complex(self.coeffs[k + self.bandwidth])
 
 
+def _conjugate_symmetric(coeffs: np.ndarray) -> bool:
+    """c_{-k} = conj(c_k) to REAL_WINDOW_TOL, for finite coefficients c_{-M..M}."""
+    return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1])))) <= REAL_WINDOW_TOL
+
+
 def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     """Exact coefficient window of a piecewise signal: closed-form absorbing part
     plus the stored smooth-part series."""
-    m = int(bandwidth)
-    if m < 1:
-        raise ValidationError("bandwidth must be positive")
+    m = _integer("bandwidth", bandwidth, 1)
     ks = np.arange(-m, m + 1)
     coeffs = np.zeros(2 * m + 1, dtype=complex)
     nonzero = ks != 0
@@ -221,9 +222,7 @@ def eckhoff_transform(window: CoefficientWindow, smoothness: int) -> SampleSet:
     exp(-i x_j) of multiplicity d+1; the smooth part contributes a perturbation
     decaying like 1/k.
     """
-    d = int(smoothness)
-    if d < 0:
-        raise ValidationError("smoothness must be nonnegative")
+    d = _integer("smoothness", smoothness)
     m = window.bandwidth
     values = _transform(window, d, np.arange(1, m + 1))
     return SampleSet(SamplingScheme(1, 1, m), tuple(values), 0.0)
@@ -232,7 +231,7 @@ def eckhoff_transform(window: CoefficientWindow, smoothness: int) -> SampleSet:
 def induced_prony_model(jumps, magnitudes, smoothness: int) -> PronyModel:
     """The Prony model the transform produces from pure jump data:
     nodes exp(-i x_j), multiplicity d+1, coefficients c_{l,j} = i^l a_{d-l,j}."""
-    d = int(smoothness)
+    d = _integer("smoothness", smoothness)
     nodes = tuple(cmath.exp(-1j * x) for x in jumps)
     mults = (d + 1,) * len(jumps)
     coeffs = tuple(
@@ -245,7 +244,7 @@ def induced_prony_model(jumps, magnitudes, smoothness: int) -> PronyModel:
 def magnitudes_from_coefficients(coefficients, smoothness: int) -> np.ndarray:
     """Invert c_l = i^l a_{d-l}: jump magnitudes (a_0, ..., a_d) from one node's
     polynomial amplitudes."""
-    d = int(smoothness)
+    d = _integer("smoothness", smoothness)
     if len(coefficients) != d + 1:
         raise ValidationError("need d+1 coefficients")
     mags = np.empty(d + 1)
@@ -261,7 +260,7 @@ def initial_jump_estimates(window: CoefficientWindow, num_jumps: int):
     subspace node finder with K nodes.  Accuracy is O(1/bandwidth) when the
     smooth remainder obeys the decay hypothesis.
     """
-    k = int(num_jumps)
+    k = _integer("num_jumps", num_jumps, 1)
     m = window.bandwidth
     if m < 4 * k:
         raise ValidationError(f"bandwidth {m} too small for {k} jumps (need >= {4 * k})")
@@ -355,14 +354,13 @@ def build_mollifier(center: float, half_width: float, flat_half_width: float, de
     """
     if not 0.0 < flat_half_width < half_width <= math.pi:
         raise ValidationError("need 0 < flat_half_width < half_width <= pi")
-    if degree < 0:
-        raise ValidationError("degree must be nonnegative")
-    coeffs, accuracy = _centered_bump_coeffs(float(half_width), float(flat_half_width), int(degree))
+    degree = _integer("degree", degree)
+    coeffs, accuracy = _centered_bump_coeffs(float(half_width), float(flat_half_width), degree)
     return Mollifier(
         center=float(center),
         half_width=float(half_width),
         flat_half_width=float(flat_half_width),
-        degree=int(degree),
+        degree=degree,
         centered_coeffs=coeffs,
         accuracy=accuracy,
     )
@@ -370,9 +368,10 @@ def build_mollifier(center: float, half_width: float, flat_half_width: float, de
 
 def identity_mollifier(degree: int) -> Mollifier:
     """Degenerate mollifier identically equal to 1 (delta coefficient sequence)."""
-    coeffs = np.zeros(int(degree) + 1)
+    degree = _integer("degree", degree)
+    coeffs = np.zeros(degree + 1)
     coeffs[0] = 1.0
-    return Mollifier(0.0, math.pi, math.pi / 2, int(degree), coeffs, 0.0)
+    return Mollifier(0.0, math.pi, math.pi / 2, degree, coeffs, 0.0)
 
 
 def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> CoefficientWindow:
@@ -385,10 +384,8 @@ def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> 
     bandwidth so the truncation only drops products against mollifier
     coefficients of order >= bandwidth/2, which are super-polynomially small.
     """
-    b = int(out_bandwidth)
+    b = _integer("out_bandwidth", out_bandwidth, 1)
     m = window.bandwidth
-    if b < 1:
-        raise ValidationError("out_bandwidth must be positive")
     if b > m // 2:
         raise ValidationError("out_bandwidth must not exceed half the window bandwidth")
     if moll.degree < m + b:
@@ -439,11 +436,9 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
 
     min_separation must lower-bound the true pairwise jump separation.
     """
-    d = int(smoothness)
-    k = int(num_jumps)
+    d = _integer("smoothness", smoothness)
+    k = _integer("num_jumps", num_jumps, 1)
     m = window.bandwidth
-    if d < 0 or k < 1:
-        raise ValidationError("need smoothness >= 0 and num_jumps >= 1")
     if m < 8 * (d + 2) * k:
         raise ValidationError(
             f"bandwidth {m} too small for d={d}, K={k} (need >= {8 * (d + 2) * k})"
@@ -513,9 +508,7 @@ def sup_error_away(
     rho = float(exclusion_radius)
     if not math.isfinite(rho) or rho <= 0:
         raise ValidationError(f"exclusion radius must be finite and positive, got {rho}")
-    if not isinstance(grid_size, numbers.Integral) or grid_size < 1:
-        raise ValidationError(f"grid_size must be an integer >= 1, got {grid_size!r}")
-    n = int(grid_size)
+    n = _integer("grid_size", grid_size, 1)
     grid = -math.pi + TWO_PI * np.arange(n) / n
     keep = np.ones(n, dtype=bool)
     for xj in signal.jumps:
@@ -545,13 +538,12 @@ def sup_error_away(
 def synthesize_psi(smoothness: int, decay: float, degree: int, rng) -> tuple:
     """Smooth-part coefficients r_n * n^(-d-2) * exp(i phi_n) with random
     amplitudes r_n in [0, decay) and phases, plus a random real mean."""
-    if degree < 0:
-        raise ValidationError(f"smooth-part degree must be nonnegative, got {degree}")
+    d, degree = _integer("smoothness", smoothness), _integer("psi_degree", degree)
     coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
-    for n in range(1, int(degree) + 1):
+    for n in range(1, degree + 1):
         r = decay * rng.random()
         phi = TWO_PI * rng.random()
-        coeffs.append(r * float(n) ** (-int(smoothness) - 2) * cmath.exp(1j * phi))
+        coeffs.append(r * float(n) ** (-d - 2) * cmath.exp(1j * phi))
     return tuple(coeffs)
 
 
@@ -566,9 +558,9 @@ def random_piecewise_signal(
     psi_degree: int = 4096,
 ) -> PiecewiseSignal:
     """Seeded random signal with certified jump separation and magnitude floor."""
-    d = int(smoothness)
-    k = int(num_jumps)
-    rng = np.random.default_rng(seed)
+    d = _integer("smoothness", smoothness)
+    k = _integer("num_jumps", num_jumps, 1)
+    rng = np.random.default_rng(_integer("seed", seed))
     if k * min_separation >= TWO_PI:
         raise ValidationError("cannot place the jumps with that separation")
     jumps = _circle_angles(rng, k, min_separation)
@@ -623,5 +615,6 @@ def read_window_file(path) -> CoefficientWindow:
         raise ValidationError("window file must cover every k from -M to M exactly once")
     arr = np.empty(len(rows), dtype=complex)
     arr.real, arr.imag = rows["re"][order], rows["im"][order]
-    symmetric = float(np.max(np.abs(arr - np.conj(arr[::-1])))) <= REAL_WINDOW_TOL
-    return CoefficientWindow(arr, m, real_signal=symmetric)
+    window = CoefficientWindow(arr, m, real_signal=False)  # checks finiteness first
+    window.real_signal = _conjugate_symmetric(window.coeffs)
+    return window

@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +59,16 @@ def _check_level(value: float, name: str) -> float:
     return value
 
 
+def _integer(name: str, value, minimum: int = 0) -> int:
+    """A count, stride, order or seed: an integer (not a bool) of at least
+    `minimum`, never truncated from a float or parsed from a string."""
+    # plain ints skip the ABC check: it is several times slower, and every model and scheme built runs this
+    integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not integral or value < minimum:
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # circle geometry
 # ---------------------------------------------------------------------------
@@ -85,8 +96,6 @@ def wrap_position(x: float) -> float:
 def _circle_angles(rng, count: int, min_gap: float) -> np.ndarray:
     """Sorted uniform angles on [-pi, pi), redrawn until every circle gap
     (the wrap-around gap included) reaches min_gap."""
-    if count < 1:
-        raise ValidationError(f"need at least one angle, got {count}")
     for _ in range(1000):
         angles = np.sort(rng.uniform(-math.pi, math.pi, size=count))
         gaps = np.diff(angles).tolist() + [TWO_PI - (angles[-1] - angles[0])]
@@ -126,7 +135,7 @@ class PronyModel:
 
     def __post_init__(self):
         nodes = tuple(complex(z) for z in self.nodes)
-        mults = tuple(int(m) for m in self.multiplicities)
+        mults = tuple(_integer("multiplicities", m, 1) for m in self.multiplicities)
         coeffs = tuple(tuple(complex(c) for c in row) for row in self.coefficients)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mults)
@@ -140,8 +149,6 @@ class PronyModel:
             if not abs(abs(z) - 1.0) <= UNIT_MODULUS_TOL:
                 raise ValidationError(f"node {z!r} is off the unit circle")
         for m, row in zip(mults, coeffs):
-            if m < 1:
-                raise ValidationError("multiplicities must be >= 1")
             if len(row) != m:
                 raise ValidationError("coefficient list length must equal the multiplicity")
             if not all(cmath.isfinite(c) for c in row):
@@ -181,7 +188,7 @@ class PronyModel:
 def _random_model(rng, num_nodes: int, min_gap: float) -> PronyModel:
     """Canonical random simple-node model: angles from _circle_angles, then
     per node an amplitude r*exp(i*phi), r uniform on [0.5, 2), phi on [0, 2*pi)."""
-    angles = _circle_angles(rng, num_nodes, min_gap)
+    angles = _circle_angles(rng, _integer("num_nodes", num_nodes, 1), min_gap)
     coeffs = tuple(
         (complex(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, TWO_PI))),)
         for _ in angles
@@ -199,14 +206,8 @@ class SamplingScheme:
     count: int
 
     def __post_init__(self):
-        for name in ("offset", "stride", "count"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        if self.offset < 0:
-            raise ValidationError("offset must be nonnegative")
-        if self.stride < 1:
-            raise ValidationError("stride must be positive")
-        if self.count < 1:
-            raise ValidationError("count must be positive")
+        for name, minimum in (("offset", 0), ("stride", 1), ("count", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
 
     @property
     def indices(self) -> tuple:
@@ -252,7 +253,7 @@ class PiecewiseSignal:
     psi_decay: float
 
     def __post_init__(self):
-        d = int(self.smoothness)
+        d = _integer("smoothness", self.smoothness)
         jumps = tuple(float(x) for x in self.jumps)
         mags = tuple(tuple(float(a) for a in row) for row in self.magnitudes)
         psi = tuple(complex(c) for c in self.psi_coeffs)
@@ -261,8 +262,6 @@ class PiecewiseSignal:
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "psi_coeffs", psi)
         object.__setattr__(self, "psi_decay", float(self.psi_decay))
-        if d < 0:
-            raise ValidationError("smoothness must be nonnegative")
         if len(jumps) < 1:
             raise ValidationError("at least one jump is required")
         for x in jumps:
@@ -405,15 +404,24 @@ def match_estimates(estimated: PronyModel, truth: PronyModel) -> MatchResult:
 # ---------------------------------------------------------------------------
 # Models store nodes as angles in radians (the node argument); complex values
 # are [re, im] pairs.  Round trips are lossless: floats survive JSON exactly.
-# The loaders report a missing key, a wrong type, a bad pair or a number
-# out of range (an infinite count, an integer beyond float) as a ValidationError.
+# The loaders report a missing key, a wrong type (a string where a list
+# belongs, a fraction where an integer does), a bad pair or a number out of
+# range (an integer beyond float) as a ValidationError.
 
 def _c2pair(c: complex):
     return [c.real, c.imag]
 
 
+def _items(value, name: str, length=None):
+    """A list field of loader input; a string, a number or a list of the wrong
+    length is a TypeError, which the loader reports as malformed data."""
+    if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
+        raise TypeError(f"{name} must be a list{f' of {length}' if length else ''}, got {value!r}")
+    return value
+
+
 def _pair2c(p) -> complex:
-    re, im = p
+    re, im = _items(p, "an [re, im] pair", 2)
     return complex(float(re), float(im))
 
 
@@ -442,9 +450,10 @@ def model_to_dict(model: PronyModel) -> dict:
 @_loader
 def model_from_dict(data: dict) -> PronyModel:
     return PronyModel(
-        tuple(cmath.exp(1j * float(a)) for a in data["nodes"]),
-        tuple(data["multiplicities"]),
-        tuple(tuple(_pair2c(c) for c in row) for row in data["coefficients"]),
+        tuple(cmath.exp(1j * float(a)) for a in _items(data["nodes"], "nodes")),
+        tuple(_items(data["multiplicities"], "multiplicities")),
+        tuple(tuple(_pair2c(c) for c in _items(row, "a coefficient row"))
+              for row in _items(data["coefficients"], "coefficients")),
     )
 
 
@@ -469,7 +478,7 @@ def samples_to_dict(samples: SampleSet) -> dict:
 def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(
         scheme_from_dict(data["scheme"]),
-        tuple(_pair2c(v) for v in data["values"]),
+        tuple(_pair2c(v) for v in _items(data["values"], "values")),
         float(data["noise_level"]),
     )
 
@@ -487,10 +496,10 @@ def signal_to_dict(signal: PiecewiseSignal) -> dict:
 @_loader
 def signal_from_dict(data: dict) -> PiecewiseSignal:
     return PiecewiseSignal(
-        int(data["smoothness"]),
-        tuple(data["jumps"]),
-        tuple(tuple(row) for row in data["magnitudes"]),
-        tuple(_pair2c(c) for c in data["psi_coeffs"]),
+        data["smoothness"],
+        tuple(_items(data["jumps"], "jumps")),
+        tuple(tuple(_items(row, "a magnitudes row")) for row in _items(data["magnitudes"], "magnitudes")),
+        tuple(_pair2c(c) for c in _items(data["psi_coeffs"], "psi_coeffs")),
         float(data["psi_decay"]),
     )
 

@@ -40,6 +40,7 @@ from .model import (
     SampleSet,
     SolverError,
     ValidationError,
+    _integer,
     wrap_angle,
 )
 
@@ -100,9 +101,9 @@ def _split(flat, multiplicities) -> tuple:
 
 def _multiplicities(multiplicities) -> tuple:
     """The multiplicities as ints: at least one, each at least 1."""
-    mults = tuple(int(m) for m in multiplicities)
-    if not mults or min(mults) < 1:
-        raise ValidationError("multiplicities must be positive")
+    mults = tuple(_integer("multiplicities", m, 1) for m in multiplicities)
+    if not mults:
+        raise ValidationError("multiplicities must be non-empty")
     return mults
 
 
@@ -321,7 +322,7 @@ def _esprit_nodes(q: np.ndarray, multiplicities, hints):
 def esprit_solve(samples: SampleSet, num_nodes: int):
     """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
     shift-invariance equation between the first and last row blocks."""
-    return _progression_solve("esprit", samples, (1,) * int(num_nodes))
+    return _progression_solve("esprit", samples, (1,) * _integer("num_nodes", num_nodes, 1))
 
 
 # ---------------------------------------------------------------------------

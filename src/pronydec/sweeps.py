@@ -31,6 +31,8 @@ from .model import (
     ValidationError,
     _assign_nodes,
     _check_level,
+    _integer,
+    _items,
     _loader,
     circle_distance,
     match_estimates,
@@ -74,20 +76,16 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("seeds", "p_values", "m_values"):
-            object.__setattr__(self, name, _integers(name, getattr(self, name)))
-        for name in ("count", "top_index", "grid_size", "workers"):
-            object.__setattr__(self, name, _integers(name, (getattr(self, name),))[0])
+        for name, minimum in (("seeds", 0), ("p_values", 1), ("m_values", 1)):
+            values = _items(getattr(self, name), name)
+            object.__setattr__(self, name, tuple(_integer(name, v, minimum) for v in values))
+        for name, minimum in (("count", 0), ("top_index", 0), ("grid_size", 1), ("workers", 1)):
+            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.kind not in KINDS:
             raise ValidationError(f"unknown sweep kind {self.kind!r}; pick from {KINDS}")
         if not self.seeds:
             raise ValidationError("seed list must be non-empty")
         _check_level(self.noise, "noise level")
-        if min(self.p_values, default=1) < 1:
-            raise ValidationError(f"p_values must be at least 1, got {list(self.p_values)}")
-        for name in ("workers", "grid_size"):
-            if getattr(self, name) < 1:
-                raise ValidationError(f"{name} must be at least 1")
         radius = self.exclusion_radius
         if not (isinstance(radius, numbers.Real) and 0 < radius < math.pi):
             # every grid point lies within pi of a jump
@@ -132,14 +130,6 @@ class SweepConfig:
         return SweepConfig(**data)
 
 
-def _integers(name: str, values) -> tuple:
-    """The values, each of which must be an integer, as a tuple of ints."""
-    for v in values:
-        if not isinstance(v, numbers.Integral):
-            raise ValidationError(f"{name}: {v!r} is not an integer")
-    return tuple(int(v) for v in values)
-
-
 @dataclass
 class SweepResult:
     columns: tuple
@@ -166,14 +156,15 @@ def _random_simple_model(
 ) -> PronyModel:
     """Seeded random simple-node model, rejection-sampled so that the powered
     node separation stays above the floor for every stride in the sweep."""
-    rng = np.random.default_rng([int(seed), 0x5EED])
+    num_nodes = _integer("num_nodes", num_nodes, 1)
+    rng = np.random.default_rng([seed, 0x5EED])
     for _ in range(10_000):
-        args = rng.uniform(-math.pi, math.pi, size=int(num_nodes))
+        args = rng.uniform(-math.pi, math.pi, size=num_nodes)
         nodes = tuple(cmath.exp(1j * a) for a in args)
-        moduli = rng.uniform(0.5, 2.0, size=int(num_nodes))
-        phases = rng.uniform(0.0, TWO_PI, size=int(num_nodes))
+        moduli = rng.uniform(0.5, 2.0, size=num_nodes)
+        phases = rng.uniform(0.0, TWO_PI, size=num_nodes)
         coeffs = tuple((complex(m * math.cos(f), m * math.sin(f)),) for m, f in zip(moduli, phases))
-        model = PronyModel(nodes, (1,) * int(num_nodes), coeffs)
+        model = PronyModel(nodes, (1,) * num_nodes, coeffs)
         if all(stride_separation(model, p) >= min_stride_separation for p in p_values):
             return model.canonical()
     raise ValidationError("could not draw a model with the requested stride separations")
@@ -241,7 +232,7 @@ def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
     union = np.unique(np.concatenate([
         p * np.arange(_count_for_stride(config, p, truth)) for p in config.p_values
     ]))
-    rng = np.random.default_rng([int(seed), 0x0D15C])
+    rng = np.random.default_rng([seed, 0x0D15C])
     u = rng.random((len(union), 2))
     eta = config.noise * np.sqrt(u[:, 0]) * np.exp(1j * TWO_PI * u[:, 1])
     return union, eta
@@ -377,7 +368,7 @@ def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01,
     deterministic, so any difference raises."""
     keys = sorted(result.timings)
     task, _ = _task(config)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_integer("seed", seed))
     n_pick = max(1, int(math.ceil(fraction * len(keys))))
     picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
 

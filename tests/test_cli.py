@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -437,3 +441,37 @@ def test_sweep_bad_config_value_exit_code(tmp_path, capsys, base, change):
     assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
     assert next(iter(change)) in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "gen model", "gen signal", "moments"])
+def test_negative_seed_exit_code(tmp_path, capsys, model_file, command):
+    """A negative seed reached numpy's generator: ValueError traceback, exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**_FIXED_COUNT, "seeds": [-1]}))
+    argv = {
+        "sweep": ("sweep", "--config", cfg),
+        "gen model": ("gen", "model", "--seed", "-1", "--out", tmp_path / "m.json"),
+        "gen signal": ("gen", "signal", "--seed", "-1", "--out", tmp_path / "s.json"),
+        "moments": ("moments", "--model", model_file, "--scheme", "0,1,8", "--noise", "0.1",
+                    "--seed", "-1", "--out", tmp_path / "x.json"),
+    }[command]
+    capsys.readouterr()
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed" in err and "Traceback" not in err
+
+
+def test_reconstruct_infinite_window_writes_only_the_error(tmp_path):
+    """numpy's RuntimeWarning from the window symmetry test came first."""
+    window = tmp_path / "inf.txt"
+    window.write_text("-1 0.0 0.0\n0 1e400 0.0\n1 0.0 0.0\n")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pronydec.cli", "reconstruct", "--window", str(window),
+         "-d", "0", "-K", "1", "-J", "1.0", "--out", str(tmp_path / "o.json")],
+        capture_output=True, text=True, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: window coefficients must be finite\n"

@@ -631,6 +631,15 @@ class TestWindowFile:
         with pytest.raises(ValidationError):
             read_window_file(path)
 
+    def test_rejects_infinite_without_warning(self, tmp_path):
+        # the symmetry test ran on the infinite value before the finiteness check
+        path = tmp_path / "inf.txt"
+        path.write_text("-1 0.0 0.0\n0 1e400 0.0\n1 0.0 0.0\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="finite"):
+                read_window_file(path)
+
     def test_shuffled_order_roundtrip(self, tmp_path):
         window = signal_coeffs(random_piecewise_signal(2, 1, seed=8), 40)
         path = tmp_path / "win.txt"

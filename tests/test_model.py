@@ -2,8 +2,10 @@ import cmath
 import json
 import math
 
+import numpy as np
 import pytest
 
+import pronydec as pd
 from pronydec import (
     PronyModel,
     SampleSet,
@@ -24,6 +26,7 @@ from pronydec.model import (
     signal_from_dict,
     signal_to_dict,
 )
+from pronydec.fourier import synthesize_psi
 
 
 def test_circle_distance_identity():
@@ -264,15 +267,16 @@ SIGNAL_DICT = {
 class TestMalformedData:
     """Missing keys, wrong types and bad [re, im] pairs are validation errors."""
 
-    @pytest.mark.parametrize("data", [
-        {"nodes": [0.1]},
-        {"nodes": 0.1, "multiplicities": [1], "coefficients": [[[1.0, 0.0]]]},
-        {"nodes": [0.1], "multiplicities": [1], "coefficients": [[[1.0]]]},
-        {"nodes": [0.1], "multiplicities": ["one"], "coefficients": [[[1.0, 0.0]]]},
-        [0.1],
-    ])
-    def test_model(self, data):
-        with pytest.raises(ValidationError, match="malformed"):
+    @pytest.mark.parametrize("data, match", [
+        ({"nodes": [0.1]}, "malformed"),
+        ({"nodes": 0.1, "multiplicities": [1], "coefficients": [[[1.0, 0.0]]]}, "malformed"),
+        ({"nodes": [0.1], "multiplicities": [1], "coefficients": [[[1.0]]]}, "malformed"),
+        ({"nodes": [0.1], "multiplicities": ["one"], "coefficients": [[[1.0, 0.0]]]},
+         "multiplicities must be an integer >= 1, got 'one'"),
+        ([0.1], "malformed"),
+    ], ids=[f"data{i}" for i in range(5)])
+    def test_model(self, data, match):
+        with pytest.raises(ValidationError, match=match):
             model_from_dict(data)
 
     @pytest.mark.parametrize("data", [
@@ -285,13 +289,13 @@ class TestMalformedData:
         with pytest.raises(ValidationError, match="malformed"):
             samples_from_dict(data)
 
-    @pytest.mark.parametrize("data", [
-        {"offset": 0, "stride": 1},
-        {"offset": "zero", "stride": 1, "count": 2},
-        None,
-    ])
-    def test_scheme(self, data):
-        with pytest.raises(ValidationError, match="malformed"):
+    @pytest.mark.parametrize("data, match", [
+        ({"offset": 0, "stride": 1}, "malformed"),
+        ({"offset": "zero", "stride": 1, "count": 2}, "offset must be an integer >= 0, got 'zero'"),
+        (None, "malformed"),
+    ], ids=["data0", "data1", "None"])
+    def test_scheme(self, data, match):
+        with pytest.raises(ValidationError, match=match):
             scheme_from_dict(data)
 
     @pytest.mark.parametrize("data", [
@@ -303,22 +307,92 @@ class TestMalformedData:
         with pytest.raises(ValidationError, match="malformed"):
             signal_from_dict(data)
 
-    @pytest.mark.parametrize("load, data", [
+    @pytest.mark.parametrize("load, data, match", [
         (model_from_dict, {"nodes": [0.1], "multiplicities": [math.inf],
-                           "coefficients": [[[1.0, 0.0]]]}),
+                           "coefficients": [[[1.0, 0.0]]]},
+         "multiplicities must be an integer >= 1, got inf"),
         (model_from_dict, {"nodes": [0.1], "multiplicities": [1],
-                           "coefficients": [[[10**400, 0.0]]]}),
+                           "coefficients": [[[10**400, 0.0]]]}, "OverflowError"),
         (samples_from_dict, {"scheme": {"offset": math.inf, "stride": 1, "count": 1},
-                             "values": [[1.0, 0.0]], "noise_level": 0.0}),
+                             "values": [[1.0, 0.0]], "noise_level": 0.0},
+         "offset must be an integer >= 0, got inf"),
         (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
-                             "values": [[1.0, 0.0]], "noise_level": 10**400}),
-        (signal_from_dict, {**SIGNAL_DICT, "smoothness": -math.inf}),
-    ])
-    def test_out_of_range_number(self, load, data):
+                             "values": [[1.0, 0.0]], "noise_level": 10**400}, "OverflowError"),
+        (signal_from_dict, {**SIGNAL_DICT, "smoothness": -math.inf},
+         "smoothness must be an integer >= 0, got -inf"),
+    ], ids=[f"{load}-data{i}" for i, load in enumerate(
+        ["model_from_dict"] * 2 + ["samples_from_dict"] * 2 + ["signal_from_dict"])])
+    def test_out_of_range_number(self, load, data, match):
         """An infinite integer field or an integer beyond float range raised
         OverflowError past the loader."""
-        with pytest.raises(ValidationError, match="OverflowError"):
+        with pytest.raises(ValidationError, match=match):
             load(data)
 
     def test_signal_reference_loads(self):
         assert signal_from_dict(SIGNAL_DICT).jumps == (0.5,)
+
+    @pytest.mark.parametrize("load, data", [
+        (model_from_dict, {"nodes": "12", "multiplicities": [1, 1],
+                           "coefficients": [[[1.0, 0.0]], [[1.0, 0.0]]]}),
+        (signal_from_dict, {**SIGNAL_DICT, "jumps": "12", "magnitudes": [[1.0, 1.0]]}),
+        (signal_from_dict, {**SIGNAL_DICT, "jumps": [0.5, 1.5], "magnitudes": ["12"]}),
+        (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
+                             "values": ["12"], "noise_level": 0.0}),
+    ], ids=["nodes", "jumps", "magnitudes-row", "value-pair"])
+    def test_string_is_not_a_list(self, load, data):
+        """A string in a list field parsed character by character: nodes "12"
+        gave arguments (1, 2), the value pair "12" gave 1+2j."""
+        with pytest.raises(ValidationError, match="must be a list"):
+            load(data)
+
+
+# ---------------------------------------------------------------------------
+# the one integer rule: counts, strides, orders and seeds are never truncated
+# ---------------------------------------------------------------------------
+
+_NODE = PronyModel([cmath.exp(0.7j)], [1], [[1.0]])
+_SAMPLES = pd.evaluate_moments(_NODE, SamplingScheme(0, 1, 8))
+_SIGNAL = pd.random_piecewise_signal(0, 1, seed=0, psi_degree=16)
+_WINDOW = pd.signal_coeffs(_SIGNAL, 16)
+
+
+_INTEGER_CASES = [
+    ("multiplicities", PronyModel, ([1.0], [1.5], [[1.0]])),
+    ("offset", SamplingScheme, (1.5, 1, 1)),
+    ("stride", SamplingScheme, (0, 2.5, 1)),
+    ("stride", SamplingScheme, (0, True, 1)),
+    ("count", SamplingScheme, (0, 1, 1.5)),
+    ("smoothness", PiecewiseSignal, (0.5, [0.5], [[1.0]], [0.1], 1.0)),
+    ("smoothness", signal_from_dict, ({**SIGNAL_DICT, "smoothness": 0.5},)),
+    ("multiplicities", pd.decimated_solve, (_SAMPLES, [1.5])),
+    ("num_nodes", pd.esprit_solve, (_SAMPLES, 1.5)),
+    ("offset", pd.coeff_error_bound, (_NODE, 1.5, 1, 1e-6)),
+    ("stride", pd.regularity_check, (_NODE, 2.5)),
+    ("stride", pd.undecimate_node, (1.0, 2.5, 0.0)),
+    ("stride", pd.close_node_improvement, (1, 4, 1.5)),
+    ("seed", pd.add_noise, (_SAMPLES, 0.1, 1.5)),
+    ("bandwidth", pd.CoefficientWindow, (np.ones(3), 1.5)),
+    ("bandwidth", pd.signal_coeffs, (_SIGNAL, 8.5)),
+    ("smoothness", pd.eckhoff_transform, (_WINDOW, 0.5)),
+    ("smoothness", pd.induced_prony_model, ([0.5], [[1.0]], 0.5)),
+    ("smoothness", pd.magnitudes_from_coefficients, ([1.0], 0.5)),
+    ("num_jumps", pd.initial_jump_estimates, (_WINDOW, 1.5)),
+    ("degree", pd.build_mollifier, (0.0, 0.6, 0.2, 48.5)),
+    ("degree", pd.identity_mollifier, (4.5,)),
+    ("out_bandwidth", pd.localize, (_WINDOW, pd.identity_mollifier(24), 4.5)),
+    ("smoothness", pd.reconstruct, (_WINDOW, 0.5, 1, 1.0)),
+    ("num_jumps", pd.reconstruct, (_WINDOW, 0, 1.5, 1.0)),
+    ("grid_size", pd.sup_error_away, (_SIGNAL, pd.reconstruct(_WINDOW, 0, 1, 1.0), 0.1, 64.5)),
+    ("psi_degree", synthesize_psi, (0, 1.0, 4.5, np.random.default_rng(0))),
+    ("smoothness", pd.random_piecewise_signal, (0.5, 1, 0)),
+    ("num_jumps", pd.random_piecewise_signal, (0, 1.5, 0)),
+    ("seed", pd.random_piecewise_signal, (0, 1, 0.5)),
+]
+
+
+@pytest.mark.parametrize("field, call, args", _INTEGER_CASES,
+                         ids=[f"{field}-{call.__name__}" for field, call, _ in _INTEGER_CASES])
+def test_fractional_integer_argument_is_rejected(field, call, args):
+    """Each of these truncated a fraction (or a bool) to an int, or passed it on."""
+    with pytest.raises(ValidationError, match=f"{field} must be an integer"):
+        call(*args)

@@ -421,3 +421,68 @@ def test_read_window_file_rejects_corrupted_text(tmp_path_factory, data):
         read_window_file(path)
     except ValidationError:
         pass
+
+
+#: anything but an integer: a float (2.0 included), a bool, a string
+NOT_INTEGERS = st.floats() | st.booleans() | st.text(max_size=4)
+
+#: the loader inputs, the sweep config with the decimation fields a Fourier
+#: config leaves at their defaults
+_FULL_INPUTS = {**_LOADER_INPUTS, SweepConfig.from_dict: {
+    **_LOADER_INPUTS[SweepConfig.from_dict], "p_values": [1, 2], "count": 8, "top_index": 64}}
+
+_INTEGER_FIELDS = [
+    (model_from_dict, ("multiplicities", 0)),
+    (samples_from_dict, ("scheme", "offset")),
+    (samples_from_dict, ("scheme", "stride")),
+    (samples_from_dict, ("scheme", "count")),
+    (signal_from_dict, ("smoothness",)),
+    *((SweepConfig.from_dict, path) for path in [
+        ("seeds", 1), ("p_values", 0), ("m_values", 2), ("count",), ("top_index",),
+        ("grid_size",), ("workers",)]),
+]
+
+_LIST_FIELDS = [
+    (model_from_dict, ("nodes",)),
+    (model_from_dict, ("multiplicities",)),
+    (model_from_dict, ("coefficients",)),
+    (model_from_dict, ("coefficients", 0)),
+    (model_from_dict, ("coefficients", 0, 1)),
+    (samples_from_dict, ("values",)),
+    (samples_from_dict, ("values", 2)),
+    (signal_from_dict, ("jumps",)),
+    (signal_from_dict, ("magnitudes",)),
+    (signal_from_dict, ("magnitudes", 1)),
+    (signal_from_dict, ("psi_coeffs",)),
+    (signal_from_dict, ("psi_coeffs", 0)),
+    (SweepConfig.from_dict, ("seeds",)),
+    (SweepConfig.from_dict, ("p_values",)),
+    (SweepConfig.from_dict, ("m_values",)),
+]
+
+
+def _field_id(case):
+    load, path = case
+    return f"{load.__qualname__}:{'.'.join(map(str, path))}"
+
+
+@pytest.mark.parametrize("case", _INTEGER_FIELDS, ids=_field_id)
+@settings(max_examples=40, deadline=None)
+@given(value=NOT_INTEGERS)
+def test_loader_rejects_non_integer_in_integer_field(case, value):
+    """A count, stride, offset, smoothness, multiplicity or seed is an
+    integer: never truncated from a float, taken from a bool or parsed."""
+    load, path = case
+    load(_FULL_INPUTS[load])
+    with pytest.raises(ValidationError):
+        load(_replaced(_FULL_INPUTS[load], path, value))
+
+
+@pytest.mark.parametrize("case", _LIST_FIELDS, ids=_field_id)
+@settings(max_examples=40, deadline=None)
+@given(value=st.text(max_size=4))
+def test_loader_rejects_string_for_list(case, value):
+    """A string is not a list, not even one of digits."""
+    load, path = case
+    with pytest.raises(ValidationError):
+        load(_replaced(_FULL_INPUTS[load], path, value))
