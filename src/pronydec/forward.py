@@ -95,6 +95,7 @@ def evaluate_moments(model: PronyModel, scheme: SamplingScheme) -> SampleSet:
 
 def moment_at(model: PronyModel, k: int) -> complex:
     """Single measurement m_k; k may be negative (used for symmetry checks)."""
+    k = _integer("index", k, -MAX_INDEX)
     _check_limits(model.multiplicities, k)
     return complex(_moments(*_model_arrays(model), np.array([float(k)]))[0])
 

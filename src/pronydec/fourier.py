@@ -162,8 +162,12 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     coeffs[nonzero] = piecewise_poly_coeffs(
         signal.jumps, signal.magnitudes, signal.smoothness, ks[nonzero]
     )
-    for i, k in enumerate(ks):
-        coeffs[i] += signal.psi_coeff(int(k))
+    # the stored series at |k| <= n, conjugated for k < 0, and an exact zero beyond
+    psi, n = signal._psi_array, min(m, signal.psi_degree)
+    smooth = np.zeros(2 * m + 1, dtype=complex)
+    smooth[m:m + n + 1] = psi[:n + 1]
+    smooth[m - n:m] = psi[n:0:-1].conj()
+    coeffs += smooth
     return CoefficientWindow(coeffs, m, real_signal=True)
 
 
@@ -198,7 +202,7 @@ def evaluate_signal(signal: PiecewiseSignal, x):
     """Pointwise value of the signal: absorbing part + smooth trigonometric series."""
     xs = np.atleast_1d(np.asarray(x, dtype=float))
     total = evaluate_absorbing(signal.jumps, signal.magnitudes, xs)
-    psi = np.asarray(signal.psi_coeffs)
+    psi = signal._psi_array
     ns = np.arange(1, len(psi))
     if len(ns):
         total = total + 2.0 * _series_eval(psi[1:], ns, xs).real
@@ -518,7 +522,7 @@ def sup_error_away(
         raise ValidationError("exclusion radius removed every grid point")
 
     # f's smooth part is psi_0 + sum_{n >= 1} Re(2 psi_n e^{inx})
-    psi = np.asarray(signal.psi_coeffs)
+    psi = signal._psi_array
     m = result.corrected.bandwidth
     ks = np.concatenate([np.arange(1, len(psi)), np.arange(-m, m + 1)])
     coeffs = np.concatenate([2.0 * psi[1:], -result.corrected.coeffs])

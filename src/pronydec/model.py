@@ -13,7 +13,7 @@ import itertools
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -244,6 +244,10 @@ class PiecewiseSignal:
     part is a finite trigonometric series given by its coefficients for
     n = 0..degree (negative n by conjugation; the signal is real).  psi_decay
     certifies |psi_coeffs[n]| <= psi_decay * n^(-smoothness-2) for n >= 1.
+
+    psi_coeffs stays a tuple (equality, hash, JSON); _psi_array holds the same
+    coefficients as a read-only complex array for the numeric consumers, and
+    takes no part in equality, hash or repr.
     """
 
     smoothness: int
@@ -251,17 +255,21 @@ class PiecewiseSignal:
     magnitudes: tuple
     psi_coeffs: tuple
     psi_decay: float
+    _psi_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _integer("smoothness", self.smoothness)
         jumps = tuple(float(x) for x in self.jumps)
         mags = tuple(tuple(float(a) for a in row) for row in self.magnitudes)
-        psi = tuple(complex(c) for c in self.psi_coeffs)
+        psi = tuple(map(complex, self.psi_coeffs))
+        array = np.array(psi, dtype=complex)
+        array.flags.writeable = False
         object.__setattr__(self, "smoothness", d)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "psi_coeffs", psi)
         object.__setattr__(self, "psi_decay", float(self.psi_decay))
+        object.__setattr__(self, "_psi_array", array)
         if len(jumps) < 1:
             raise ValidationError("at least one jump is required")
         for x in jumps:
@@ -275,16 +283,17 @@ class PiecewiseSignal:
             raise ValidationError("magnitudes must be a (smoothness+1) x K matrix")
         if not psi:
             raise ValidationError("psi_coeffs must contain at least the mean value")
-        if abs(psi[0].imag) > 1e-12:
+        if abs(array[0].imag) > 1e-12:
             raise ValidationError("mean coefficient of the smooth part must be real")
         _check_level(self.psi_decay, "psi_decay")
-        if not (all(math.isfinite(a) for row in mags for a in row) and all(map(cmath.isfinite, psi))):
+        if not (all(math.isfinite(a) for row in mags for a in row) and np.isfinite(array).all()):
             raise ValidationError("jump magnitudes and smooth-part coefficients must be finite")
-        for n in range(1, len(psi)):
-            if abs(psi[n]) > self.psi_decay * float(n) ** (-d - 2) * (1 + 1e-9):
-                raise ValidationError(
-                    f"smooth-part coefficient {n} exceeds the certified decay bound"
-                )
+        ns = np.arange(1, len(psi), dtype=float)
+        over = np.flatnonzero(np.abs(array[1:]) > self.psi_decay * ns ** (-d - 2) * (1 + 1e-9))
+        if over.size:
+            raise ValidationError(
+                f"smooth-part coefficient {over[0] + 1} exceeds the certified decay bound"
+            )
 
     @property
     def num_jumps(self) -> int:
@@ -488,7 +497,7 @@ def signal_to_dict(signal: PiecewiseSignal) -> dict:
         "smoothness": signal.smoothness,
         "jumps": list(signal.jumps),
         "magnitudes": [list(row) for row in signal.magnitudes],
-        "psi_coeffs": [_c2pair(c) for c in signal.psi_coeffs],
+        "psi_coeffs": signal._psi_array.view(float).reshape(-1, 2).tolist(),
         "psi_decay": signal.psi_decay,
     }
 

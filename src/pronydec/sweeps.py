@@ -173,12 +173,16 @@ def _random_simple_model(
 _MODEL_BUILDERS = {"two-node": _two_node_model, "random-simple": _random_simple_model}
 
 
+#: least value of a spec's int parameters, where it is not 0
+_SPEC_MINIMUM = {"num_nodes": 1, "num_jumps": 1}
+
+
 def _check_spec(spec, what: str) -> None:
     """A model or signal spec is an object whose keys are parameters of the
     function that consumes it, less those the sweep supplies itself; the
     parameters without a default are required.  Every value but the model
-    kind is a finite number: an integer where the parameter is annotated int,
-    a pair of numbers for base_magnitude_range."""
+    kind is a finite number: an integer of at least the parameter's minimum
+    where it is annotated int, a pair of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must be an object, got {spec!r}")
     if what == "signal":
@@ -202,6 +206,8 @@ def _check_spec(spec, what: str) -> None:
         if len(items) != (2 if pair else 1) or not all(
                 isinstance(v, kind) and cmath.isfinite(v) for v in items):
             raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type or is not finite")
+        if annotation is int:
+            _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
     missing = [k for k, p in params.items()
                if p.default is p.empty and k not in supplied and k not in spec]
     if missing:

@@ -314,6 +314,21 @@ def test_sweep_spec_value_type_exit_code(tmp_path, capsys, config, key):
     assert key in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config, key", [
+    ({"kind": "bound-check", "seeds": [0], "p_values": [1],
+      "model": {"kind": "random-simple", "num_nodes": True}}, "num_nodes"),
+    ({"kind": "fourier-convergence", "seeds": [0], "m_values": [32, 64, 128],
+      "signal": {"smoothness": -1, "num_jumps": 1, "psi_degree": 256}}, "smoothness"),
+])
+def test_sweep_spec_integer_exit_code(tmp_path, capsys, config, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "rows.csv", "--svg",
+               tmp_path / "plot.svg", "--timing-out", tmp_path / "times.csv") == 2
+    assert f"spec value {key} must be an integer" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
 @pytest.mark.parametrize("missing", ["smoothness", "num_jumps"])
 def test_sweep_signal_spec_missing_key_exit_code(tmp_path, capsys, missing):
     signal = {"smoothness": 0, "num_jumps": 1}

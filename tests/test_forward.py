@@ -69,6 +69,16 @@ class TestEvaluateMoments:
         for a, b, c in zip(ma, mb, mc):
             assert abs((a + b) - c) < 1e-10
 
+    @pytest.mark.parametrize("k", [1.5, True, -(10**7) - 1])
+    def test_moment_at_rejects_non_integer_index(self, k):
+        # 1.5 evaluated the model between samples, 0.4976+0.8674j
+        with pytest.raises(ValidationError, match="index must be an integer"):
+            moment_at(PronyModel([cmath.exp(0.7j)], [1], [[1.0]]), k)
+
+    def test_moment_at_takes_negative_index(self):
+        model = PronyModel([cmath.exp(0.7j)], [1], [[1.0]])
+        assert moment_at(model, -3) == pytest.approx(cmath.exp(-2.1j), abs=1e-15)
+
     def test_index_limit_enforced(self):
         m = PronyModel([1.0], [1], [[1.0]])
         with pytest.raises(ValidationError):

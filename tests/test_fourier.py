@@ -31,6 +31,7 @@ from pronydec import (
 )
 from pronydec.fourier import (
     QUAD_CERT,
+    _grid_series,
     jump_basis_eval,
     read_window_file,
     write_window_file,
@@ -136,6 +137,20 @@ class TestSignalCoeffs:
         assert window.coeff(1) == psi[1]
         assert window.coeff(-2) == psi[2].conjugate()
         assert window.coeff(3) == 0.0
+
+    @pytest.mark.parametrize("degree", [20, 64, 300])
+    def test_bit_identical_to_per_index_sum(self, degree):
+        # psi degree below, equal to and above the bandwidth M = 64
+        m = 64
+        sig = random_piecewise_signal(1, 2, seed=7, psi_degree=degree)
+        ks = np.arange(-m, m + 1)
+        want = np.zeros(2 * m + 1, dtype=complex)
+        want[ks != 0] = piecewise_poly_coeffs(sig.jumps, sig.magnitudes, 1, ks[ks != 0])
+        for i, k in enumerate(ks):
+            want[i] += sig.psi_coeff(int(k))
+        got = signal_coeffs(sig, m).coeffs
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
 
     def test_conjugate_symmetry(self):
         sig = random_piecewise_signal(1, 2, seed=4)
@@ -506,6 +521,25 @@ class TestSupErrorAway:
         sig, result = one_jump_case
         with pytest.raises(ValidationError, match="grid_size must be an integer >= 1"):
             sup_error_away(sig, result, 0.1, grid_size)
+
+    @pytest.mark.parametrize("grid_size", [1024, 999])
+    def test_equals_tuple_formula(self, grid_size):
+        # the formula with the smooth part converted from psi_coeffs at each call
+        sig = random_piecewise_signal(1, 2, seed=3, min_separation=1.6, psi_degree=2000)
+        result = reconstruct(signal_coeffs(sig, 128), 1, 2, 1.5)
+        grid = -math.pi + 2 * math.pi * np.arange(grid_size) / grid_size
+        dist = np.min([np.abs(np.mod(grid - xj + math.pi, 2 * math.pi) - math.pi)
+                       for xj in sig.jumps], axis=0)
+        psi = np.asarray(sig.psi_coeffs)
+        ks = np.concatenate([np.arange(1, len(psi)), np.arange(-128, 129)])
+        coeffs = np.concatenate([2.0 * psi[1:], -result.corrected.coeffs])
+        diff = (
+            evaluate_absorbing(sig.jumps, sig.magnitudes, grid)
+            - evaluate_absorbing(result.jumps, result.magnitudes, grid)
+            + psi[0].real
+            + _grid_series(coeffs, ks, grid_size).real
+        )
+        assert sup_error_away(sig, result, 0.1, grid_size) == float(np.max(np.abs(diff[dist > 0.1])))
 
     @pytest.mark.parametrize("m", [64, 2048])
     @pytest.mark.parametrize("grid_size", [1024, 999, 100])

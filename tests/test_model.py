@@ -225,6 +225,49 @@ class TestPiecewiseSignal:
         with pytest.raises(ValidationError, match="finite"):
             PiecewiseSignal(*args)
 
+    def test_psi_array_is_read_only_copy_of_tuple(self):
+        sig = PiecewiseSignal(0, [0.0], [[1.0]], [0.25, 0.1 - 0.2j, 0.05j], 1.0)
+        assert isinstance(sig.psi_coeffs, tuple)
+        assert sig._psi_array.dtype == complex
+        assert sig._psi_array.tolist() == list(sig.psi_coeffs)
+        with pytest.raises(ValueError):
+            sig._psi_array[0] = 1.0
+
+    def test_psi_array_outside_equality_hash_and_repr(self):
+        a = PiecewiseSignal(1, [-1.0, 2.0], [[1.5, -2.0], [0.25, 0.5]], [0.1, 0.05 + 0.01j], 1.0)
+        b = PiecewiseSignal(1, (-1.0, 2.0), ((1.5, -2.0), (0.25, 0.5)), (0.1, 0.05 + 0.01j), 1.0)
+        assert a._psi_array is not b._psi_array
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "_psi_array" not in repr(a) and "array" not in repr(a)
+        assert repr(a).endswith("psi_coeffs=((0.1+0j), (0.05+0.01j)), psi_decay=1.0)")
+        assert a != PiecewiseSignal(1, [-1.0, 2.0], [[1.5, -2.0], [0.25, 0.5]], [0.1, 0.05], 1.0)
+
+    @pytest.mark.parametrize("psi", [[0.1, complex(math.inf, 0.0)], [0.1, 0.01, complex(0.0, math.nan)]])
+    def test_nonfinite_psi_message(self, psi):
+        with pytest.raises(ValidationError) as err:
+            PiecewiseSignal(0, [0.5], [[1.0]], psi, 1.0)
+        assert str(err.value) == "jump magnitudes and smooth-part coefficients must be finite"
+
+    def test_imaginary_mean_message(self):
+        with pytest.raises(ValidationError) as err:
+            PiecewiseSignal(0, [0.5], [[1.0]], [0.1 + 2e-12j], 1.0)
+        assert str(err.value) == "mean coefficient of the smooth part must be real"
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_decay_bound_edge(self, d):
+        # |psi_n| <= psi_decay * n^(-d-2) * (1 + 1e-9): the bound itself passes,
+        # twice the slack fails and names the first offending index
+        decay, n = 0.75, 3
+        bound = decay * float(n) ** (-d - 2)
+        psi = [0.0, 0.0, 0.0, bound * cmath.exp(0.3j), 0.0]
+        PiecewiseSignal(d, [0.5], [[1.0]] * (d + 1), psi, decay)
+        psi[n] = bound * (1 + 2e-9)
+        psi.append(1.0)  # a later offender is not the one reported
+        with pytest.raises(ValidationError) as err:
+            PiecewiseSignal(d, [0.5], [[1.0]] * (d + 1), psi, decay)
+        assert str(err.value) == f"smooth-part coefficient {n} exceeds the certified decay bound"
+
     def test_loader_rejects_nonfinite(self):
         data = {**SIGNAL_DICT, "psi_coeffs": [[0.1, 0.0], [math.inf, 0.0]], "psi_decay": math.inf}
         with pytest.raises(ValidationError, match="finite"):
@@ -256,6 +299,12 @@ class TestSerialization:
         )
         back = signal_from_dict(json.loads(json.dumps(signal_to_dict(sig))))
         assert back == sig
+
+    def test_signal_dict_pairs_match_tuple(self):
+        sig = PiecewiseSignal(0, [0.5], [[1.0]], [-0.0, 0.1 - 0.0j, complex(-0.0, 0.2)], 1.0)
+        pairs = signal_to_dict(sig)["psi_coeffs"]
+        assert json.dumps(pairs) == json.dumps([[c.real, c.imag] for c in sig.psi_coeffs])
+        assert all(type(x) is float for pair in pairs for x in pair)
 
 
 SIGNAL_DICT = {

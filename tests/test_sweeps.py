@@ -91,6 +91,19 @@ class TestConfig:
             SweepConfig(kind="fourier-convergence", seeds=[0, 1], m_values=m_values,
                         signal={"smoothness": 0, "num_jumps": 1})
 
+    @pytest.mark.parametrize("kind, spec, key", [
+        ("bound-check", {"kind": "random-simple", "num_nodes": True}, "num_nodes"),
+        ("bound-check", {"kind": "random-simple", "num_nodes": 0}, "num_nodes"),
+        ("fourier-convergence", {"smoothness": -1, "num_jumps": 1}, "smoothness"),
+        ("fourier-convergence", {"smoothness": 0, "num_jumps": 0}, "num_jumps"),
+        ("fourier-convergence", {"smoothness": 0, "num_jumps": 1, "psi_degree": -1}, "psi_degree"),
+    ])
+    def test_spec_integers_checked_at_construction(self, kind, spec, key):
+        # these built, then raised only when the first task ran
+        what = "signal" if kind == "fourier-convergence" else "model"
+        with pytest.raises(ValidationError, match=f"{what} spec value {key} must be an integer"):
+            SweepConfig(kind=kind, seeds=[0], p_values=[1], m_values=[64, 128, 256], **{what: spec})
+
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
         # ESPRIT needs at least 2k + 1 samples: every row would fail
