@@ -162,7 +162,7 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     coeffs[nonzero] = piecewise_poly_coeffs(
         signal.jumps, signal.magnitudes, signal.smoothness, ks[nonzero]
     )
-    # the stored series at |k| <= n, conjugated for k < 0, and an exact zero beyond
+    # psi_n at k = n >= 0, its conjugate at -n, 0 beyond: bit-equal to a per-index sum
     psi, n = signal._psi_array, min(m, signal.psi_degree)
     smooth = np.zeros(2 * m + 1, dtype=complex)
     smooth[m:m + n + 1] = psi[:n + 1]
