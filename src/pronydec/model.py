@@ -13,6 +13,7 @@ import itertools
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,8 +54,9 @@ class QuadratureError(SolverError):
 
 
 def _check_level(value: float, name: str) -> float:
-    """A noise or error level: finite and nonnegative (a NaN fails both tests)."""
-    if not (math.isfinite(value) and value >= 0):
+    """A noise or error level: finite and nonnegative; a NaN, or an integer
+    beyond float range (on which math.isfinite overflows), fails the test."""
+    if not 0 <= value <= sys.float_info.max:
         raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
     return value
 

@@ -13,9 +13,10 @@ import inspect
 import math
 import numbers
 import os
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, asdict, replace
 
 import numpy as np
 
@@ -204,7 +205,8 @@ def _check_spec(spec, what: str) -> None:
         annotation = params[key].annotation if key in params else float
         kind = {int: numbers.Integral, complex: numbers.Complex}.get(annotation, numbers.Real)
         if len(items) != (2 if pair else 1) or not all(
-                isinstance(v, kind) and cmath.isfinite(v) for v in items):
+                # abs, not cmath.isfinite, which overflows on an integer beyond float range
+                isinstance(v, kind) and abs(v) <= sys.float_info.max for v in items):
             raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type or is not finite")
         if annotation is int:
             _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
@@ -245,41 +247,42 @@ def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
 
 
 # ---------------------------------------------------------------------------
-# per-task solves
+# per-seed tasks: each draws its seed's truth once
 # ---------------------------------------------------------------------------
 
-def _decimation_task(config: SweepConfig, p: int, seed: int):
+def _decimation_task(config: SweepConfig, seed: int):
     truth = _build_model(config, seed)
-    count = _count_for_stride(config, p, truth)
-    scheme = SamplingScheme(0, p, count)
-    _check_scheme(truth.multiplicities, scheme)
     union, eta = _union_noise(config, seed, truth)
-    ks = _scheme_ks(scheme)
-    q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
-    samples = SampleSet(scheme, tuple(q), config.noise)
+    rows, timings = [], {}
+    for p in config.p_values:
+        scheme = SamplingScheme(0, p, _count_for_stride(config, p, truth))
+        _check_scheme(truth.multiplicities, scheme)
+        ks = _scheme_ks(scheme)
+        q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
+        samples = SampleSet(scheme, tuple(q), config.noise)
 
-    start = time.perf_counter()
-    try:
-        # the true node arguments are the hints ("lm" refines from them)
-        estimate, report = decimated_solve(
-            samples, truth.multiplicities, truth.node_args, base_solver=config.solver
-        )
-        elapsed = time.perf_counter() - start
-        match = match_estimates(estimate, truth)
-        bounds = node_error_bound(truth, p, config.noise)
-        errors = [abs(estimate.nodes[match.assignment[j]] - z) for j, z in enumerate(truth.nodes)]
-        shared = {"residual": report.residual, "method": report.method,
-                  "iterations": report.iterations, "flags": ";".join(report.flags)}
-    except PronydecError as exc:
-        elapsed = time.perf_counter() - start
-        errors = bounds = [math.nan] * truth.num_nodes
-        shared = {"residual": math.nan, "method": config.solver,
-                  "iterations": 0, "flags": f"solver-error:{type(exc).__name__}"}
-    rows = [
-        {"p": p, "seed": seed, "node_index": j, "error": err, "bound": float(bound), **shared}
-        for j, (err, bound) in enumerate(zip(errors, bounds))
-    ]
-    return (p, seed), rows, elapsed
+        start = time.perf_counter()
+        try:
+            # the true node arguments are the hints ("lm" refines from them)
+            estimate, report = decimated_solve(
+                samples, truth.multiplicities, truth.node_args, base_solver=config.solver
+            )
+            timings[p, seed] = time.perf_counter() - start
+            match = match_estimates(estimate, truth)
+            bounds = node_error_bound(truth, p, config.noise)
+            errors = [abs(estimate.nodes[match.assignment[j]] - z) for j, z in enumerate(truth.nodes)]
+            shared = {"residual": report.residual, "method": report.method,
+                      "iterations": report.iterations, "flags": ";".join(report.flags)}
+        except PronydecError as exc:
+            timings[p, seed] = time.perf_counter() - start
+            errors = bounds = [math.nan] * truth.num_nodes
+            shared = {"residual": math.nan, "method": config.solver,
+                      "iterations": 0, "flags": f"solver-error:{type(exc).__name__}"}
+        rows += [
+            {"p": p, "seed": seed, "node_index": j, "error": err, "bound": float(bound), **shared}
+            for j, (err, bound) in enumerate(zip(errors, bounds))
+        ]
+    return rows, timings
 
 
 def _signal_for_seed(config: SweepConfig, seed: int):
@@ -287,63 +290,59 @@ def _signal_for_seed(config: SweepConfig, seed: int):
     return fourier.random_piecewise_signal(seed=seed, **spec)
 
 
-def _fourier_task(config: SweepConfig, m: int, seed: int):
+def _fourier_task(config: SweepConfig, seed: int):
     spec, defaults = config.signal, inspect.signature(fourier.random_piecewise_signal).parameters
     sep = spec.get("min_separation", defaults["min_separation"].default)
     sep = spec.get("reconstruction_separation", sep)
     signal = _signal_for_seed(config, seed)
     d, k = signal.smoothness, len(signal.jumps)
     errors = ["jump_error", *(f"mag_error_{l}" for l in range(d + 1)), "sup_away"]
-    window = fourier.signal_coeffs(signal, m)
-    row = {"M": m, "seed": seed}
-    start = time.perf_counter()
-    try:
-        result = fourier.reconstruct(window, d, k, sep)
-        elapsed = time.perf_counter() - start
-        # perm[i] is the estimate paired with true jump i (cheapest cyclic pairing)
-        perm = _assign_nodes(result.jumps, (1,) * k, signal.jumps, (1,) * k)
-        row["jump_error"] = max(
-            circle_distance(result.jumps[j], b) for j, b in zip(perm, signal.jumps)
-        )
-        for l in range(d + 1):
-            row[f"mag_error_{l}"] = max(
-                abs(result.magnitudes[l][j] - b) for j, b in zip(perm, signal.magnitudes[l])
+    rows, timings = [], {}
+    for m in config.m_values:
+        window = fourier.signal_coeffs(signal, m)
+        row = {"M": m, "seed": seed}
+        start = time.perf_counter()
+        try:
+            result = fourier.reconstruct(window, d, k, sep)
+            timings[m, seed] = time.perf_counter() - start
+            # perm[i] is the estimate paired with true jump i (cheapest cyclic pairing)
+            perm = _assign_nodes(result.jumps, (1,) * k, signal.jumps, (1,) * k)
+            row["jump_error"] = max(
+                circle_distance(result.jumps[j], b) for j, b in zip(perm, signal.jumps)
             )
-        row["sup_away"] = fourier.sup_error_away(
-            signal, result, config.exclusion_radius, config.grid_size
-        )
-        row["flags"] = ""
-    except PronydecError as exc:
-        elapsed = time.perf_counter() - start
-        row.update(dict.fromkeys(errors, math.nan), flags=f"reconstruction-error:{type(exc).__name__}")
-    return (m, seed), [row], elapsed
+            for l in range(d + 1):
+                row[f"mag_error_{l}"] = max(
+                    abs(result.magnitudes[l][j] - b) for j, b in zip(perm, signal.magnitudes[l])
+                )
+            row["sup_away"] = fourier.sup_error_away(
+                signal, result, config.exclusion_radius, config.grid_size
+            )
+            row["flags"] = ""
+        except PronydecError as exc:
+            timings[m, seed] = time.perf_counter() - start
+            row.update(dict.fromkeys(errors, math.nan), flags=f"reconstruction-error:{type(exc).__name__}")
+        rows.append(row)
+    return rows, timings
 
 
 # ---------------------------------------------------------------------------
 # sweep runners
 # ---------------------------------------------------------------------------
 
-def _run_tasks(config: SweepConfig, task, grid):
-    """Run task(config, a, b) over the grid; rows and timings in grid-key
-    order, whatever the worker count."""
-    workers = min(config.workers, os.cpu_count() or 1, len(grid))
+def _run_tasks(config: SweepConfig):
+    """Run the kind's task once per seed, on at most one worker per seed.
+    Returns the rows in (x, seed) order whatever the worker count (a stable
+    sort keeps a task's rows for one x in order) and the (x, seed) timings."""
+    task = _fourier_task if config.kind == "fourier-convergence" else _decimation_task
+    workers = min(config.workers, os.cpu_count() or 1, len(config.seeds))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(task, config, a, b) for a, b in grid]
-            results = [f.result() for f in futures]
+            results = list(pool.map(task, [config] * len(config.seeds), config.seeds))
     else:
-        results = [task(config, a, b) for a, b in grid]
-    results.sort(key=lambda r: r[0])
-    rows = [row for _, task_rows, _ in results for row in task_rows]
-    timings = {key: elapsed for key, _, elapsed in results}
-    return rows, timings
-
-
-def _task(config: SweepConfig):
-    """The per-(x, seed) task of the config's kind and the x values it sweeps."""
-    if config.kind == "fourier-convergence":
-        return _fourier_task, config.m_values
-    return _decimation_task, config.p_values
+        results = [task(config, seed) for seed in config.seeds]
+    rows = sorted((row for seed_rows, _ in results for row in seed_rows),
+                  key=lambda row: tuple(row.values())[:2])  # each row begins with its (x, seed)
+    return rows, {key: t for _, seed_timings in results for key, t in seed_timings.items()}
 
 
 def run_sweep(config: SweepConfig) -> SweepResult:
@@ -354,39 +353,37 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     ("fixed-top-index-decimation"), or the model's square system on per-seed
     random models ("bound-check").  "fourier-convergence" reconstructs over
     the bandwidths M and fits the log-log slope of each error column against
-    M (see _median_slope).  Columns are the row builders' keys, in their
-    order: the task key (x, seed) first, flags last, and for the Fourier
-    sweep the errors between.
+    M (see _median_slope).  A task is one seed: it draws the seed's model and
+    noise, or signal, once and solves at every stride or bandwidth, and
+    `workers` spreads the seeds over processes.  Columns are the row
+    builders' keys, in their order: (x, seed) first, flags last, and for the
+    Fourier sweep the errors between; timings are keyed (x, seed).
     """
-    task, x_values = _task(config)
     fit = config.kind == "fourier-convergence"
-    rows, timings = _run_tasks(config, task, [(x, seed) for x in x_values for seed in config.seeds])
+    rows, timings = _run_tasks(config)
     columns = tuple(rows[0])
     slopes = {col: _median_slope(rows, col) for col in columns[2:-1]} if fit else {}
     return SweepResult(columns=columns, rows=rows, slopes=slopes, timings=timings)
 
 
 def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01, seed: int = 0) -> int:
-    """Re-run a random subset of the sweep's tasks (keys drawn from
-    result.timings) and compare their rows with the recorded ones as CSV
-    text, so NaN rows compare too; a row belongs to the task whose key its
-    first two columns hold.  Returns the number of tasks audited.  Tasks are
-    deterministic, so any difference raises."""
-    keys = sorted(result.timings)
-    task, _ = _task(config)
+    """Re-run a random subset of the sweep's seeds and compare their rows
+    with the recorded ones as CSV text, so NaN rows compare too.  Returns the
+    number of seeds audited.  Tasks are deterministic, so any difference
+    raises."""
+    seeds = sorted(set(config.seeds))
     rng = np.random.default_rng(_integer("seed", seed))
-    n_pick = max(1, int(math.ceil(fraction * len(keys))))
-    picked = [keys[i] for i in rng.choice(len(keys), size=n_pick, replace=False)]
+    n_pick = max(1, math.ceil(fraction * len(seeds)))
+    picked = sorted(seeds[i] for i in rng.choice(len(seeds), size=n_pick, replace=False))
 
     def text(rows):
         return [[_format_cell(r[c]) for c in result.columns] for r in rows]
 
-    for key in picked:
-        _, rows, _ = task(config, *key)
-        recorded = [r for r in result.rows if tuple(r[c] for c in result.columns[:2]) == key]
-        if text(rows) != text(recorded):
-            raise AssertionError(f"row audit failed at {key}: {text(recorded)} != {text(rows)}")
-    return n_pick
+    rows, _ = _run_tasks(replace(config, seeds=picked))
+    recorded = [r for r in result.rows if r["seed"] in picked]
+    if text(rows) != text(recorded):
+        raise AssertionError(f"row audit failed at seeds {picked}: {text(recorded)} != {text(rows)}")
+    return len(picked)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,3 @@
-from concurrent.futures import Future
-
 import numpy as np
 import pytest
 
@@ -104,6 +102,23 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"{what} spec value {key} must be an integer"):
             SweepConfig(kind=kind, seeds=[0], p_values=[1], m_values=[64, 128, 256], **{what: spec})
 
+    @pytest.mark.parametrize("kind, spec, key", [
+        ("fourier-convergence", {"smoothness": 10**400, "num_jumps": 1}, "smoothness"),
+        ("fourier-convergence", {"smoothness": 0, "num_jumps": 10**400}, "num_jumps"),
+        ("fourier-convergence", {"smoothness": 0, "num_jumps": 1, "psi_decay": 10**400}, "psi_decay"),
+        ("bound-check", {"kind": "two-node", "gap": 10**400}, "gap"),
+    ])
+    def test_spec_integer_beyond_float_range(self, kind, spec, key):
+        # cmath.isfinite raised OverflowError on these
+        what = "signal" if kind == "fourier-convergence" else "model"
+        with pytest.raises(ValidationError, match=f"{what} spec value {key}="):
+            SweepConfig(kind=kind, seeds=[0], p_values=[1], m_values=[64, 128, 256], **{what: spec})
+
+    def test_noise_beyond_float_range(self):
+        # math.isfinite raised OverflowError on it
+        with pytest.raises(ValidationError, match="noise level"):
+            small_fig1_config(noise=10**400)
+
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
         # ESPRIT needs at least 2k + 1 samples: every row would fail
@@ -113,8 +128,9 @@ class TestConfig:
 
 
 class TestWorkerPool:
-    """The pool is sized at min(workers, cpu count, task count).  A fake
-    executor records the size and runs tasks inline, so no process starts."""
+    """The pool is sized at min(workers, cpu count, task count), and a task
+    is one seed.  A fake executor records the size and runs tasks inline, so
+    no process starts."""
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
@@ -130,30 +146,61 @@ class TestWorkerPool:
             def __exit__(self, *exc):
                 return False
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
 
         monkeypatch.setattr(sweeps, "ProcessPoolExecutor", FakePool)
         return sizes
 
     def test_capped_at_task_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 64)
-        cfg = small_fig1_config(seeds=[0], p_values=[1, 8], workers=10**6)
+        cfg = small_fig1_config(seeds=[0, 1], p_values=[1, 8], workers=10**6)
         result = run_sweep(cfg)
         assert pool_sizes == [2]
-        assert result.rows == run_sweep(small_fig1_config(seeds=[0], p_values=[1, 8])).rows
+        assert result.rows == run_sweep(small_fig1_config(seeds=[0, 1], p_values=[1, 8])).rows
 
     def test_capped_at_cpu_count(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 3)
-        run_sweep(small_fig1_config(seeds=[0, 1], p_values=[1, 8, 32], workers=10**6))
+        run_sweep(small_fig1_config(seeds=[0, 1, 2, 3], p_values=[1, 8, 32], workers=10**6))
         assert pool_sizes == [3]
 
     def test_single_cpu_runs_inline(self, monkeypatch, pool_sizes):
         monkeypatch.setattr(sweeps.os, "cpu_count", lambda: 1)
         run_sweep(small_fig1_config(seeds=[0], p_values=[1, 8], workers=4))
         assert pool_sizes == []
+
+
+def small_fourier_config(**overrides):
+    base = dict(kind="fourier-convergence", seeds=[0, 1, 2], m_values=[32, 64, 128],
+                signal={"smoothness": 0, "num_jumps": 1, "psi_degree": 256})
+    base.update(overrides)
+    return SweepConfig(**base)
+
+
+class TestOneTaskPerSeed:
+    """A task draws its seed's truth once and evaluates it at every x."""
+
+    @pytest.mark.parametrize("drawer, cfg", [
+        ("_signal_for_seed", small_fourier_config(seeds=[0, 1])),
+        ("_build_model", SweepConfig(
+            kind="bound-check", seeds=[0, 1], noise=1e-6, p_values=[1, 4, 16],
+            model={"kind": "random-simple", "num_nodes": 2})),
+    ], ids=["fourier-convergence", "bound-check"])
+    def test_truth_drawn_once_per_seed(self, monkeypatch, drawer, cfg):
+        drawn = []
+        draw = getattr(sweeps, drawer)
+        monkeypatch.setattr(sweeps, drawer, lambda config, seed: drawn.append(seed) or draw(config, seed))
+        assert len(run_sweep(cfg).timings) == 6
+        assert drawn == [0, 1]
+
+    def test_fourier_csv_identical_across_workers(self, tmp_path):
+        paths = []
+        for workers in (1, 2):
+            result = run_sweep(small_fourier_config(workers=workers))
+            assert set(result.timings) == {(m, s) for m in (32, 64, 128) for s in (0, 1, 2)}
+            paths.append(tmp_path / f"w{workers}.csv")
+            emit_csv(result.rows, paths[-1], result.columns)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 class TestFixedCountSweep:
@@ -304,7 +351,8 @@ class TestFourierConvergence:
             kind="fourier-convergence", seeds=[6], m_values=[64, 128, 256], signal=spec,
             exclusion_radius=0.1, grid_size=1024,
         )
-        _, (row,), _ = sweeps._fourier_task(cfg, 64, 6)
+        rows, _ = sweeps._fourier_task(cfg, 6)
+        (row,) = [r for r in rows if r["M"] == 64]
         signal = sweeps._signal_for_seed(cfg, 6)
         result = fourier.reconstruct(fourier.signal_coeffs(signal, 64), 1, 2, 1.5)
         pairings = [(0, 1), (1, 0)]
