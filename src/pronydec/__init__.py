@@ -37,19 +37,19 @@ from .forward import (
 )
 from .solvers import (
     SolverReport,
-    annihilation_solve_single,
     confluent_vandermonde_coeffs,
-    esprit_solve,
     lm_refine,
     max_residual,
-    prony_hankel_solve,
 )
 from .decimate import (
+    annihilation_solve_single,
     close_node_improvement,
     coeff_error_bound,
     decimated_solve,
     error_bounds,
+    esprit_solve,
     node_error_bound,
+    prony_hankel_solve,
     undecimate_node,
 )
 from .fourier import (

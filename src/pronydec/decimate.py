@@ -1,11 +1,15 @@
-"""Solving on arithmetic progressions: `decimated_solve`, the one solve entry for
-every base solver in solvers.BASE_SOLVERS (finder, branch selection, then one fit
-or a refinement from the node arguments), and first-order a-priori error bounds."""
+"""Solving on arithmetic progressions: `decimated_solve`, the one solve pipeline
+for every base solver in solvers.BASE_SOLVERS (finder, branch selection, then
+one fit or a refinement from the node arguments, and one report); the public
+base solvers, its stride-one case on the position index; and first-order
+a-priori error bounds."""
 
 from __future__ import annotations
 
 import cmath
 import math
+import numbers
+import sys
 
 import numpy as np
 
@@ -16,13 +20,16 @@ from .model import (
     ErrorBounds,
     PronyModel,
     SampleSet,
+    SamplingScheme,
     ValidationError,
     _assign_nodes,
     _check_level,
     _integer,
+    _shown,
     wrap_angle,
 )
-from .solvers import SolverReport, _find_nodes, _multiplicities, _solution
+from .solvers import _FINDERS, BASE_SOLVERS, SolverReport, _fit_coefficients, _max_residual
+from .solvers import _multiplicities, _refine
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
@@ -70,26 +77,33 @@ def decimated_solve(
     branch selection (without hints, at stride 1, the nodes are used as found),
     then fits the coefficients on the original indices once, or with `refine`
     refines from the node arguments by lm_refine's iteration (one fit per step).
+    The report's residual is the max-abs residual on the sample indices, and
+    it is flagged "large-residual" when that exceeds 10 * noise_level * sqrt(count).
 
-    Hints must be finite, and are required whenever stride > 1 and by the
-    annihilation and lm base solvers; each must be within pi/stride of the
-    true node argument for the branch choice to be correct, which cannot be
-    verified at run time.
+    Hints must be finite real numbers, and are required whenever stride > 1
+    and by the annihilation and lm base solvers; each must be within pi/stride
+    of the true node argument for the branch choice to be correct, which
+    cannot be verified at run time.
     """
     multiplicities = _multiplicities(multiplicities)
     p = samples.scheme.stride
-    hints = None if coarse_node_args is None else [float(a) for a in coarse_node_args]
+    hints = None if coarse_node_args is None else list(coarse_node_args)
     if hints is not None and len(hints) != len(multiplicities):
         raise ValidationError("need one hint per node")
-    if hints is not None and not all(math.isfinite(h) for h in hints):
-        raise ValidationError("branch hint must be finite")
+    # abs, not math.isfinite, which overflows on an integer beyond float range
+    if hints is not None and not all(
+            isinstance(h, numbers.Real) and abs(h) <= sys.float_info.max for h in hints):
+        raise ValidationError(f"branch hints must be finite real numbers, got {_shown(hints)}")
     if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
     _check_scheme(multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
 
+    finder = _FINDERS.get(base_solver)
+    if finder is None:
+        raise ValidationError(f"unknown base solver {_shown(base_solver)}; pick from {BASE_SOLVERS}")
     powered = None if hints is None else tuple(cmath.exp(1j * p * h) for h in hints)
-    nodes, flags = _find_nodes(base_solver, q, multiplicities, powered)
+    nodes, flags = finder(q, multiplicities, powered)
     if hints is not None:
         perm = _assign_nodes(
             [cmath.phase(w) for w in nodes],
@@ -98,13 +112,72 @@ def decimated_solve(
             multiplicities,
         )
         nodes = tuple(undecimate_node(nodes[j], p, hint) for j, hint in zip(perm, hints))
-    model, report = _solution(base_solver, nodes, multiplicities, ks, q, flags, p if refine else None)
-    flags = report.flags
+    if refine:
+        # from the node arguments in canonical order; the refined model keeps that order
+        order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
+        multiplicities = tuple(multiplicities[j] for j in order)
+        thetas, coeffs, iterations, more = _refine(
+            np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, p)
+        model = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), multiplicities, coeffs)
+        flags += more
+    else:
+        coeffs = _fit_coefficients(nodes, multiplicities, ks, q)
+        model, iterations = PronyModel(nodes, multiplicities, coeffs).canonical(), 1
+    residual = _max_residual(model, ks, q)
     eps = samples.noise_level
-    if eps > 0 and report.residual > 10.0 * eps * math.sqrt(samples.scheme.count):
+    if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
         flags += ("large-residual",)
     method = base_solver + ("+refine" if refine else "")
-    return model, SolverReport(method, report.iterations, report.residual, flags)
+    return model, SolverReport(method, iterations, residual, tuple(flags))
+
+
+# ---------------------------------------------------------------------------
+# the base solvers: decimated_solve at stride one on the position index
+# ---------------------------------------------------------------------------
+
+def _positional(samples: SampleSet) -> SampleSet:
+    """The same values and noise level on the position index s = 0..count-1."""
+    return SampleSet(SamplingScheme(0, 1, samples.scheme.count), samples.values, samples.noise_level)
+
+
+def prony_hankel_solve(samples: SampleSet, multiplicities):
+    """Classical Prony solve generalized to multiple roots.
+
+    Fits the monic annihilating polynomial of degree L = sum(multiplicities) by
+    least squares over all available Hankel rows, takes its roots, clusters them
+    into groups of the prescribed sizes (centroid = node estimate in the powered
+    domain), then recovers polynomial amplitudes by confluent-Vandermonde least
+    squares.  Like every base solver it reads the values as the sequence q_s on
+    the position index s = 0..count-1, so on a stride-p scheme it returns the
+    powered nodes z^p and the amplitudes of q_s.
+    """
+    return decimated_solve(_positional(samples), multiplicities, base_solver="hankel", refine=False)
+
+
+def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_node: complex):
+    """Single-node solve via the shift-operator identity.
+
+    (E - w)^m annihilates w^s Q(s) for deg Q < m, so each run of m+1 consecutive
+    samples yields a degree-m polynomial equation in w with w as a simple root.
+    Multiple shifted equations are averaged into one polynomial by least squares
+    (principal right singular vector of the stacked coefficient rows).  The root
+    with modulus in [0.5, 2] nearest the unit-circle point of the hint's argument
+    wins; its amplitudes come from confluent-Vandermonde least squares on all
+    samples, on the position index s as in prony_hankel_solve.
+    """
+    if expected_node is not None and not cmath.isfinite(expected_node):
+        raise ValidationError(f"the annihilation hint must be finite, got {expected_node}")
+    hints = None if expected_node is None else [cmath.phase(expected_node)]
+    return decimated_solve(_positional(samples), (multiplicity,), hints,
+                           base_solver="annihilation", refine=False)
+
+
+def esprit_solve(samples: SampleSet, num_nodes: int):
+    """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
+    shift-invariance equation between the first and last row blocks, on the
+    position index s as in prony_hankel_solve."""
+    mults = (1,) * _integer("num_nodes", num_nodes, 1)
+    return decimated_solve(_positional(samples), mults, base_solver="esprit", refine=False)
 
 
 # ---------------------------------------------------------------------------

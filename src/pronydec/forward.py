@@ -1,8 +1,8 @@
 """Forward measurement map for polynomial Prony models, its Jacobian, and noise.
 
 `_kernel` is the one place where the confluent-Vandermonde block
-z_j^k * k^l is formed.  The moments, the coefficient matrix, the Jacobian,
-and every residual in the solvers are thin callers of it,
+z_j^k * k^l is formed.  The moments, the Jacobian, the solvers' amplitude
+fits and every residual in them are thin callers of it,
 working on index arrays k = offset + stride * arange(count).
 """
 
@@ -22,6 +22,7 @@ from .model import (
     ValidationError,
     _check_level,
     _integer,
+    _shown,
 )
 
 #: largest sample index accepted by the forward map (k^l stays in double range)
@@ -34,7 +35,7 @@ REGULARITY_TOL = 1e-10
 
 def _check_limits(multiplicities, extent: int) -> None:
     if abs(extent) > MAX_INDEX:
-        raise ValidationError(f"index extent {extent} exceeds the supported {MAX_INDEX}")
+        raise ValidationError(f"index extent {_shown(extent)} exceeds the supported {MAX_INDEX}")
     if max(multiplicities) > MAX_MULTIPLICITY:
         raise ValidationError(f"multiplicities above {MAX_MULTIPLICITY} are not supported")
 
@@ -98,14 +99,6 @@ def moment_at(model: PronyModel, k: int) -> complex:
     k = _integer("index", k, -MAX_INDEX)
     _check_limits(model.multiplicities, k)
     return complex(_moments(*_model_arrays(model), np.array([float(k)]))[0])
-
-
-def coefficient_matrix(nodes, multiplicities, ks) -> np.ndarray:
-    """Columns z_j^k * k^l for each node j and l = 0..mult_j-1 (confluent Vandermonde)."""
-    if len(nodes) != len(multiplicities):
-        raise ValidationError("need one multiplicity per node")
-    thetas = [cmath.phase(z) for z in nodes]
-    return _kernel(thetas, multiplicities, np.asarray(ks, dtype=float))
 
 
 def jacobian(model: PronyModel, scheme: SamplingScheme) -> np.ndarray:

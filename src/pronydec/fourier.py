@@ -31,6 +31,7 @@ from .model import (
     ValidationError,
     _circle_angles,
     _integer,
+    _shown,
     position_from_node,
     wrap_angle,
 )
@@ -142,8 +143,9 @@ class CoefficientWindow:
         self.coeffs.flags.writeable = False
 
     def coeff(self, k: int) -> complex:
+        k = _integer("index", k, -math.inf)
         if abs(k) > self.bandwidth:
-            raise ValidationError(f"index {k} outside the window bandwidth {self.bandwidth}")
+            raise ValidationError(f"index {_shown(k)} outside the window bandwidth {self.bandwidth}")
         return complex(self.coeffs[k + self.bandwidth])
 
 
@@ -298,8 +300,9 @@ class Mollifier:
         self.centered_coeffs.flags.writeable = False
 
     def coeff(self, n: int) -> complex:
+        n = _integer("index", n, -math.inf)
         if abs(n) > self.degree:
-            raise ValidationError(f"index {n} beyond mollifier degree {self.degree}")
+            raise ValidationError(f"index {_shown(n)} beyond mollifier degree {self.degree}")
         return cmath.exp(-1j * n * self.center) * self.centered_coeffs[abs(n)]
 
     def two_sided(self) -> np.ndarray:

@@ -57,8 +57,17 @@ def _check_level(value: float, name: str) -> float:
     """A noise or error level: finite and nonnegative; a NaN, or an integer
     beyond float range (on which math.isfinite overflows), fails the test."""
     if not 0 <= value <= sys.float_info.max:
-        raise ValidationError(f"{name} must be finite and nonnegative, got {value}")
+        raise ValidationError(f"{name} must be finite and nonnegative, got {_shown(value)}")
     return value
+
+
+def _shown(value) -> str:
+    """repr(value) for a message, or its type where repr raises (an int past
+    Python's 4,300-digit conversion limit, or anything holding one)."""
+    try:
+        return repr(value)
+    except Exception:
+        return f"<{type(value).__name__} too large to print>"
 
 
 def _integer(name: str, value, minimum: int = 0) -> int:
@@ -67,7 +76,7 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     # plain ints skip the ABC check: it is several times slower, and every model and scheme built runs this
     integral = type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
     if not integral or value < minimum:
-        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {_shown(value)}")
     return int(value)
 
 
@@ -320,7 +329,7 @@ class PiecewiseSignal:
 
     def psi_coeff(self, n: int) -> complex:
         """Coefficient of the smooth part at index n (0 beyond the stored degree)."""
-        m = abs(n)
+        m = abs(_integer("index", n, -math.inf))
         if m >= len(self.psi_coeffs):
             return 0.0 + 0.0j
         c = self.psi_coeffs[m]
@@ -427,7 +436,7 @@ def _items(value, name: str, length=None):
     """A list field of loader input; a string, a number or a list of the wrong
     length is a TypeError, which the loader reports as malformed data."""
     if not isinstance(value, (list, tuple)) or length not in (None, len(value)):
-        raise TypeError(f"{name} must be a list{f' of {length}' if length else ''}, got {value!r}")
+        raise TypeError(f"{name} must be a list{f' of {length}' if length else ''}, got {_shown(value)}")
     return value
 
 
@@ -524,5 +533,5 @@ def load_json(path) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past the 4,300-digit limit
             raise ValidationError(f"{path}: not valid JSON ({exc})") from None

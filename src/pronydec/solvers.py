@@ -4,11 +4,10 @@
 `finder(q, multiplicities, hints)`: from the progression values
 q_s = m_{offset + s*stride} and any hints, both in the "powered" domain
 w = z^stride, it returns node estimates w plus flags, and raises its own
-structural ValidationError (`lm`'s finder returns the hints).  `_solution`
-turns given nodes into the canonical model and its residual on given indices:
-one confluent-Vandermonde least-squares fit, or `_refine` from their arguments.
-The public base solvers run both on the progression index s; decimated_solve
-selects the branches of w -> z in between and uses the original indices.
+structural ValidationError (`lm`'s finder returns the hints).
+decimate.decimated_solve is the one pipeline that runs them: finder, branch
+selection, then one `_fit_coefficients` fit or `_refine` from the node
+arguments; the public base solvers are its stride-one case (decimate.py).
 `_refine` is variable projection: it iterates on the node arguments only and
 refits the amplitudes at every step with the column-scaled least squares
 `_scaled_lstsq`; `lm_refine` runs it from a caller's model.
@@ -24,14 +23,12 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .forward import (
-    _check_limits,
     _check_scheme,
     _kernel,
     _model_arrays,
     _moments,
     _regularity,
     _scheme_ks,
-    coefficient_matrix,
     regularity_check,
 )
 from .model import (
@@ -41,7 +38,6 @@ from .model import (
     SolverError,
     ValidationError,
     _integer,
-    wrap_angle,
 )
 
 #: relative singular-value threshold below which linear systems count as degenerate
@@ -138,26 +134,8 @@ def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> t
     """Least-squares amplitudes on columns z^k k^l (see `_scaled_lstsq`)."""
     if len(ks) < sum(multiplicities):
         raise ValidationError("need at least as many samples as coefficients")
-    solution = _scaled_lstsq(coefficient_matrix(nodes, multiplicities, ks), q)
+    solution = _scaled_lstsq(_kernel([cmath.phase(z) for z in nodes], multiplicities, ks), q)
     return _split(solution, multiplicities)
-
-
-def _solution(method: str, nodes, multiplicities, ks: np.ndarray, q: np.ndarray, flags,
-              refine_stride=None):
-    """Amplitudes for the fixed nodes on indices ks, the canonical model, and
-    its report (residual over ks); with a stride, `_refine` from the nodes'
-    arguments in canonical order instead (the refined model keeps that order)."""
-    if refine_stride is None:
-        model = PronyModel(nodes, multiplicities, _fit_coefficients(nodes, multiplicities, ks, q))
-        model, iterations = model.canonical(), 1
-    else:
-        order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
-        multiplicities = tuple(multiplicities[j] for j in order)
-        thetas, coeffs, iterations, more = _refine(
-            np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, refine_stride)
-        model = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), multiplicities, coeffs)
-        flags = tuple(flags) + more
-    return model, SolverReport(method, iterations, _max_residual(model, ks, q), tuple(flags))
 
 
 def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
@@ -167,6 +145,8 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
     (nearly aliased nodes), carrying the condition estimate.
     """
     mults = _multiplicities(multiplicities)
+    if len(nodes) != len(mults):
+        raise ValidationError("need one multiplicity per node")
     return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), np.asarray(samples.values))
 
 
@@ -212,7 +192,7 @@ def _cluster_roots(roots, multiplicities):
 # ---------------------------------------------------------------------------
 
 def _hankel_nodes(q: np.ndarray, multiplicities, hints):
-    """Unit-circle projections of the root-cluster centroids (see prony_hankel_solve)."""
+    """Unit-circle projections of the root-cluster centroids (see decimate.prony_hankel_solve)."""
     total = sum(multiplicities)
     if len(q) < 2 * total:
         raise ValidationError(f"need at least {2 * total} samples, got {len(q)}")
@@ -226,24 +206,12 @@ def _hankel_nodes(q: np.ndarray, multiplicities, hints):
     return tuple(_project_unit(w) for w in centroids), flags
 
 
-def prony_hankel_solve(samples: SampleSet, multiplicities):
-    """Classical Prony solve generalized to multiple roots.
-
-    Fits the monic annihilating polynomial of degree L = sum(multiplicities) by
-    least squares over all available Hankel rows, takes its roots, clusters them
-    into groups of the prescribed sizes (centroid = node estimate in the powered
-    domain), then recovers polynomial amplitudes by confluent-Vandermonde least
-    squares.
-    """
-    return _progression_solve("hankel", samples, multiplicities)
-
-
 # ---------------------------------------------------------------------------
 # single-node annihilation solver
 # ---------------------------------------------------------------------------
 
 def _annihilation_node(q: np.ndarray, multiplicities, hints):
-    """The hinted root of the averaged annihilation polynomial (see annihilation_solve_single)."""
+    """The hinted root of the averaged annihilation polynomial (see decimate.annihilation_solve_single)."""
     if len(multiplicities) != 1:
         raise ValidationError("the annihilation solver handles a single node only")
     if hints is None:
@@ -276,26 +244,12 @@ def _annihilation_node(q: np.ndarray, multiplicities, hints):
     return (_project_unit(candidates[dists[0][1]]),), ()
 
 
-def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_node: complex):
-    """Single-node solve via the shift-operator identity.
-
-    (E - w)^m annihilates w^s Q(s) for deg Q < m, so each run of m+1 consecutive
-    samples yields a degree-m polynomial equation in w with w as a simple root.
-    Multiple shifted equations are averaged into one polynomial by least squares
-    (principal right singular vector of the stacked coefficient rows).  The root
-    with modulus in [0.5, 2] nearest the hint in the complex plane wins; its
-    amplitudes come from confluent-Vandermonde least squares on all samples.
-    """
-    hints = None if expected_node is None else (expected_node,)
-    return _progression_solve("annihilation", samples, (multiplicity,), hints)
-
-
 # ---------------------------------------------------------------------------
 # ESPRIT (subspace) solver
 # ---------------------------------------------------------------------------
 
 def _esprit_nodes(q: np.ndarray, multiplicities, hints):
-    """Unit-circle projections of the shift-invariance eigenvalues (see esprit_solve)."""
+    """Unit-circle projections of the shift-invariance eigenvalues (see decimate.esprit_solve)."""
     if any(m != 1 for m in multiplicities):
         raise ValidationError("the subspace solver handles simple nodes only")
     k = len(multiplicities)
@@ -319,12 +273,6 @@ def _esprit_nodes(q: np.ndarray, multiplicities, hints):
     return tuple(_project_unit(w) for w in np.linalg.eigvals(shift)), flags
 
 
-def esprit_solve(samples: SampleSet, num_nodes: int):
-    """Subspace solve for simple nodes: SVD of the sample Hankel matrix, then the
-    shift-invariance equation between the first and last row blocks."""
-    return _progression_solve("esprit", samples, (1,) * _integer("num_nodes", num_nodes, 1))
-
-
 # ---------------------------------------------------------------------------
 # the base-solver table
 # ---------------------------------------------------------------------------
@@ -345,24 +293,6 @@ _FINDERS = {
 }
 
 BASE_SOLVERS = tuple(_FINDERS)
-
-
-def _find_nodes(base_solver: str, q: np.ndarray, multiplicities, hints):
-    """The named finder's powered nodes and flags for the progression values q."""
-    finder = _FINDERS.get(base_solver)
-    if finder is None:
-        raise ValidationError(f"unknown base solver {base_solver!r}; pick from {BASE_SOLVERS}")
-    return finder(q, multiplicities, hints)
-
-
-def _progression_solve(base_solver: str, samples: SampleSet, multiplicities, hints=None):
-    """The named finder on the sample values as the sequence q_s, fitted on
-    the progression index s = 0..count-1."""
-    multiplicities = _multiplicities(multiplicities)
-    q = np.asarray(samples.values, dtype=complex)
-    _check_limits(multiplicities, len(q))
-    nodes, flags = _find_nodes(base_solver, q, multiplicities, hints)
-    return _solution(base_solver, nodes, multiplicities, np.arange(len(q), dtype=float), q, flags)
 
 
 # ---------------------------------------------------------------------------

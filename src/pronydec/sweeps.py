@@ -33,8 +33,8 @@ from .model import (
     _assign_nodes,
     _check_level,
     _integer,
-    _items,
     _loader,
+    _shown,
     circle_distance,
     match_estimates,
 )
@@ -78,19 +78,21 @@ class SweepConfig:
 
     def __post_init__(self):
         for name, minimum in (("seeds", 0), ("p_values", 1), ("m_values", 1)):
-            values = _items(getattr(self, name), name)
+            values = getattr(self, name)
+            if not isinstance(values, (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {_shown(values)}")
             object.__setattr__(self, name, tuple(_integer(name, v, minimum) for v in values))
         for name, minimum in (("count", 0), ("top_index", 0), ("grid_size", 1), ("workers", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
         if self.kind not in KINDS:
-            raise ValidationError(f"unknown sweep kind {self.kind!r}; pick from {KINDS}")
+            raise ValidationError(f"unknown sweep kind {_shown(self.kind)}; pick from {KINDS}")
         if not self.seeds:
             raise ValidationError("seed list must be non-empty")
         _check_level(self.noise, "noise level")
         radius = self.exclusion_radius
         if not (isinstance(radius, numbers.Real) and 0 < radius < math.pi):
             # every grid point lies within pi of a jump
-            raise ValidationError(f"exclusion_radius must lie in (0, pi), got {radius!r}")
+            raise ValidationError(f"exclusion_radius must lie in (0, pi), got {_shown(radius)}")
         if self.kind == "fourier-convergence":
             if self.signal is None:
                 raise ValidationError("fourier-convergence needs a signal spec")
@@ -101,7 +103,7 @@ class SweepConfig:
                 raise ValidationError(f"{self.kind} needs a model spec")
             if self.solver not in DECIMATION_SOLVERS:
                 raise ValidationError(
-                    f"unknown solver {self.solver!r}; pick from {DECIMATION_SOLVERS}"
+                    f"unknown solver {_shown(self.solver)}; pick from {DECIMATION_SOLVERS}"
                 )
         for what in ("model", "signal"):
             if getattr(self, what) is not None:
@@ -185,13 +187,13 @@ def _check_spec(spec, what: str) -> None:
     kind is a finite number: an integer of at least the parameter's minimum
     where it is annotated int, a pair of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
-        raise ValidationError(f"{what} spec must be an object, got {spec!r}")
+        raise ValidationError(f"{what} spec must be an object, got {_shown(spec)}")
     if what == "signal":
         consumer, extra = fourier.random_piecewise_signal, "reconstruction_separation"
     else:
         consumer, extra = _MODEL_BUILDERS.get(spec.get("kind", "two-node")), "kind"
         if consumer is None:
-            raise ValidationError(f"unknown model spec kind {spec['kind']!r}")
+            raise ValidationError(f"unknown model spec kind {_shown(spec['kind'])}")
     params = inspect.signature(consumer, eval_str=True).parameters
     supplied = {"seed", "p_values"}
     unknown = set(spec) - (set(params) - supplied | {extra})
@@ -207,7 +209,7 @@ def _check_spec(spec, what: str) -> None:
         if len(items) != (2 if pair else 1) or not all(
                 # abs, not cmath.isfinite, which overflows on an integer beyond float range
                 isinstance(v, kind) and abs(v) <= sys.float_info.max for v in items):
-            raise ValidationError(f"{what} spec value {key}={value!r} has the wrong type or is not finite")
+            raise ValidationError(f"{what} spec value {key}={_shown(value)} has the wrong type or is not finite")
         if annotation is int:
             _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
     missing = [k for k, p in params.items()

@@ -295,6 +295,17 @@ def test_sweep_spec_value_must_be_finite(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_config_integer_past_the_digit_limit(tmp_path, capsys):
+    """json.load rejects a 5,001-digit integer with a plain ValueError, which
+    escaped as a traceback with exit 1."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(_FOURIER).replace('"smoothness": 0', '"smoothness": 1' + "0" * 5000))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_validation_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "bogus", "seeds": [0]}))

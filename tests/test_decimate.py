@@ -29,7 +29,6 @@ from pronydec import sweeps
 from pronydec.decimate import BRANCH_TOL
 from pronydec.forward import stride_separation
 from pronydec.model import TWO_PI
-from pronydec.solvers import _progression_solve
 
 
 def brute_force_branch(w, p, hint):
@@ -183,23 +182,38 @@ class TestDecimatedSolve:
 _PAIR = PronyModel([cmath.exp(0.5j), cmath.exp(-1.2j)], [1, 1], [[1.0 + 1j], [2.0]])
 
 
-@pytest.mark.parametrize("name, mults, hints, base_solve", [
-    ("esprit", (2,), None, lambda s: _progression_solve("esprit", s, (2,))),
-    ("annihilation", (1, 1), [0.5, -1.2],
-     lambda s: _progression_solve("annihilation", s, (1, 1), (1.0, 1.0))),
-    ("annihilation", (1,), None, lambda s: annihilation_solve_single(s, 1, None)),
-    ("lm", (1, 1), None, lambda s: _progression_solve("lm", s, (1, 1))),
-    ("bogus", (1, 1), None, lambda s: _progression_solve("bogus", s, (1, 1))),
-])
-def test_structural_errors_agree(name, mults, hints, base_solve):
-    """Each base solver's structural check raises the same error on the base
-    solvers' path as through decimated_solve."""
+@pytest.mark.parametrize("name, mults, hints, message", [
+    ("esprit", (2,), None, "the subspace solver handles simple nodes only"),
+    ("annihilation", (1, 1), [0.5, -1.2], "the annihilation solver handles a single node only"),
+    ("annihilation", (1,), None, "the annihilation solver needs a node-argument hint"),
+    ("lm", (1, 1), None, "the lm solver needs node-argument hints"),
+    ("bogus", (1, 1), None,
+     "unknown base solver 'bogus'; pick from ('hankel', 'esprit', 'annihilation', 'lm')"),
+], ids=["esprit-multiple-node", "annihilation-two-nodes", "annihilation-no-hint", "lm-no-hints",
+        "unknown-solver"])
+def test_structural_error_messages(name, mults, hints, message):
+    """Each base solver's own structural check, raised through decimated_solve."""
     samples = evaluate_moments(_PAIR, SamplingScheme(0, 1, 12))
-    with pytest.raises(ValidationError) as base:
-        base_solve(samples)
-    with pytest.raises(ValidationError) as decimated:
+    with pytest.raises(ValidationError) as exc:
         decimated_solve(samples, mults, hints, base_solver=name)
-    assert str(base.value) == str(decimated.value)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("hints", ["12", ["0.5", "1.0"], [0.5j, 1.0]],
+                         ids=["string", "numeric-strings", "complex"])
+def test_malformed_hints_rejected(hints):
+    """The string "12" became the hints 1.0 and 2.0, numeric strings parsed
+    silently and a complex hint raised a bare TypeError."""
+    samples = evaluate_moments(_PAIR, SamplingScheme(0, 1, 12))
+    with pytest.raises(ValidationError, match="finite real"):
+        decimated_solve(samples, (1, 1), hints)
+
+
+def test_integer_and_numpy_hints_accepted():
+    samples = evaluate_moments(_PAIR, SamplingScheme(0, 3, 12))
+    want = decimated_solve(samples, (1, 1), [0.5, -1.0])
+    assert decimated_solve(samples, (1, 1), [np.float64(0.5), -1]) == want
+    assert decimated_solve(samples, (1, 1), np.array([0.5, -1.0])) == want
 
 
 @pytest.mark.parametrize("p, solver", [

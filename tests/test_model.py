@@ -436,7 +436,23 @@ _INTEGER_CASES = [
     ("smoothness", pd.random_piecewise_signal, (0.5, 1, 0)),
     ("num_jumps", pd.random_piecewise_signal, (0, 1.5, 0)),
     ("seed", pd.random_piecewise_signal, (0, 1, 0.5)),
+    ("index", _WINDOW.coeff, (1.5,)),
+    ("index", _WINDOW.coeff, (True,)),
+    ("index", pd.identity_mollifier(4).coeff, (1.5,)),
+    ("index", pd.identity_mollifier(4).coeff, (True,)),
+    ("index", _SIGNAL.psi_coeff, (1.5,)),
+    ("index", _SIGNAL.psi_coeff, (True,)),
 ]
+
+
+@pytest.mark.parametrize("call", [_WINDOW.coeff, pd.identity_mollifier(4).coeff,
+                                  lambda k: pd.moment_at(_NODE, k)],
+                         ids=["window", "mollifier", "moment_at"])
+def test_index_past_the_digit_limit(call):
+    """The out-of-range message printed the index, which raised ValueError
+    for an integer of more than 4,300 digits."""
+    with pytest.raises(ValidationError, match="index"):
+        call(10**5000)
 
 
 @pytest.mark.parametrize("field, call, args", _INTEGER_CASES,

@@ -1,5 +1,7 @@
 import cmath
+import inspect
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -510,3 +512,58 @@ class TestSolverAgreement:
         assert match_estimates(other, base).max_node_error < 1e-10
         for row_b, row_o in zip(base.coefficients, other.coefficients):
             assert abs(row_o[0] - scale * row_b[0]) < 1e-9
+
+
+class TestBaseSolversAreDecimatedSolve:
+    """Each public base solver is one unrefined decimated_solve call on the
+    values re-indexed by position s = 0..count-1."""
+
+    _PAIR = PronyModel([cmath.exp(0.4j), cmath.exp(-1.3j)], [1, 1], [[1.0 + 0.5j], [2.0]])
+
+    @pytest.mark.parametrize("solve", [
+        lambda s: prony_hankel_solve(s, (1, 1)),
+        lambda s: esprit_solve(s, 2),
+    ], ids=["hankel", "esprit"])
+    def test_progression_gives_powered_nodes(self, solve):
+        # q_s = m_{5 + 3s} = sum_j (c_j z_j^5) (z_j^3)^s
+        model, report = solve(exact_samples(self._PAIR, 12, offset=5, stride=3))
+        want = PronyModel([z**3 for z in self._PAIR.nodes], [1, 1],
+                          [[row[0] * z**5] for z, row in zip(self._PAIR.nodes, self._PAIR.coefficients)])
+        res = match_estimates(model, want)
+        assert res.max_node_error < 1e-10
+        assert res.max_coeff_error < 1e-9
+        assert report.iterations == 1 and "+refine" not in report.method
+
+    def test_annihilation_progression_gives_powered_node(self):
+        # z^(5+3s) (c0 + c1 (5 + 3s)) = z^5 (z^3)^s ((c0 + 5 c1) + 3 c1 s)
+        z, (c0, c1) = cmath.exp(0.7j), (1.0, 0.5j)
+        truth = PronyModel([z], [2], [[c0, c1]])
+        model, _ = annihilation_solve_single(exact_samples(truth, 12, offset=5, stride=3), 2, z**3)
+        assert abs(model.nodes[0] - z**3) < 1e-10
+        for got, want in zip(model.coefficients[0], (z**5 * (c0 + 5 * c1), 3 * z**5 * c1)):
+            assert abs(got - want) < 1e-9
+
+    @pytest.mark.parametrize("solve", [
+        lambda s: prony_hankel_solve(s, (1,)),
+        lambda s: esprit_solve(s, 1),
+        lambda s: annihilation_solve_single(s, 1, cmath.exp(0.4j)),
+    ], ids=["hankel", "esprit", "annihilation"])
+    def test_unfit_noisy_samples_flag_large_residual(self, solve):
+        # one node fitted to two: the residual is the second node's size, 0.1,
+        # far above 10 * eps * sqrt(count); the base solvers did not flag it
+        truth = PronyModel([cmath.exp(0.4j), cmath.exp(-1.3j)], [1, 1], [[1.0], [0.1]])
+        _, report = solve(add_noise(exact_samples(truth, 12), 1e-6, seed=0))
+        assert report.residual > 0.05
+        assert "large-residual" in report.flags
+
+    @pytest.mark.parametrize("hint", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    def test_annihilation_nonfinite_hint_rejected(self, hint):
+        samples = exact_samples(PronyModel([cmath.exp(0.7j)], [1], [[1.0]]), 4)
+        with pytest.raises(ValidationError, match="finite"):
+            annihilation_solve_single(samples, 1, hint)
+
+    def test_report_built_in_one_place(self):
+        sources = pathlib.Path(inspect.getfile(decimated_solve)).parent.glob("*.py")
+        total = sum(path.read_text().count("SolverReport(") for path in sources)
+        inside = [inspect.getsource(f).count("SolverReport(") for f in (decimated_solve, lm_refine)]
+        assert inside == [1, 1] and total == 2

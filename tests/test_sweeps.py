@@ -119,6 +119,18 @@ class TestConfig:
         with pytest.raises(ValidationError, match="noise level"):
             small_fig1_config(noise=10**400)
 
+    @pytest.mark.parametrize("field, overrides", [
+        ("seeds", {"seeds": [-10**5000]}),
+        ("seeds", {"seeds": 10**5000}),
+        ("smoothness", {"kind": "fourier-convergence", "m_values": [64, 128, 256],
+                        "signal": {"smoothness": 10**5000, "num_jumps": 1}}),
+        ("noise level", {"noise": 10**5000}),
+    ], ids=["seed-in-list", "seeds-not-a-list", "spec-value", "noise"])
+    def test_integer_past_the_digit_limit(self, field, overrides):
+        # the message's repr of a 5,001-digit integer raised ValueError
+        with pytest.raises(ValidationError, match=field):
+            small_fig1_config(**overrides)
+
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
         # ESPRIT needs at least 2k + 1 samples: every row would fail
