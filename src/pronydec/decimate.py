@@ -2,18 +2,18 @@
 for every base solver in solvers.BASE_SOLVERS (finder, branch selection, then
 one fit or a refinement from the node arguments, and one report); the public
 base solvers, its stride-one case on the position index; and first-order
-a-priori error bounds."""
+a-priori error bounds.  `_hints` is the one check on branch hints, and the
+bounds, like the refinement, need a regular point (forward._require_regular)."""
 
 from __future__ import annotations
 
 import cmath
 import math
 import numbers
-import sys
 
 import numpy as np
 
-from .forward import _check_scheme, _scheme_ks, regularity_check
+from .forward import _check_scheme, _require_regular, _scheme_ks, stride_separation
 from .model import (
     TWO_PI,
     AmbiguousBranchError,
@@ -24,6 +24,7 @@ from .model import (
     ValidationError,
     _assign_nodes,
     _check_level,
+    _finite,
     _integer,
     _shown,
     wrap_angle,
@@ -33,6 +34,17 @@ from .solvers import _multiplicities, _refine
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
+
+
+def _hints(values, count: int) -> list:
+    """Branch hints (node arguments): a list, a tuple or a 1-d array of `count`
+    real numbers of finite size (model._finite), in the caller's types."""
+    listed = isinstance(values, (list, tuple)) or isinstance(values, np.ndarray) and values.ndim == 1
+    if not (listed and all(map(_finite, values))):
+        raise ValidationError(f"branch hints must be finite real numbers, got {_shown(values)}")
+    if len(values) != count:
+        raise ValidationError("need one hint per node")
+    return list(values)
 
 
 def undecimate_node(w: complex, p: int, hint: float) -> complex:
@@ -47,8 +59,7 @@ def undecimate_node(w: complex, p: int, hint: float) -> complex:
     p = _integer("stride", p, 1)
     if not 0.5 <= abs(w) <= 2.0:
         raise ValidationError(f"powered node modulus {abs(w):.3g} is outside [0.5, 2]")
-    if not math.isfinite(hint):
-        raise ValidationError(f"branch hint must be finite, got {hint}")
+    (hint,) = _hints([hint], 1)
     base = cmath.phase(w)
     if p == 1:
         return cmath.exp(1j * base)
@@ -80,20 +91,14 @@ def decimated_solve(
     The report's residual is the max-abs residual on the sample indices, and
     it is flagged "large-residual" when that exceeds 10 * noise_level * sqrt(count).
 
-    Hints must be finite real numbers, and are required whenever stride > 1
-    and by the annihilation and lm base solvers; each must be within pi/stride
-    of the true node argument for the branch choice to be correct, which
-    cannot be verified at run time.
+    Hints, one finite real number per node in a list, a tuple or a 1-d array
+    (`_hints`), are required whenever stride > 1 and by the annihilation and
+    lm base solvers; each must be within pi/stride of the true node argument
+    for the branch choice to be correct, which cannot be verified at run time.
     """
     multiplicities = _multiplicities(multiplicities)
     p = samples.scheme.stride
-    hints = None if coarse_node_args is None else list(coarse_node_args)
-    if hints is not None and len(hints) != len(multiplicities):
-        raise ValidationError("need one hint per node")
-    # abs, not math.isfinite, which overflows on an integer beyond float range
-    if hints is not None and not all(
-            isinstance(h, numbers.Real) and abs(h) <= sys.float_info.max for h in hints):
-        raise ValidationError(f"branch hints must be finite real numbers, got {_shown(hints)}")
+    hints = None if coarse_node_args is None else _hints(coarse_node_args, len(multiplicities))
     if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
     _check_scheme(multiplicities, samples.scheme)
@@ -165,8 +170,9 @@ def annihilation_solve_single(samples: SampleSet, multiplicity: int, expected_no
     wins; its amplitudes come from confluent-Vandermonde least squares on all
     samples, on the position index s as in prony_hankel_solve.
     """
-    if expected_node is not None and not cmath.isfinite(expected_node):
-        raise ValidationError(f"the annihilation hint must be finite, got {expected_node}")
+    if expected_node is not None and not (
+            isinstance(expected_node, numbers.Number) and _finite(abs(expected_node))):
+        raise ValidationError(f"the annihilation hint must be finite, got {_shown(expected_node)}")
     hints = None if expected_node is None else [cmath.phase(expected_node)]
     return decimated_solve(_positional(samples), (multiplicity,), hints,
                            base_solver="annihilation", refine=False)
@@ -184,17 +190,6 @@ def esprit_solve(samples: SampleSet, num_nodes: int):
 # a-priori error bounds
 # ---------------------------------------------------------------------------
 
-def _require_regular(model: PronyModel, p: int):
-    report = regularity_check(model, p)
-    if not report:
-        raise ValidationError(
-            f"bounds need a regular point at stride {p}: "
-            f"aliased pairs {report.node_pair_violations}, "
-            f"vanishing leading coefficients {report.coefficient_violations}"
-        )
-    return report
-
-
 def node_error_bound(model: PronyModel, p: int, eps: float) -> np.ndarray:
     """First-order worst-case bound on |delta z_j| under measurement error eps.
 
@@ -203,7 +198,7 @@ def node_error_bound(model: PronyModel, p: int, eps: float) -> np.ndarray:
     convention for a single node).
     """
     _check_level(eps, "eps")
-    sep = _require_regular(model, p).separation
+    sep = _require_regular(model.node_args, map(abs, model.leading_coefficients()), p, "the model").separation
     r = model.unknown_count
     bounds = []
     for m, lead in zip(model.multiplicities, model.leading_coefficients()):
@@ -233,10 +228,10 @@ def coeff_error_bound(
     bound (the printed factor t^(m_j - i) would zero it out).
     """
     _check_level(eps, "eps")
-    if not (math.isfinite(constant) and constant > 0):
-        raise ValidationError(f"the bound constant must be finite and positive, got {constant}")
+    if not (_finite(constant) and constant > 0):
+        raise ValidationError(f"the bound constant must be finite and positive, got {_shown(constant)}")
     t_eff = max(_integer("offset", t), 1)
-    sep = _require_regular(model, p).separation
+    sep = _require_regular(model.node_args, map(abs, model.leading_coefficients()), p, "the model").separation
     r = model.unknown_count
     out = []
     for m, row in zip(model.multiplicities, model.coefficients):
@@ -271,5 +266,5 @@ def error_bounds(model: PronyModel, t: int, p: int, eps: float, constant: float 
     return ErrorBounds(
         node_bounds=tuple(float(b) for b in nodes),
         coeff_bounds=tuple(tuple(float(b) for b in row) for row in coeffs),
-        separation=regularity_check(model, p).separation,
+        separation=stride_separation(model, p),
     )

@@ -135,7 +135,7 @@ def regularity_check(model: PronyModel, p: int) -> RegularityReport:
     """Local invertibility at stride p: p-th node powers farther apart than
     REGULARITY_TOL and leading coefficients larger than it in modulus.
     Degenerate inputs yield ok=False with a report, never an exception."""
-    return _regularity(model.node_args, [abs(row[-1]) for row in model.coefficients], p)
+    return _regularity(model.node_args, map(abs, model.leading_coefficients()), p)
 
 
 def _regularity(thetas, leads, p: int) -> RegularityReport:
@@ -154,13 +154,21 @@ def _regularity(thetas, leads, p: int) -> RegularityReport:
     )
 
 
+def _require_regular(thetas, leads, p: int, what: str) -> RegularityReport:
+    """_regularity's report at stride p, or a ValidationError naming the violations."""
+    report = _regularity(thetas, leads, p)
+    if not report:
+        raise ValidationError(f"{what} is not a regular point at the scheme stride {report.stride}: aliased pairs "
+                              f"{report.node_pair_violations}, vanishing leading coefficients "
+                              f"{report.coefficient_violations}")
+    return report
+
+
 def condition_estimate(model: PronyModel, scheme: SamplingScheme) -> float:
     """Max-row-sum norm of the inverse Jacobian on the square system (count == R)."""
     if scheme.count != model.unknown_count:
         raise ValidationError("condition estimate needs a square system: count == unknown_count")
-    report = regularity_check(model, scheme.stride)
-    if not report:
-        raise ValidationError(f"model is not a regular point at stride {scheme.stride}: {report}")
+    _require_regular(model.node_args, map(abs, model.leading_coefficients()), scheme.stride, "the model")
     jac = jacobian(model, scheme)
     svals = np.linalg.svd(jac, compute_uv=False)
     if svals[-1] <= svals[0] * 1e-15:

@@ -22,7 +22,6 @@ import numpy as np
 from .decimate import decimated_solve
 from .model import (
     TWO_PI,
-    AmbiguousBranchError,
     PiecewiseSignal,
     PronyModel,
     QuadratureError,
@@ -30,6 +29,7 @@ from .model import (
     SamplingScheme,
     ValidationError,
     _circle_angles,
+    _finite,
     _integer,
     _shown,
     position_from_node,
@@ -359,8 +359,9 @@ def build_mollifier(center: float, half_width: float, flat_half_width: float, de
     2 * min_separation / 9 certifies at L <= 2^15 in milliseconds.  Results are
     cached in a bounded LRU cache.
     """
-    if not 0.0 < flat_half_width < half_width <= math.pi:
-        raise ValidationError("need 0 < flat_half_width < half_width <= pi")
+    if not (all(map(_finite, (center, half_width, flat_half_width)))
+            and 0.0 < flat_half_width < half_width <= math.pi):
+        raise ValidationError("need a finite center and 0 < flat_half_width < half_width <= pi")
     degree = _integer("degree", degree)
     coeffs, accuracy = _centered_bump_coeffs(float(half_width), float(flat_half_width), degree)
     return Mollifier(
@@ -450,14 +451,14 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
         raise ValidationError(
             f"bandwidth {m} too small for d={d}, K={k} (need >= {8 * (d + 2) * k})"
         )
-    if not 0.0 < min_separation <= 3.0 * math.pi:
+    if not (_finite(min_separation) and 0.0 < min_separation <= 3.0 * math.pi):
         raise ValidationError("min_separation must be in (0, 3*pi]")
 
     coarse = initial_jump_estimates(window, k)
 
     estimates = []
     reports = []
-    for j, x0 in enumerate(coarse):
+    for x0 in coarse:
         if k == 1:
             loc = window
         else:
@@ -471,13 +472,9 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
         n = loc.bandwidth // (d + 2)
         values = _transform(loc, d, n * np.arange(1, d + 3))
         sub = SampleSet(SamplingScheme(n, n, d + 2), tuple(values), 0.0)
-        hint = wrap_angle(-x0)
-        try:
-            node_model, report = decimated_solve(
-                sub, (d + 1,), [hint], base_solver="annihilation", refine=True
-            )
-        except AmbiguousBranchError as exc:
-            raise AmbiguousBranchError(f"branch ambiguity at jump {j}: {exc}") from exc
+        node_model, report = decimated_solve(
+            sub, (d + 1,), [wrap_angle(-x0)], base_solver="annihilation", refine=True
+        )
         x_hat = position_from_node(node_model.nodes[0])
         mags = magnitudes_from_coefficients(node_model.coefficients[0], d)
         estimates.append((x_hat, mags))
@@ -512,9 +509,9 @@ def sup_error_away(
 ) -> float:
     """Max |f - f_hat| on the uniform grid x_j = -pi + 2pi j / grid_size, away
     from the true jumps; both smooth series take one FFT of their difference."""
+    if not (_finite(exclusion_radius) and exclusion_radius > 0):
+        raise ValidationError(f"exclusion radius must be finite and positive, got {_shown(exclusion_radius)}")
     rho = float(exclusion_radius)
-    if not math.isfinite(rho) or rho <= 0:
-        raise ValidationError(f"exclusion radius must be finite and positive, got {rho}")
     n = _integer("grid_size", grid_size, 1)
     grid = -math.pi + TWO_PI * np.arange(n) / n
     keep = np.ones(n, dtype=bool)

@@ -53,10 +53,15 @@ class QuadratureError(SolverError):
     """Adaptive quadrature failed to reach the requested accuracy."""
 
 
+def _finite(value) -> bool:
+    """A real number of finite size: abs(value) <= the largest float, which a NaN fails; not
+    math.isfinite, which overflows on an integer beyond float range and raises on a string."""
+    return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+
+
 def _check_level(value: float, name: str) -> float:
-    """A noise or error level: finite and nonnegative; a NaN, or an integer
-    beyond float range (on which math.isfinite overflows), fails the test."""
-    if not 0 <= value <= sys.float_info.max:
+    """A noise or error level: a finite (_finite) nonnegative number."""
+    if not (_finite(value) and value >= 0):
         raise ValidationError(f"{name} must be finite and nonnegative, got {_shown(value)}")
     return value
 
@@ -239,7 +244,7 @@ class SampleSet:
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
-        object.__setattr__(self, "noise_level", _check_level(float(self.noise_level), "noise_level"))
+        object.__setattr__(self, "noise_level", float(_check_level(self.noise_level, "noise_level")))
         if len(self.values) != self.scheme.count:
             raise ValidationError("values length must equal the scheme count")
         if not all(map(cmath.isfinite, self.values)):

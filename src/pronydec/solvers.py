@@ -10,7 +10,9 @@ selection, then one `_fit_coefficients` fit or `_refine` from the node
 arguments; the public base solvers are its stride-one case (decimate.py).
 `_refine` is variable projection: it iterates on the node arguments only and
 refits the amplitudes at every step with the column-scaled least squares
-`_scaled_lstsq`; `lm_refine` runs it from a caller's model.
+`_scaled_lstsq`; its start, with the amplitudes fitted there, must be a regular
+point at the stride (forward._require_regular).  `lm_refine` runs it from the
+nodes of a caller's model.
 """
 
 from __future__ import annotations
@@ -27,9 +29,8 @@ from .forward import (
     _kernel,
     _model_arrays,
     _moments,
-    _regularity,
+    _require_regular,
     _scheme_ks,
-    regularity_check,
 )
 from .model import (
     PronyModel,
@@ -50,8 +51,6 @@ GRAD_TOL = 1e-10
 _DECREASE_TOL = 1e-13
 STEP_TOL = 1e-12
 MAX_ITERATIONS = 200
-
-_IRREGULAR_START = "initial model is not a regular point at the scheme stride"
 
 #: root clustering is flagged ambiguous when the widest uncut angular gap is
 #: within this fraction of the narrowest cut
@@ -317,15 +316,14 @@ def _damped_step(s, vt, g, lam):
     return -vt.T @ (s / (s * s + lam) * g)
 
 
-def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride=None):
+def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     """lm_refine's iteration from the node-argument array `thetas`: final arguments
     (`thetas` itself if no step is accepted), coefficient tuples, iterations and
-    flags.  With a stride, the fit at `thetas` must be a regular point there."""
+    flags.  The fit at `thetas` must be a regular point at the stride."""
     # first column of each node's block in A
     starts = np.cumsum((0,) + multiplicities[:-1])
     coeffs, residual, projected = _projected_fit(thetas, multiplicities, ks, q)
-    if stride is not None and not _regularity(thetas, abs(coeffs[np.cumsum(multiplicities) - 1]), stride):
-        raise ValidationError(_IRREGULAR_START)
+    _require_regular(thetas, abs(coeffs[np.cumsum(multiplicities) - 1]), stride, "the refinement's start")
     cost = float(residual @ residual)
     lam, nu = 1e-3, 2.0
     iterations = 0
@@ -397,15 +395,15 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     _DECREASE_TOL * ||r||^2: trial costs then differ by rounding alone), when
     the step norm drops below STEP_TOL, when lam exceeds 1e14
     ("damping-saturated") or at the iteration cap MAX_ITERATIONS
-    ("max-iterations").  When no step is accepted, `init` itself is returned
-    unless the coefficients refitted at its nodes give a smaller max-abs residual.
+    ("max-iterations").  The start must be a regular point at the scheme stride
+    with the coefficients refitted at its nodes, as in decimated_solve; init's
+    own coefficients never enter the iteration.  When no step is accepted,
+    `init` itself is returned unless the refit gives a smaller max-abs residual.
     """
-    if not regularity_check(init, samples.scheme.stride):
-        raise ValidationError(_IRREGULAR_START)
     _check_scheme(init.multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
     start = np.array(init.node_args)
-    thetas, coeffs, iterations, flags = _refine(start, init.multiplicities, ks, q)
+    thetas, coeffs, iterations, flags = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
     final = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), init.multiplicities, coeffs)
     max_res = _max_residual(final, ks, q)
     if thetas is start:

@@ -13,7 +13,6 @@ import inspect
 import math
 import numbers
 import os
-import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, asdict, replace
@@ -32,6 +31,7 @@ from .model import (
     ValidationError,
     _assign_nodes,
     _check_level,
+    _finite,
     _integer,
     _loader,
     _shown,
@@ -90,7 +90,7 @@ class SweepConfig:
             raise ValidationError("seed list must be non-empty")
         _check_level(self.noise, "noise level")
         radius = self.exclusion_radius
-        if not (isinstance(radius, numbers.Real) and 0 < radius < math.pi):
+        if not (_finite(radius) and 0 < radius < math.pi):
             # every grid point lies within pi of a jump
             raise ValidationError(f"exclusion_radius must lie in (0, pi), got {_shown(radius)}")
         if self.kind == "fourier-convergence":
@@ -207,8 +207,7 @@ def _check_spec(spec, what: str) -> None:
         annotation = params[key].annotation if key in params else float
         kind = {int: numbers.Integral, complex: numbers.Complex}.get(annotation, numbers.Real)
         if len(items) != (2 if pair else 1) or not all(
-                # abs, not cmath.isfinite, which overflows on an integer beyond float range
-                isinstance(v, kind) and abs(v) <= sys.float_info.max for v in items):
+                isinstance(v, kind) and _finite(abs(v)) for v in items):
             raise ValidationError(f"{what} spec value {key}={_shown(value)} has the wrong type or is not finite")
         if annotation is int:
             _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
@@ -443,14 +442,9 @@ def emit_csv(rows, path, columns) -> None:
 
 
 def emit_timings_csv(timings: dict, path, key_names=("a", "b")) -> None:
-    """Wall-clock sidecar; excluded from the byte-determinism contract."""
-    if not timings:
-        raise ValidationError("refusing to write an empty table")
-    lines = [",".join(key_names) + ",seconds"]
-    for key in sorted(timings):
-        lines.append(",".join(str(k) for k in key) + f",{timings[key]!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """Wall-clock sidecar through emit_csv; excluded from the byte-determinism contract."""
+    columns = (*key_names, "seconds")
+    emit_csv([dict(zip(columns, (*key, timings[key]))) for key in sorted(timings)], path, columns)
 
 
 def _svg_ticks(lo: float, hi: float):

@@ -173,6 +173,23 @@ def test_moments_malformed_scheme_exit_code(tmp_path, model_file):
                "--out", tmp_path / "s.json") == 2
 
 
+def test_solve_scheme_needs_three_parts(tmp_path, capsys, samples_file):
+    assert run("solve", "--samples", samples_file, "--scheme", "0,1", "--structure", "1,1",
+               "--hints", "0.7,-1.1", "--out", tmp_path / "est.json") == 2
+    assert capsys.readouterr().err == "error: scheme must be offset,stride,count\n"
+
+
+def test_solve_lm_from_init(tmp_path, model_file, samples_file):
+    """--init is the command line's route to lm_refine: the refinement starts
+    at the initial model's nodes, with no hints."""
+    est, report = tmp_path / "est.json", tmp_path / "report.json"
+    assert run("solve", "--samples", samples_file, "--structure", "1,1", "--solver", "lm",
+               "--init", model_file, "--out", est, "--report-out", report) == 0
+    rep = load_json(report)
+    assert rep["method"] == "lm" and rep["residual"] < 1e-5
+    assert sorted(load_json(est)["nodes"]) == pytest.approx([-1.1, 0.7], abs=1e-6)
+
+
 def test_solve_malformed_hints_exit_code(tmp_path, samples_file):
     assert run("solve", "--samples", samples_file, "--structure", "1,1",
                "--hints", "a,b", "--out", tmp_path / "est.json") == 2
@@ -365,6 +382,15 @@ def test_sweep_timing_keys_and_plot_axes(tmp_path, config, x_col, y_col):
     plot = svg.read_text()
     assert plot.startswith("<svg")
     assert f">{x_col}</text>" in plot and f">{y_col}</text>" in plot
+
+
+def test_sweep_without_output_paths(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "fixed-count-decimation", "seeds": [0], "p_values": [1],
+                               "count": 8, "model": {"kind": "two-node", "gap": 0.5}}))
+    assert run("sweep", "--config", cfg) == 0
+    assert capsys.readouterr().out == "ran fixed-count-decimation: 2 rows (no output paths given)\n"
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["cfg.json"]
 
 
 def test_sweep_esprit_bound_check_exit_code(tmp_path, capsys):

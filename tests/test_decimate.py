@@ -86,8 +86,10 @@ class TestUndecimateNode:
             with pytest.raises(AmbiguousBranchError):
                 undecimate_node(w, p, midpoint)
 
-    @pytest.mark.parametrize("hint", [math.nan, math.inf])
+    @pytest.mark.parametrize("hint", [
+        math.nan, math.inf, "0.5", pytest.param(10**5000, id="int-past-float-range")])
     def test_nonfinite_hint_rejected(self, hint):
+        # the string raised a bare TypeError and the integer an OverflowError
         with pytest.raises(ValidationError, match="finite"):
             undecimate_node(1.0, 3, hint)
 
@@ -189,8 +191,10 @@ _PAIR = PronyModel([cmath.exp(0.5j), cmath.exp(-1.2j)], [1, 1], [[1.0 + 1j], [2.
     ("lm", (1, 1), None, "the lm solver needs node-argument hints"),
     ("bogus", (1, 1), None,
      "unknown base solver 'bogus'; pick from ('hankel', 'esprit', 'annihilation', 'lm')"),
+    ("esprit", (1,) * 6, None, "need at least 13 samples, got 12"),
+    ("annihilation", (12,), [0.5], "need at least 13 samples, got 12"),
 ], ids=["esprit-multiple-node", "annihilation-two-nodes", "annihilation-no-hint", "lm-no-hints",
-        "unknown-solver"])
+        "unknown-solver", "esprit-too-few-samples", "annihilation-too-few-samples"])
 def test_structural_error_messages(name, mults, hints, message):
     """Each base solver's own structural check, raised through decimated_solve."""
     samples = evaluate_moments(_PAIR, SamplingScheme(0, 1, 12))
@@ -199,14 +203,23 @@ def test_structural_error_messages(name, mults, hints, message):
     assert str(exc.value) == message
 
 
-@pytest.mark.parametrize("hints", ["12", ["0.5", "1.0"], [0.5j, 1.0]],
-                         ids=["string", "numeric-strings", "complex"])
+@pytest.mark.parametrize("hints", ["12", ["0.5", "1.0"], [0.5j, 1.0], 0.7, {0.5: 1, -1.0: 2},
+                                   np.array([[0.5, -1.0]]), [10**5000, 1.0]],
+                         ids=["string", "numeric-strings", "complex", "number", "dict", "2-d-array",
+                              "int-past-float-range"])
 def test_malformed_hints_rejected(hints):
     """The string "12" became the hints 1.0 and 2.0, numeric strings parsed
-    silently and a complex hint raised a bare TypeError."""
+    silently and a complex hint raised a bare TypeError; a bare number raised
+    a bare TypeError, and a dict solved silently through its keys."""
     samples = evaluate_moments(_PAIR, SamplingScheme(0, 1, 12))
     with pytest.raises(ValidationError, match="finite real"):
         decimated_solve(samples, (1, 1), hints)
+
+
+def test_one_hint_per_node():
+    samples = evaluate_moments(_PAIR, SamplingScheme(0, 3, 12))
+    with pytest.raises(ValidationError, match="need one hint per node"):
+        decimated_solve(samples, (1, 1), [0.5])
 
 
 def test_integer_and_numpy_hints_accepted():
@@ -353,6 +366,13 @@ class TestCoeffErrorBound:
         model = PronyModel([cmath.exp(0.2j)], [1], [[2.0]])
         with pytest.raises(ValidationError):
             coeff_error_bound(model, 0, 1, 1e-6, constant=0.0)
+
+    @pytest.mark.parametrize("constant", [math.nan, "2", pytest.param(10**5000, id="int-past-float-range")])
+    def test_constant_must_be_finite_real(self, constant):
+        # the string raised a bare TypeError and the integer an OverflowError
+        model = PronyModel([cmath.exp(0.2j)], [1], [[2.0]])
+        with pytest.raises(ValidationError, match="the bound constant must be finite and positive"):
+            coeff_error_bound(model, 0, 1, 1e-6, constant=constant)
 
 
 class TestCloseNodeImprovement:

@@ -6,6 +6,7 @@ import pytest
 
 from pronydec import (
     PronyModel,
+    RankDeficiencyError,
     SamplingScheme,
     ValidationError,
     add_noise,
@@ -83,6 +84,11 @@ class TestEvaluateMoments:
         m = PronyModel([1.0], [1], [[1.0]])
         with pytest.raises(ValidationError):
             evaluate_moments(m, SamplingScheme(0, 10**7, 2))
+
+    def test_multiplicity_limit_enforced(self):
+        m = PronyModel([1.0], [13], [[1.0] * 13])
+        with pytest.raises(ValidationError, match="multiplicities above 12 are not supported"):
+            evaluate_moments(m, SamplingScheme(0, 1, 30))
 
     def test_real_signal_conjugate_symmetry(self):
         # model induced by real jump data satisfies m_{-k} = conj(m_k)
@@ -205,6 +211,12 @@ class TestConditionEstimate:
         with pytest.raises(ValidationError):
             condition_estimate(m, SamplingScheme(0, 2, 4))
 
+    def test_singular_jacobian_raises(self):
+        # 2e-9 apart: above REGULARITY_TOL, yet the Jacobian is singular to rounding
+        m = PronyModel([cmath.exp(1e-9j), cmath.exp(-1e-9j)], [1, 1], [[1.0], [1.0]])
+        with pytest.raises(RankDeficiencyError, match="Jacobian is numerically singular"):
+            condition_estimate(m, SamplingScheme(0, 1, 4))
+
     def test_grows_as_nodes_approach(self):
         estimates = []
         for delta in (1e-1, 1e-2, 1e-3):
@@ -261,3 +273,7 @@ class TestAddNoise:
     def test_nonfinite_eps_rejected(self, eps):
         with pytest.raises(ValidationError, match="finite"):
             add_noise(self._samples(), eps, 0)
+
+    def test_unknown_distribution_rejected(self):
+        with pytest.raises(ValidationError, match="unknown noise distribution 'uniform'"):
+            add_noise(self._samples(), 1e-3, 0, distribution="uniform")

@@ -67,6 +67,10 @@ class TestPiecewisePolyCoeffs:
         with pytest.raises(ValidationError):
             piecewise_poly_coeffs([0.5], [[1.0]], 0, [0, 1])
 
+    def test_magnitude_rows_match_smoothness(self):
+        with pytest.raises(ValidationError, match=r"magnitudes must have smoothness\+1 rows"):
+            piecewise_poly_coeffs([0.5], [[1.0]], 1, [1, 2])
+
     def test_two_jump_quadrature_oracle(self):
         # integrate the closed-form absorbing polynomial directly, splitting the
         # domain at the jumps so the quadrature never crosses a discontinuity
@@ -205,6 +209,20 @@ class TestCoefficientWindow:
         with pytest.raises(ValidationError, match="finite"):
             CoefficientWindow(coeffs, 2, real_signal=real_signal)
 
+    def test_shape_must_match_bandwidth(self):
+        with pytest.raises(ValidationError, match=r"window needs 2\*bandwidth \+ 1 coefficients"):
+            CoefficientWindow(np.zeros(4), 2)
+
+    def test_real_signal_must_be_conjugate_symmetric(self):
+        with pytest.raises(ValidationError, match="tagged real-signal is not conjugate-symmetric"):
+            CoefficientWindow([1.0, 0.0, 0.0], 1)
+        assert not CoefficientWindow([1.0, 0.0, 0.0], 1, real_signal=False).real_signal
+
+
+def test_random_signal_needs_room_for_the_separation():
+    with pytest.raises(ValidationError, match="cannot place the jumps with that separation"):
+        random_piecewise_signal(0, 5, 0, min_separation=1.5)
+
 
 class TestEckhoffTransform:
     def test_sawtooth_closed_form(self):
@@ -263,6 +281,10 @@ class TestBridgeIdentity:
         back = magnitudes_from_coefficients(model.coefficients[0], 2)
         assert np.max(np.abs(back - mags)) < 1e-14
 
+    def test_magnitude_inverse_needs_d_plus_one_coefficients(self):
+        with pytest.raises(ValidationError, match=r"need d\+1 coefficients"):
+            magnitudes_from_coefficients([1.0], 1)
+
 
 class TestInitialJumpEstimates:
     def test_sawtooth(self):
@@ -319,6 +341,14 @@ class TestMollifier:
     def test_geometry_validated(self):
         with pytest.raises(ValidationError):
             build_mollifier(0.0, 0.2, 0.6, 8)
+
+    @pytest.mark.parametrize("center, half, flat", [
+        (math.nan, 1.0, 0.5), (math.inf, 1.0, 0.5), (0.0, "1.0", 0.5), (0.0, 1.0, "0.5"),
+    ], ids=["nan-center", "inf-center", "string-half-width", "string-flat-half-width"])
+    def test_geometry_must_be_finite_real(self, center, half, flat):
+        # a NaN center gave NaN coefficients, and a string width a bare TypeError
+        with pytest.raises(ValidationError, match="need a finite center"):
+            build_mollifier(center, half, flat, 64)
 
     @pytest.mark.parametrize(
         "half, flat, degree",
@@ -408,6 +438,12 @@ class TestReconstruct:
         result = reconstruct(window, 0, 1, 8.0)
         assert circle_distance(result.jumps[0], math.pi) < 1e-10
         assert abs(result.magnitudes[0][0] + 2 * math.pi) < 1e-8
+
+    @pytest.mark.parametrize("separation", [0.0, 10.0, math.nan, "1.5"])
+    def test_separation_range(self, separation):
+        # the string raised a bare TypeError
+        with pytest.raises(ValidationError, match=r"min_separation must be in \(0, 3\*pi\]"):
+            reconstruct(sawtooth_window(128), 0, 1, separation)
 
     @pytest.mark.parametrize("seed", [344, 748, 1130])
     def test_spurious_root_on_hint_ray(self, seed):
@@ -510,8 +546,10 @@ class TestSupErrorAway:
         with pytest.raises(ValidationError, match="exclusion radius must be finite and positive"):
             sup_error_away(sig, result, 0.0, 64)
 
-    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    @pytest.mark.parametrize("radius", [
+        math.nan, math.inf, "0.1", pytest.param(10**5000, id="int-past-float-range")])
     def test_radius_finite(self, one_jump_case, radius):
+        # float() raised a bare OverflowError on the integer
         sig, result = one_jump_case
         with pytest.raises(ValidationError, match="exclusion radius must be finite and positive"):
             sup_error_away(sig, result, radius, 64)

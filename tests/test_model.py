@@ -69,6 +69,15 @@ class TestPronyModel:
         with pytest.raises(ValidationError):
             PronyModel([], [], [])
 
+    def test_rejects_misaligned_fields(self):
+        with pytest.raises(ValidationError, match="nodes, multiplicities, coefficients must align"):
+            PronyModel([1.0, -1.0], [1], [[1.0]])
+
+    def test_random_model_gives_up_on_impossible_gaps(self):
+        # three gaps of 2.5 exceed the circle
+        with pytest.raises(ValidationError, match="could not place 3 angles with circle gaps >= 2.5"):
+            pd.model._random_model(np.random.default_rng(0), 3, 2.5)
+
     def test_rejects_nan_node(self):
         # abs(abs(nan) - 1) > tol is False, so the unit-modulus test alone lets NaN through
         with pytest.raises(ValidationError):
@@ -118,8 +127,10 @@ class TestSampling:
         with pytest.raises(ValidationError, match="finite"):
             SampleSet(SamplingScheme(0, 1, 8), [1, 2, math.nan, 4, 5, 6, 7, 8])
 
-    @pytest.mark.parametrize("level", [math.nan, math.inf])
+    @pytest.mark.parametrize("level", [
+        math.nan, math.inf, "0.1", pytest.param(10**5000, id="int-past-float-range")])
     def test_sampleset_rejects_nonfinite_noise_level(self, level):
+        # float() parsed the string and overflowed on the integer
         with pytest.raises(ValidationError, match="finite"):
             SampleSet(SamplingScheme(0, 1, 2), [1.0, 2.0], level)
 
@@ -206,6 +217,19 @@ class TestPiecewiseSignal:
     def test_jump_order_enforced(self):
         with pytest.raises(ValidationError):
             PiecewiseSignal(0, [1.0, -1.0], [[1.0, 1.0]], [0.0], 1.0)
+
+    def test_rejects_empty_smooth_part(self):
+        with pytest.raises(ValidationError, match="psi_coeffs must contain at least the mean value"):
+            PiecewiseSignal(0, [0.0], [[1.0]], [], 1.0)
+
+    def test_rejects_no_jumps(self):
+        with pytest.raises(ValidationError, match="at least one jump is required"):
+            PiecewiseSignal(0, [], [[]], [0.0], 1.0)
+
+    def test_rejects_jumps_equal_on_the_circle(self):
+        # strictly increasing, but 1e-17 apart is no distance in float arithmetic
+        with pytest.raises(ValidationError, match="jump positions must be distinct on the circle"):
+            PiecewiseSignal(0, [0.0, 1e-17], [[1.0, 1.0]], [0.0], 1.0)
 
     def test_psi_coeff_conjugate(self):
         sig = PiecewiseSignal(0, [0.0], [[1.0]], [0.0, 0.1 + 0.2j], 1.0)

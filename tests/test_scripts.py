@@ -1,6 +1,7 @@
 """The experiment scripts run end to end in their --quick form."""
 
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -26,3 +27,18 @@ def test_quick_run(tmp_path, script, outputs):
     )
     assert proc.returncode == 0, proc.stderr
     assert sorted(path.name for path in tmp_path.iterdir()) == sorted(outputs)
+
+
+def test_line_reach_smoke():
+    """The tracer runs pytest on one test file and lists the lines it never ran."""
+    root = SCRIPTS.parent
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "line_reach.py"), "tests/test_model.py", "-q", "-p", "no:cacheprovider"],
+        capture_output=True, text=True, timeout=300, cwd=root,
+    )
+    assert proc.returncode == 0, proc.stderr
+    files = re.findall(r"^src/pronydec/(\w+\.py): (\d+) never run: [\d, ]+$", proc.stdout, re.M)
+    total = re.search(r"^never-run lines: (\d+)$", proc.stdout, re.M)
+    assert total and int(total.group(1)) == sum(int(n) for _, n in files)
+    # the model tests never import the command line, and run most of model.py
+    assert "cli.py" in dict(files) and 0 < int(dict(files)["model.py"]) < 100

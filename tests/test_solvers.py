@@ -24,7 +24,8 @@ from pronydec import (
     node_error_bound,
     prony_hankel_solve,
 )
-from pronydec.solvers import _cluster_roots, _damped_step
+from pronydec import solvers
+from pronydec.solvers import _cluster_roots, _damped_step, _project_unit
 from pronydec.sweeps import SweepConfig, run_sweep
 
 
@@ -139,6 +140,11 @@ class TestHankelSolve:
         with pytest.raises(ValidationError):
             prony_hankel_solve(exact_samples(truth, 1), (1,))
 
+    def test_zero_node_estimate_cannot_be_projected(self):
+        # every finder projects its estimates onto the circle through this guard
+        with pytest.raises(SolverError, match="collapsed to zero"):
+            _project_unit(0j)
+
 
 class TestClusterRoots:
     def test_radial_split_grouped(self):
@@ -201,6 +207,11 @@ class TestAnnihilationSolve:
         samples = SampleSet(SamplingScheme(0, 1, 3), values)
         model, _ = annihilation_solve_single(samples, 2, w0)
         assert abs(model.nodes[0] - w0) < 1e-14
+
+    def test_zero_samples_vanish_identically(self):
+        samples = SampleSet(SamplingScheme(0, 1, 2), [0.0, 0.0])
+        with pytest.raises(SolverError, match="annihilation system vanished identically"):
+            annihilation_solve_single(samples, 1, 1.0)
 
     def test_ambiguous_hint(self):
         # with exactly mult+1 samples the solved polynomial is
@@ -315,6 +326,57 @@ class TestLmRefine:
         samples = exact_samples(truth, 6)
         with pytest.raises(ValidationError):
             lm_refine(samples, truth)
+
+    def test_start_judged_by_the_refit(self):
+        # init's own vanishing coefficient was rejected, though the refit at
+        # its nodes is regular; its coefficients never enter the iteration
+        truth, samples = self._truth_and_samples()
+        init = PronyModel(truth.nodes, truth.multiplicities, [[0.0], [2.0]])
+        model, report = lm_refine(samples, init)
+        assert match_estimates(model, truth).max_coeff_error < 1e-10
+        assert report.residual < 1e-12
+
+    def test_irregular_refit_rejected(self):
+        # init's coefficients are regular, the refit's top-order one vanishes
+        truth = PronyModel([1.0], [2], [[1.0, 0.0]])
+        init = PronyModel([1.0], [2], [[1.0, 1.0]])
+        with pytest.raises(ValidationError, match="not a regular point at the scheme stride 1"):
+            lm_refine(exact_samples(truth, 6), init)
+
+    def test_iteration_cap_flags_max_iterations(self, monkeypatch):
+        truth, samples = self._truth_and_samples()
+        perturbed = PronyModel([z * cmath.exp(1e-3j) for z in truth.nodes],
+                               truth.multiplicities, truth.coefficients)
+        monkeypatch.setattr(solvers, "MAX_ITERATIONS", 1)
+        _, report = lm_refine(samples, perturbed)
+        assert report.iterations == 1
+        assert report.flags == ("max-iterations",)
+
+    @pytest.mark.parametrize("trial", ["larger-cost", "merged-nodes"])
+    def test_rejected_trials_saturate_the_damping(self, monkeypatch, trial):
+        # the data's node is a quarter turn (plus 1e-3) from the start's over
+        # four samples, so the fit at the start is small and the damped steps
+        # stay above STEP_TOL until the damping passes 1e14; every trial point
+        # is rejected, by a larger cost or as a merged pair of nodes
+        truth = PronyModel([cmath.exp(1j * (-1.0 + math.pi / 2 + 1e-3))], [1], [[1.0]])
+        start = PronyModel([cmath.exp(-1j)], [1], [[1.0]])
+        fit = solvers._projected_fit
+        calls = []
+
+        def fake(thetas, *args):
+            calls.append(thetas)
+            if len(calls) == 1:
+                return fit(thetas, *args)
+            if trial == "merged-nodes":
+                raise RankDeficiencyError("merged")
+            coeffs, residual, projected = fit(thetas, *args)
+            return coeffs, np.full_like(residual, 1e3), projected
+
+        monkeypatch.setattr(solvers, "_projected_fit", fake)
+        model, report = lm_refine(exact_samples(truth, 4), start)
+        assert report.flags == ("damping-saturated",)
+        assert report.iterations == len(calls) - 1
+        assert model.nodes == start.nodes
 
 
 class TestDampedStep:
@@ -556,8 +618,11 @@ class TestBaseSolversAreDecimatedSolve:
         assert report.residual > 0.05
         assert "large-residual" in report.flags
 
-    @pytest.mark.parametrize("hint", [complex(math.nan, 0.0), complex(math.inf, 0.0)])
+    @pytest.mark.parametrize("hint", [
+        complex(math.nan, 0.0), complex(math.inf, 0.0), "0.7",
+        pytest.param(10**5000, id="int-past-float-range")])
     def test_annihilation_nonfinite_hint_rejected(self, hint):
+        # the string raised a bare TypeError and the integer an OverflowError
         samples = exact_samples(PronyModel([cmath.exp(0.7j)], [1], [[1.0]]), 4)
         with pytest.raises(ValidationError, match="finite"):
             annihilation_solve_single(samples, 1, hint)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -130,6 +132,28 @@ class TestConfig:
         # the message's repr of a 5,001-digit integer raised ValueError
         with pytest.raises(ValidationError, match=field):
             small_fig1_config(**overrides)
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"p_values": []}, "fixed-count-decimation needs p_values"),
+        ({"model": None}, "fixed-count-decimation needs a model spec"),
+        ({"solver": "annihilation"}, "unknown solver 'annihilation'; pick from"),
+        ({"count": 1}, "fixed-count-decimation needs count >= 2"),
+        ({"kind": "fixed-top-index-decimation"}, "fixed-top-index-decimation needs top_index >= 1"),
+        ({"model": {"kind": "three-node"}}, "unknown model spec kind 'three-node'"),
+        ({"exclusion_radius": "0.1"}, "exclusion_radius must lie in"),
+        ({"kind": "fourier-convergence", "m_values": [32, 64, 128]}, "fourier-convergence needs a signal spec"),
+    ], ids=["no-p-values", "no-model", "solver", "count", "top-index", "model-kind", "radius-string",
+            "no-signal"])
+    def test_kind_specific_checks(self, overrides, message):
+        with pytest.raises(ValidationError, match=message):
+            small_fig1_config(**overrides)
+
+    def test_random_model_gives_up_on_unreachable_separation(self):
+        # nodes 1.99 apart at p = 1 are nearly antipodal, so they nearly meet at p = 2
+        cfg = small_fig1_config(seeds=[0], p_values=[1, 2, 3], model={
+            "kind": "random-simple", "num_nodes": 2, "min_stride_separation": 1.99})
+        with pytest.raises(ValidationError, match="could not draw a model"):
+            run_sweep(cfg)
 
     def test_rejects_esprit_bound_check(self):
         # the bound-check count is the square system, 2 per simple node, and
@@ -377,6 +401,42 @@ class TestFourierConvergence:
             assert row[f"mag_error_{l}"] == max(
                 abs(result.magnitudes[l][j] - a) for j, a in zip(best, signal.magnitudes[l]))
 
+
+class TestFailureRows:
+    """A solve that fails becomes a NaN row flagged with its error class; the
+    rows go through the CSV, the audit, the slope fit and the plot as they are."""
+
+    def test_fourier_rows(self, tmp_path):
+        # two jumps at M = 32-34, at reconstruct's 8(d+2)K = 32 floor: 17 of 18
+        # reconstructions fail with a SolverError
+        cfg = SweepConfig(kind="fourier-convergence", seeds=list(range(6)), m_values=[32, 33, 34],
+                          signal={"smoothness": 0, "num_jumps": 2})
+        result = run_sweep(cfg)
+        failed = [r for r in result.rows if r["flags"] == "reconstruction-error:SolverError"]
+        assert len(failed) == 17 and len(result.rows) == 18
+        assert all(math.isnan(r[c]) for r in failed for c in result.columns[2:-1])
+        assert set(result.slopes) == {"jump_error", "mag_error_0", "sup_away"}
+        assert all(math.isnan(s) for s in result.slopes.values())
+        emit_csv(result.rows, tmp_path / "f.csv", result.columns)
+        assert "nan,nan,nan,reconstruction-error:SolverError" in (tmp_path / "f.csv").read_text()
+        assert audit_rows(result, cfg, fraction=1.0) == 6
+        emit_svg(result.rows, tmp_path / "f.svg", "M", "jump_error")  # the one solved row
+
+    def test_decimation_rows(self, tmp_path):
+        # ESPRIT cannot split a 1e-4 gap under 1e-4 noise in 12 samples
+        cfg = small_fig1_config(seeds=[0, 1], solver="esprit", p_values=[1], count=12,
+                                model={"kind": "two-node", "gap": 1e-4})
+        result = run_sweep(cfg)
+        assert [r["flags"] for r in result.rows] == ["solver-error:SolverError"] * 4
+        assert all(r["method"] == "esprit" and r["iterations"] == 0 for r in result.rows)
+        emit_csv(result.rows, tmp_path / "d.csv", result.columns)
+        assert (tmp_path / "d.csv").read_text().splitlines()[1] == (
+            "1,0,0,nan,nan,nan,esprit,0,solver-error:SolverError")
+        assert audit_rows(result, cfg, fraction=1.0) == 2
+        with pytest.raises(ValidationError, match="no plottable points"):
+            emit_svg(result.rows, tmp_path / "d.svg", "p", "error")
+
+
 class TestSlopeFit:
     def test_linear(self):
         assert fit_loglog_slope([(1, 1), (2, 2), (4, 4)]) == pytest.approx(1.0)
@@ -424,6 +484,13 @@ class TestEmission:
         with pytest.raises(ValidationError):
             emit_svg([], tmp_path / "x.svg", "p", "error")
 
+    def test_cell_formats(self, tmp_path):
+        rows = [{"ok": True, "on": np.bool_(False), "n": np.int64(3), "x": np.float32(0.5)}]
+        emit_csv(rows, tmp_path / "cells.csv", ("ok", "on", "n", "x"))
+        assert (tmp_path / "cells.csv").read_text() == "ok,on,n,x\nTrue,False,3,0.5\n"
+        with pytest.raises(ValidationError, match="cannot format cell of type list"):
+            emit_csv([{"a": [1]}], tmp_path / "list.csv", ("a",))
+
     def test_single_row_outputs(self, tmp_path):
         rows = [{"p": 1, "error": 0.5}]
         emit_csv(rows, tmp_path / "one.csv", ("p", "error"))
@@ -447,3 +514,11 @@ class TestEmission:
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "p,seed,seconds"
         assert len(lines) == 1 + len(cfg.p_values)
+
+    def test_timings_sidecar_text(self, tmp_path):
+        # keys sorted and written through str, seconds through repr, as emit_csv writes cells
+        path = tmp_path / "t.csv"
+        emit_timings_csv({(2, 1): 0.5, (1, 3): 1e-07, (10, 0): 3}, path, ("p", "seed"))
+        assert path.read_text() == "p,seed,seconds\n1,3,1e-07\n2,1,0.5\n10,0,3\n"
+        with pytest.raises(ValidationError, match="refusing to write an empty table"):
+            emit_timings_csv({}, tmp_path / "empty.csv", ("p", "seed"))
