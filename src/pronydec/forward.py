@@ -144,7 +144,7 @@ def _regularity(thetas, leads, p: int) -> RegularityReport:
     n = len(powered)
     pairs = [(i, j, abs(powered[i] - powered[j])) for i in range(n) for j in range(i + 1, n)]
     pair_violations = tuple(pair for pair in pairs if pair[2] <= REGULARITY_TOL)
-    coeff_violations = tuple((j, lead) for j, lead in enumerate(leads) if lead <= REGULARITY_TOL)
+    coeff_violations = tuple((j, float(lead)) for j, lead in enumerate(leads) if lead <= REGULARITY_TOL)
     return RegularityReport(
         ok=not pair_violations and not coeff_violations,
         stride=p,
