@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
-from pronydec.sweeps import SweepConfig, emit_csv, emit_svg, run_sweep  # noqa: E402
+from pronydec.sweeps import SweepConfig, emit_csv, emit_svg, emit_timings_csv, run_sweep  # noqa: E402
 
 CONFIGS = {
     (0, 1): {
@@ -66,6 +66,7 @@ def main():
         emit_csv(result.rows, out / f"convergence_{tag}.csv", result.columns)
         emit_svg(result.rows, out / f"convergence_{tag}.svg", "M", "jump_error",
                  title=f"jump error vs bandwidth (d={d}, K={k})")
+        emit_timings_csv(result.timings, out / f"convergence_{tag}_timing.csv", result.columns[:2])
         print(f"d={d} K={k}:")
         expected = {
             "jump_error": -(d + 2),
@@ -76,7 +77,7 @@ def main():
             print(
                 f"  slope[{name}] = {result.slopes[name]:7.3f}   (rate target {expected[name]:+d})"
             )
-    print(f"wrote CSV/SVG under {out}/")
+    print(f"wrote CSV/SVG/timings under {out}/")
 
 
 if __name__ == "__main__":

@@ -8,7 +8,6 @@ Fourier data at the smooth-case accuracy rate.
 
 from .model import (
     AmbiguousBranchError,
-    ErrorBounds,
     MatchResult,
     PiecewiseSignal,
     PronyModel,
@@ -46,7 +45,6 @@ from .decimate import (
     close_node_improvement,
     coeff_error_bound,
     decimated_solve,
-    error_bounds,
     esprit_solve,
     node_error_bound,
     prony_hankel_solve,

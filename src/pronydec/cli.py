@@ -18,8 +18,8 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from . import fourier, sweeps
-from .decimate import close_node_improvement, decimated_solve, error_bounds
-from .forward import add_noise, evaluate_moments
+from .decimate import close_node_improvement, coeff_error_bound, decimated_solve, node_error_bound
+from .forward import add_noise, evaluate_moments, stride_separation
 from .model import (
     PronydecError,
     SampleSet,
@@ -139,16 +139,17 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bounds(args) -> int:
     model = model_from_dict(load_json(args.model))
-    bounds = error_bounds(model, args.t, args.p, args.eps, args.C)
+    node_bounds = node_error_bound(model, args.p, args.eps)
+    coeff_bounds = coeff_error_bound(model, args.t, args.p, args.eps, args.C)
     r = model.unknown_count
     print(f"stride={args.p} offset={args.t} eps={args.eps:.6g} "
-          f"separation={bounds.separation:.6g} unknowns={r}")
+          f"separation={stride_separation(model, args.p):.6g} unknowns={r}")
     print("node  mult  |node error bound|  close-node gain p^-(R+m)")
-    for j, (m, b) in enumerate(zip(model.multiplicities, bounds.node_bounds)):
+    for j, (m, b) in enumerate(zip(model.multiplicities, node_bounds)):
         gain = close_node_improvement(m, r, args.p)
         print(f"{j:4d}  {m:4d}  {b:18.6g}  {gain:.6g}")
     print("node  coeff  |coefficient error bound|")
-    for j, row in enumerate(bounds.coeff_bounds):
+    for j, row in enumerate(coeff_bounds):
         for i, b in enumerate(row):
             print(f"{j:4d}  {i:5d}  {b:25.6g}")
     return 0

@@ -13,11 +13,10 @@ import numbers
 
 import numpy as np
 
-from .forward import _check_scheme, _require_regular, _scheme_ks, stride_separation
+from .forward import _check_scheme, _require_regular, _scheme_ks
 from .model import (
     TWO_PI,
     AmbiguousBranchError,
-    ErrorBounds,
     PronyModel,
     SampleSet,
     SamplingScheme,
@@ -257,14 +256,3 @@ def close_node_improvement(multiplicity: int, unknown_count: int, p: int) -> flo
     """Accuracy gain factor p^-(R + m) when the powered separation scales like p."""
     exponent = _integer("unknown_count", unknown_count) + _integer("multiplicity", multiplicity, 1)
     return float(_integer("stride", p, 1)) ** -exponent
-
-
-def error_bounds(model: PronyModel, t: int, p: int, eps: float, constant: float = 1.0):
-    """Bundle of node and coefficient bounds plus the powered-node separation."""
-    nodes = node_error_bound(model, p, eps)
-    coeffs = coeff_error_bound(model, t, p, eps, constant)
-    return ErrorBounds(
-        node_bounds=tuple(float(b) for b in nodes),
-        coeff_bounds=tuple(tuple(float(b) for b in row) for row in coeffs),
-        separation=stride_separation(model, p),
-    )

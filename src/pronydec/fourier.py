@@ -29,16 +29,15 @@ from .model import (
     SamplingScheme,
     ValidationError,
     _circle_angles,
+    _check_level,
     _finite,
+    _finite_array,
     _integer,
     _shown,
     position_from_node,
     wrap_angle,
 )
 from .solvers import _esprit_nodes
-
-#: conjugate-symmetry tolerance for windows tagged as real signals
-REAL_WINDOW_TOL = 1e-12
 
 #: certified absolute accuracy of each mollifier Fourier coefficient
 QUAD_CERT = 1e-13
@@ -129,17 +128,12 @@ class CoefficientWindow:
 
     coeffs: np.ndarray
     bandwidth: int
-    real_signal: bool = True
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
         self.bandwidth = _integer("bandwidth", self.bandwidth)
+        self.coeffs = _finite_array(self.coeffs, "window coefficients")
         if self.coeffs.shape != (2 * self.bandwidth + 1,):
             raise ValidationError("window needs 2*bandwidth + 1 coefficients")
-        if not np.all(np.isfinite(self.coeffs)):
-            raise ValidationError("window coefficients must be finite")
-        if self.real_signal and not _conjugate_symmetric(self.coeffs):
-            raise ValidationError("window tagged real-signal is not conjugate-symmetric")
         self.coeffs.flags.writeable = False
 
     def coeff(self, k: int) -> complex:
@@ -147,11 +141,6 @@ class CoefficientWindow:
         if abs(k) > self.bandwidth:
             raise ValidationError(f"index {_shown(k)} outside the window bandwidth {self.bandwidth}")
         return complex(self.coeffs[k + self.bandwidth])
-
-
-def _conjugate_symmetric(coeffs: np.ndarray) -> bool:
-    """c_{-k} = conj(c_k) to REAL_WINDOW_TOL, for finite coefficients c_{-M..M}."""
-    return float(np.max(np.abs(coeffs - np.conj(coeffs[::-1])))) <= REAL_WINDOW_TOL
 
 
 def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
@@ -170,7 +159,7 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     smooth[m:m + n + 1] = psi[:n + 1]
     smooth[m - n:m] = psi[n:0:-1].conj()
     coeffs += smooth
-    return CoefficientWindow(coeffs, m, real_signal=True)
+    return CoefficientWindow(coeffs, m)
 
 
 def _series_eval(coeffs: np.ndarray, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -280,7 +269,7 @@ def initial_jump_estimates(window: CoefficientWindow, num_jumps: int):
 
 @dataclass
 class Mollifier:
-    """Smooth bump: 1 on [center-flat, center+flat], 0 outside [center-half, center+half].
+    """Smooth bump about `center`, of the widths build_mollifier was given.
 
     centered_coeffs[n] holds the (real) Fourier coefficient of the bump centered
     at 0; shifting to `center` multiplies coefficient n by exp(-i n center).
@@ -289,8 +278,6 @@ class Mollifier:
     """
 
     center: float
-    half_width: float
-    flat_half_width: float
     degree: int
     centered_coeffs: np.ndarray
     accuracy: float
@@ -346,7 +333,9 @@ def _centered_bump_coeffs(half_width: float, flat_half_width: float, degree: int
 
 
 def build_mollifier(center: float, half_width: float, flat_half_width: float, degree: int) -> Mollifier:
-    """Mollifier with Fourier coefficients up to `degree`.
+    """Mollifier equal to 1 on [center - flat_half_width, center + flat_half_width]
+    and to 0 outside [center - half_width, center + half_width], with Fourier
+    coefficients up to `degree`.
 
     The bump is even about its center, so the centered coefficients are real
     and shifting is an exact phase modulation.  They come from the periodic
@@ -364,14 +353,7 @@ def build_mollifier(center: float, half_width: float, flat_half_width: float, de
         raise ValidationError("need a finite center and 0 < flat_half_width < half_width <= pi")
     degree = _integer("degree", degree)
     coeffs, accuracy = _centered_bump_coeffs(float(half_width), float(flat_half_width), degree)
-    return Mollifier(
-        center=float(center),
-        half_width=float(half_width),
-        flat_half_width=float(flat_half_width),
-        degree=degree,
-        centered_coeffs=coeffs,
-        accuracy=accuracy,
-    )
+    return Mollifier(center=float(center), degree=degree, centered_coeffs=coeffs, accuracy=accuracy)
 
 
 def identity_mollifier(degree: int) -> Mollifier:
@@ -379,7 +361,7 @@ def identity_mollifier(degree: int) -> Mollifier:
     degree = _integer("degree", degree)
     coeffs = np.zeros(degree + 1)
     coeffs[0] = 1.0
-    return Mollifier(0.0, math.pi, math.pi / 2, degree, coeffs, 0.0)
+    return Mollifier(0.0, degree, coeffs, 0.0)
 
 
 def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> CoefficientWindow:
@@ -405,7 +387,7 @@ def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> 
     conv = np.fft.ifft(np.fft.fft(window.coeffs, size) * np.fft.fft(taps, size))
     center = m + moll.degree
     out = conv[center - b: center + b + 1]
-    return CoefficientWindow(out, b, real_signal=window.real_signal)
+    return CoefficientWindow(out, b)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +439,6 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
     coarse = initial_jump_estimates(window, k)
 
     estimates = []
-    reports = []
     for x0 in coarse:
         if k == 1:
             loc = window
@@ -477,11 +458,11 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
         )
         x_hat = position_from_node(node_model.nodes[0])
         mags = magnitudes_from_coefficients(node_model.coefficients[0], d)
-        estimates.append((x_hat, mags))
-        reports.append(report)
+        estimates.append((x_hat, mags, report))
 
-    estimates.sort(key=lambda pair: pair[0])
-    jumps_hat = tuple(x for x, _ in estimates)
+    # a refined position may wrap past -pi, so each report moves with its jump
+    estimates.sort(key=lambda estimate: estimate[0])
+    jumps_hat = tuple(x for x, _, _ in estimates)
     mags_hat = tuple(
         tuple(float(estimates[j][1][l]) for j in range(k)) for l in range(d + 1)
     )
@@ -490,14 +471,13 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
     corrected = np.array(window.coeffs, dtype=complex)
     nonzero = ks != 0
     corrected[nonzero] -= piecewise_poly_coeffs(jumps_hat, mags_hat, d, ks[nonzero])
-    corrected_window = CoefficientWindow(corrected, m, real_signal=window.real_signal)
 
     return ReconstructionResult(
         jumps=jumps_hat,
         magnitudes=mags_hat,
-        corrected=corrected_window,
+        corrected=CoefficientWindow(corrected, m),
         smoothness=d,
-        reports=tuple(reports),
+        reports=tuple(report for _, _, report in estimates),
     )
 
 
@@ -565,11 +545,17 @@ def random_piecewise_signal(
     d = _integer("smoothness", smoothness)
     k = _integer("num_jumps", num_jumps, 1)
     rng = np.random.default_rng(_integer("seed", seed))
+    for name, value in (("min_separation", min_separation), ("psi_decay", psi_decay),
+                        ("higher_magnitude_scale", higher_magnitude_scale)):
+        _check_level(value, name)
+    magnitude_range = _finite_array(base_magnitude_range, "base_magnitude_range", float)
+    if magnitude_range.shape != (2,):
+        raise ValidationError(f"base_magnitude_range must be a pair, got {_shown(base_magnitude_range)}")
     if k * min_separation >= TWO_PI:
         raise ValidationError("cannot place the jumps with that separation")
     jumps = _circle_angles(rng, k, min_separation)
 
-    lo, hi = base_magnitude_range
+    lo, hi = magnitude_range.tolist()
     signs = np.where(rng.random(k) < 0.5, -1.0, 1.0)
     base = signs * rng.uniform(lo, hi, size=k)
     magnitudes = [tuple(float(a) for a in base)]
@@ -619,6 +605,4 @@ def read_window_file(path) -> CoefficientWindow:
         raise ValidationError("window file must cover every k from -M to M exactly once")
     arr = np.empty(len(rows), dtype=complex)
     arr.real, arr.imag = rows["re"][order], rows["im"][order]
-    window = CoefficientWindow(arr, m, real_signal=False)  # checks finiteness first
-    window.real_signal = _conjugate_symmetric(window.coeffs)
-    return window
+    return CoefficientWindow(arr, m)

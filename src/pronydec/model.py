@@ -59,8 +59,31 @@ def _finite(value) -> bool:
     return isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
 
 
+def _finite_array(values, what: str, dtype=complex) -> np.ndarray:
+    """A sequence of numbers of finite size (_finite; complex ones by modulus)
+    as a new 1-d array of `dtype`, complex or float.  The values are checked
+    before they are converted, so a string is never parsed, a complex number
+    never becomes a float and an integer past float range never overflows;
+    any of these is the ValidationError "<what> must be finite"."""
+    kinds, kind_abc = ("biufc", numbers.Complex) if dtype is complex else ("biuf", numbers.Real)
+    try:
+        array = np.asarray(values)
+    except ValueError:  # a ragged nesting, which fails the 1-d test below
+        array = np.empty((0, 0))
+    if array.dtype == object and array.ndim == 1:
+        ok = all(isinstance(v, kind_abc) and _finite(abs(v)) for v in array.tolist())
+    else:
+        ok = array.ndim == 1 and array.dtype.kind in kinds
+    if ok:
+        array = array.astype(dtype)
+        ok = np.isfinite(array).all()
+    if not ok:
+        raise ValidationError(f"{what} must be finite")
+    return array
+
+
 def _check_level(value: float, name: str) -> float:
-    """A noise or error level: a finite (_finite) nonnegative number."""
+    """A noise or error level, a decay, a scale or a gap: a finite (_finite) nonnegative number."""
     if not (_finite(value) and value >= 0):
         raise ValidationError(f"{name} must be finite and nonnegative, got {_shown(value)}")
     return value
@@ -150,9 +173,9 @@ class PronyModel:
     coefficients: tuple
 
     def __post_init__(self):
-        nodes = tuple(complex(z) for z in self.nodes)
+        nodes = tuple(_finite_array(self.nodes, "nodes").tolist())
         mults = tuple(_integer("multiplicities", m, 1) for m in self.multiplicities)
-        coeffs = tuple(tuple(complex(c) for c in row) for row in self.coefficients)
+        coeffs = tuple(tuple(_finite_array(row, "coefficients").tolist()) for row in self.coefficients)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "coefficients", coeffs)
@@ -167,8 +190,6 @@ class PronyModel:
         for m, row in zip(mults, coeffs):
             if len(row) != m:
                 raise ValidationError("coefficient list length must equal the multiplicity")
-            if not all(cmath.isfinite(c) for c in row):
-                raise ValidationError("coefficients must be finite")
 
     @property
     def num_nodes(self) -> int:
@@ -204,7 +225,8 @@ class PronyModel:
 def _random_model(rng, num_nodes: int, min_gap: float) -> PronyModel:
     """Canonical random simple-node model: angles from _circle_angles, then
     per node an amplitude r*exp(i*phi), r uniform on [0.5, 2), phi on [0, 2*pi)."""
-    angles = _circle_angles(rng, _integer("num_nodes", num_nodes, 1), min_gap)
+    count = _integer("num_nodes", num_nodes, 1)
+    angles = _circle_angles(rng, count, _check_level(min_gap, "min_separation"))
     coeffs = tuple(
         (complex(rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, TWO_PI))),)
         for _ in angles
@@ -243,12 +265,10 @@ class SampleSet:
     noise_level: float = 0.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(_finite_array(self.values, "sample values").tolist()))
         object.__setattr__(self, "noise_level", float(_check_level(self.noise_level, "noise_level")))
         if len(self.values) != self.scheme.count:
             raise ValidationError("values length must equal the scheme count")
-        if not all(map(cmath.isfinite, self.values)):
-            raise ValidationError("sample values must be finite")
 
 
 @dataclass(frozen=True)
@@ -275,16 +295,17 @@ class PiecewiseSignal:
 
     def __post_init__(self):
         d = _integer("smoothness", self.smoothness)
-        jumps = tuple(float(x) for x in self.jumps)
-        mags = tuple(tuple(float(a) for a in row) for row in self.magnitudes)
-        psi = tuple(map(complex, self.psi_coeffs))
-        array = np.array(psi, dtype=complex)
+        jumps = tuple(_finite_array(self.jumps, "jump positions", float).tolist())
+        what = "jump magnitudes and smooth-part coefficients"
+        mags = tuple(tuple(_finite_array(row, what, float).tolist()) for row in self.magnitudes)
+        array = _finite_array(self.psi_coeffs, what)
         array.flags.writeable = False
+        psi = tuple(array.tolist())
         object.__setattr__(self, "smoothness", d)
         object.__setattr__(self, "jumps", jumps)
         object.__setattr__(self, "magnitudes", mags)
         object.__setattr__(self, "psi_coeffs", psi)
-        object.__setattr__(self, "psi_decay", float(self.psi_decay))
+        object.__setattr__(self, "psi_decay", float(_check_level(self.psi_decay, "psi_decay")))
         object.__setattr__(self, "_psi_array", array)
         if len(jumps) < 1:
             raise ValidationError("at least one jump is required")
@@ -301,9 +322,6 @@ class PiecewiseSignal:
             raise ValidationError("psi_coeffs must contain at least the mean value")
         if abs(array[0].imag) > 1e-12:
             raise ValidationError("mean coefficient of the smooth part must be real")
-        _check_level(self.psi_decay, "psi_decay")
-        if not (all(math.isfinite(a) for row in mags for a in row) and np.isfinite(array).all()):
-            raise ValidationError("jump magnitudes and smooth-part coefficients must be finite")
         ns = np.arange(1, len(psi), dtype=float)
         over = np.flatnonzero(np.abs(array[1:]) > self.psi_decay * ns ** (-d - 2) * (1 + 1e-9))
         if over.size:
@@ -339,15 +357,6 @@ class PiecewiseSignal:
             return 0.0 + 0.0j
         c = self.psi_coeffs[m]
         return c.conjugate() if n < 0 else c
-
-
-@dataclass(frozen=True)
-class ErrorBounds:
-    """First-order worst-case error bounds for a model at a given scheme."""
-
-    node_bounds: tuple
-    coeff_bounds: tuple
-    separation: float
 
 
 @dataclass(frozen=True)
@@ -447,7 +456,7 @@ def _items(value, name: str, length=None):
 
 def _pair2c(p) -> complex:
     re, im = _items(p, "an [re, im] pair", 2)
-    return complex(float(re), float(im))
+    return complex(re, im)
 
 
 def _loader(load):
@@ -475,7 +484,7 @@ def model_to_dict(model: PronyModel) -> dict:
 @_loader
 def model_from_dict(data: dict) -> PronyModel:
     return PronyModel(
-        tuple(cmath.exp(1j * float(a)) for a in _items(data["nodes"], "nodes")),
+        tuple(cmath.exp(1j * a) for a in _items(data["nodes"], "nodes")),
         tuple(_items(data["multiplicities"], "multiplicities")),
         tuple(tuple(_pair2c(c) for c in _items(row, "a coefficient row"))
               for row in _items(data["coefficients"], "coefficients")),
@@ -504,7 +513,7 @@ def samples_from_dict(data: dict) -> SampleSet:
     return SampleSet(
         scheme_from_dict(data["scheme"]),
         tuple(_pair2c(v) for v in _items(data["values"], "values")),
-        float(data["noise_level"]),
+        data["noise_level"],
     )
 
 
@@ -525,7 +534,7 @@ def signal_from_dict(data: dict) -> PiecewiseSignal:
         tuple(_items(data["jumps"], "jumps")),
         tuple(tuple(_items(row, "a magnitudes row")) for row in _items(data["magnitudes"], "magnitudes")),
         tuple(_pair2c(c) for c in _items(data["psi_coeffs"], "psi_coeffs")),
-        float(data["psi_decay"]),
+        data["psi_decay"],
     )
 
 

@@ -441,7 +441,7 @@ def emit_csv(rows, path, columns) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_timings_csv(timings: dict, path, key_names=("a", "b")) -> None:
+def emit_timings_csv(timings: dict, path, key_names) -> None:
     """Wall-clock sidecar through emit_csv; excluded from the byte-determinism contract."""
     columns = (*key_names, "seconds")
     emit_csv([dict(zip(columns, (*key, timings[key]))) for key in sorted(timings)], path, columns)

@@ -163,6 +163,9 @@ def test_solve_empty_structure_exit_code(tmp_path, model_file, extra):
     ("gen", "model", "--num-nodes", "0"),
     ("gen", "signal", "-K", "0"),
     ("gen", "signal", "--psi-degree", "-1"),
+    ("gen", "model", "--num-nodes", "1", "--min-separation", "nan"),
+    ("gen", "signal", "--min-separation", "nan"),
+    ("gen", "model", "--angles", "0.7", "--coefficients", '[[["1", "0"]]]'),
 ])
 def test_gen_malformed_arguments_exit_code(tmp_path, argv):
     assert run(*argv, "--out", tmp_path / "out.json") == 2

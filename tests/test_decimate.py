@@ -17,7 +17,6 @@ from pronydec import (
     coeff_error_bound,
     confluent_vandermonde_coeffs,
     decimated_solve,
-    error_bounds,
     evaluate_moments,
     lm_refine,
     match_estimates,
@@ -400,11 +399,3 @@ class TestBoundMonotonicity:
                 if prev_bound is not None and report_sep >= prev_sep:
                     assert bound <= prev_bound * (1 + 1e-12)
                 prev_bound, prev_sep = bound, report_sep
-
-    def test_bundle(self):
-        model = PronyModel([cmath.exp(0.2j)], [2], [[1.0, 1.0]])
-        bundle = error_bounds(model, 2, 3, 1e-5)
-        assert bundle.separation == 2.0
-        assert len(bundle.node_bounds) == 1
-        assert len(bundle.coeff_bounds[0]) == 2
-        assert all(b >= 0 for b in bundle.node_bounds)

@@ -192,31 +192,41 @@ class TestPartialSum:
         assert abs(partial_sum(window, math.pi)) < 1e-10
 
     def test_imaginary_residue_within_symmetry_tolerance(self):
-        # each coefficient passes the real-signal symmetry check, yet the
-        # summed imaginary parts reach 4.6e-10; only the real part is returned
+        # coefficients of 4.5e-13j, a rounding-sized asymmetry, sum to an
+        # imaginary part of 4.6e-10 at 0; only the real part is returned
         window = CoefficientWindow(np.full(1025, 0.45e-12j), 512)
-        assert window.real_signal
         assert partial_sum(window, 0.0) == 0.0
 
 
 class TestCoefficientWindow:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
-    @pytest.mark.parametrize("real_signal", [True, False])
-    def test_nonfinite_rejected(self, bad, real_signal):
+    @pytest.mark.parametrize("symmetric", [True, False])
+    def test_nonfinite_rejected(self, bad, symmetric):
+        # a conjugate pair of bad values, or one bad value alone
         coeffs = np.zeros(5, dtype=complex)
         coeffs[1] = bad
-        coeffs[3] = np.conj(bad)
+        coeffs[3] = np.conj(bad) if symmetric else 0.0
         with pytest.raises(ValidationError, match="finite"):
-            CoefficientWindow(coeffs, 2, real_signal=real_signal)
+            CoefficientWindow(coeffs, 2)
 
     def test_shape_must_match_bandwidth(self):
         with pytest.raises(ValidationError, match=r"window needs 2\*bandwidth \+ 1 coefficients"):
             CoefficientWindow(np.zeros(4), 2)
 
-    def test_real_signal_must_be_conjugate_symmetric(self):
-        with pytest.raises(ValidationError, match="tagged real-signal is not conjugate-symmetric"):
-            CoefficientWindow([1.0, 0.0, 0.0], 1)
-        assert not CoefficientWindow([1.0, 0.0, 0.0], 1, real_signal=False).real_signal
+
+@pytest.mark.parametrize("options, match", [
+    ({"min_separation": "1"}, "min_separation must be finite"),
+    ({"min_separation": math.nan}, "min_separation must be finite"),
+    ({"psi_decay": 10**400}, "psi_decay must be finite"),
+    ({"base_magnitude_range": ("2", 4.0)}, "base_magnitude_range must be finite"),
+    ({"base_magnitude_range": (2.0, 3.0, 4.0)}, "base_magnitude_range must be a pair"),
+    ({"higher_magnitude_scale": math.nan}, "higher_magnitude_scale must be finite"),
+], ids=["string-separation", "nan-separation", "huge-decay", "string-magnitude", "three-magnitudes",
+        "nan-scale"])
+def test_random_signal_checks_its_parameters(options, match):
+    # a bare TypeError, ValueError or OverflowError, or (the NaN separation) a signal
+    with pytest.raises(ValidationError, match=match):
+        random_piecewise_signal(1, 1, 0, **options)
 
 
 def test_random_signal_needs_room_for_the_separation():
@@ -404,20 +414,19 @@ class TestLocalize:
         with pytest.raises(ValidationError):
             localize(window, identity_mollifier(64), 32)
 
-    @pytest.mark.parametrize("real_signal", [True, False])
+    @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("m", [64, 1024, 2048])
-    def test_matches_direct_convolution(self, m, real_signal):
-        # np.convolve is the oracle for the FFT product; the non-real window is
-        # the real one turned by a phase, so it is not conjugate-symmetric
+    def test_matches_direct_convolution(self, m, symmetric):
+        # np.convolve is the oracle for the FFT product; the asymmetric window
+        # is the real signal's turned by a phase, so it is not conjugate-symmetric
         sig = random_piecewise_signal(1, 2, seed=m, min_separation=1.6)
         window = signal_coeffs(sig, m)
-        if not real_signal:
-            window = CoefficientWindow(window.coeffs * cmath.exp(0.7j), m, real_signal=False)
+        if not symmetric:
+            window = CoefficientWindow(window.coeffs * cmath.exp(0.7j), m)
         moll = build_mollifier(sig.jumps[0], 0.5, 0.5 / 3, m + m // 2)
         out = localize(window, moll, m // 2)
         center = m + moll.degree
         want = np.convolve(window.coeffs, moll.two_sided())[center - m // 2: center + m // 2 + 1]
-        assert out.real_signal == real_signal
         assert np.max(np.abs(out.coeffs - want)) <= 1e-15
 
     def test_two_jump_localization_isolates(self):
@@ -444,6 +453,23 @@ class TestReconstruct:
         # the string raised a bare TypeError
         with pytest.raises(ValidationError, match=r"min_separation must be in \(0, 3\*pi\]"):
             reconstruct(sawtooth_window(128), 0, 1, separation)
+
+    def test_reports_follow_their_jumps(self, monkeypatch):
+        # the coarse estimate 3.1408 refines to -3.1415, past -pi, so the jumps
+        # change order; each report must stay with the jump its solve found
+        psi = pd.fourier.synthesize_psi(0, 1.0, 512, np.random.default_rng(2))
+        sig = PiecewiseSignal(0, [-math.pi, 0.3], [[3.0, -4.0]], psi, 1.0)
+        hints = {}
+
+        def recording(samples, multiplicities, coarse_node_args, **options):
+            model, report = pd.decimated_solve(samples, multiplicities, coarse_node_args, **options)
+            hints[id(report)] = coarse_node_args[0]
+            return model, report
+
+        monkeypatch.setattr(pd.fourier, "decimated_solve", recording)
+        result = reconstruct(signal_coeffs(sig, 256), 0, 2, 1.5)
+        for x, report in zip(result.jumps, result.reports):
+            assert circle_distance(x, -hints[id(report)]) < 1e-2
 
     @pytest.mark.parametrize("seed", [344, 748, 1130])
     def test_spurious_root_on_hint_ray(self, seed):
@@ -628,7 +654,6 @@ class TestWindowFile:
         write_window_file(window, path)
         back = read_window_file(path)
         assert back.bandwidth == 24
-        assert back.real_signal
         assert np.array_equal(back.coeffs, window.coeffs)
 
     def test_text_is_one_k_re_im_line_per_index(self, tmp_path):
@@ -636,7 +661,7 @@ class TestWindowFile:
         window = signal_coeffs(random_piecewise_signal(1, 2, seed=5), 24)
         coeffs = np.array(window.coeffs)
         coeffs[0], coeffs[-1] = complex(-0.0, 0.0), complex(1e-300, -0.0)
-        window = CoefficientWindow(coeffs, 24, real_signal=False)
+        window = CoefficientWindow(coeffs, 24)
         path = tmp_path / "win.txt"
         write_window_file(window, path)
         want = "".join(
@@ -663,7 +688,6 @@ class TestWindowFile:
         path.write_text("\n-1 0.5 0.25\n\n  \n0 1.0 0.0\n1 0.5 -0.25\n\n")
         window = read_window_file(path)
         assert window.bandwidth == 1
-        assert window.real_signal
         assert np.array_equal(window.coeffs, [0.5 + 0.25j, 1.0, 0.5 - 0.25j])
 
     @pytest.mark.parametrize("line", ["# comment", "0 1.0", "0 1.0 0.0 2.0"])
@@ -721,5 +745,4 @@ class TestWindowFile:
         path.write_text("\n".join(lines) + "\n")
         back = read_window_file(path)
         assert back.bandwidth == 40
-        assert back.real_signal
         assert back.coeffs.tobytes() == window.coeffs.tobytes()

@@ -298,6 +298,29 @@ class TestPiecewiseSignal:
             signal_from_dict(json.loads(json.dumps(data)))
 
 
+_HUGE = 10**5000  # an integer past float range
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SampleSet(SamplingScheme(0, 1, 1), ["1"]), "sample values must be finite"),
+    (lambda: SampleSet(SamplingScheme(0, 1, 1), [_HUGE]), "sample values must be finite"),
+    (lambda: PronyModel(["1"], [1], [[1.0]]), "nodes must be finite"),
+    (lambda: PronyModel([1.0], [1], [[_HUGE]]), "coefficients must be finite"),
+    (lambda: PiecewiseSignal(0, ["0.5"], [[1.0]], [0.1], 1.0), "jump positions must be finite"),
+    (lambda: PiecewiseSignal(0, [0.5], [["1"]], [0.1], 1.0),
+     "jump magnitudes and smooth-part coefficients must be finite"),
+    (lambda: PiecewiseSignal(0, [0.5], [[1.0]], [0.1], _HUGE), "psi_decay must be finite"),
+    (lambda: pd.CoefficientWindow(["1", "0", "1"], 1), "window coefficients must be finite"),
+    (lambda: pd.CoefficientWindow([_HUGE, 0, 0], 1), "window coefficients must be finite"),
+], ids=["samples-string", "samples-huge", "model-string", "model-huge", "signal-string-jump",
+        "signal-string-magnitude", "signal-huge-decay", "window-string", "window-huge"])
+def test_values_checked_before_conversion(build, match):
+    """A string was parsed (or accepted) and an integer past float range
+    raised a bare OverflowError."""
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
 class TestSerialization:
     def test_model_roundtrip_exact(self):
         m = PronyModel(
@@ -390,15 +413,30 @@ class TestMalformedData:
                              "values": [[1.0, 0.0]], "noise_level": 0.0},
          "offset must be an integer >= 0, got inf"),
         (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
-                             "values": [[1.0, 0.0]], "noise_level": 10**400}, "OverflowError"),
+                             "values": [[1.0, 0.0]], "noise_level": 10**400},
+         "noise_level must be finite and nonnegative"),
         (signal_from_dict, {**SIGNAL_DICT, "smoothness": -math.inf},
          "smoothness must be an integer >= 0, got -inf"),
     ], ids=[f"{load}-data{i}" for i, load in enumerate(
         ["model_from_dict"] * 2 + ["samples_from_dict"] * 2 + ["signal_from_dict"])])
     def test_out_of_range_number(self, load, data, match):
         """An infinite integer field or an integer beyond float range raised
-        OverflowError past the loader."""
+        OverflowError past the loader; the noise level is the constructor's to check."""
         with pytest.raises(ValidationError, match=match):
+            load(data)
+
+    @pytest.mark.parametrize("load, data", [
+        (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
+                             "values": [[1.0, 0.0]], "noise_level": "0.1"}),
+        (samples_from_dict, {"scheme": {"offset": 0, "stride": 1, "count": 1},
+                             "values": [["1", "0"]], "noise_level": 0.1}),
+        (model_from_dict, {"nodes": ["0.5"], "multiplicities": [1], "coefficients": [[[1.0, 0.0]]]}),
+        (signal_from_dict, {**SIGNAL_DICT, "psi_decay": "1.0"}),
+        (signal_from_dict, {**SIGNAL_DICT, "jumps": ["0.5"]}),
+    ], ids=["noise-level", "value-pair", "node-angle", "psi-decay", "jump"])
+    def test_string_numbers_rejected(self, load, data):
+        """float() in the loaders parsed these strings."""
+        with pytest.raises(ValidationError):
             load(data)
 
     def test_signal_reference_loads(self):

@@ -16,8 +16,8 @@ SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
         for suffix in (".csv", ".svg", "_timing.csv")
     ]),
     ("run_fourier_convergence.py", [
-        f"convergence_d{d}_K{k}.{ext}" for d, k in ((0, 1), (1, 2), (2, 1))
-        for ext in ("csv", "svg")
+        f"convergence_d{d}_K{k}{suffix}" for d, k in ((0, 1), (1, 2), (2, 1))
+        for suffix in (".csv", ".svg", "_timing.csv")
     ]),
 ])
 def test_quick_run(tmp_path, script, outputs):
