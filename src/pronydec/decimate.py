@@ -101,7 +101,7 @@ def decimated_solve(
     if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
     _check_scheme(multiplicities, samples.scheme)
-    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+    ks, q = _scheme_ks(samples.scheme), samples._array
 
     finder = _FINDERS.get(base_solver)
     if finder is None:
@@ -141,7 +141,7 @@ def decimated_solve(
 
 def _positional(samples: SampleSet) -> SampleSet:
     """The same values and noise level on the position index s = 0..count-1."""
-    return SampleSet(SamplingScheme(0, 1, samples.scheme.count), samples.values, samples.noise_level)
+    return SampleSet(SamplingScheme(0, 1, samples.scheme.count), samples._array, samples.noise_level)
 
 
 def prony_hankel_solve(samples: SampleSet, multiplicities):

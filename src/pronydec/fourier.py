@@ -522,6 +522,7 @@ def sup_error_away(
 def synthesize_psi(smoothness: int, decay: float, degree: int, rng) -> tuple:
     """Smooth-part coefficients r_n * n^(-d-2) * exp(i phi_n) with random
     amplitudes r_n in [0, decay) and phases, plus a random real mean."""
+    _check_level(decay, "decay")
     d, degree = _integer("smoothness", smoothness), _integer("psi_degree", degree)
     coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
     for n in range(1, degree + 1):

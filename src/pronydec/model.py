@@ -175,7 +175,14 @@ class PronyModel:
     def __post_init__(self):
         nodes = tuple(_finite_array(self.nodes, "nodes").tolist())
         mults = tuple(_integer("multiplicities", m, 1) for m in self.multiplicities)
-        coeffs = tuple(tuple(_finite_array(row, "coefficients").tolist()) for row in self.coefficients)
+        rows = tuple(self.coefficients)
+        try:  # one check for all rows; a row that is not 1-d, or strings beside numbers, fail it
+            flat = np.concatenate(rows) if rows else ()
+        except (ValueError, TypeError):
+            flat = None
+        flat = _finite_array(flat, "coefficients").tolist()
+        ends = list(itertools.accumulate(map(len, rows)))
+        coeffs = tuple(tuple(flat[a:b]) for a, b in zip([0] + ends, ends))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "coefficients", coeffs)
@@ -258,14 +265,23 @@ class SamplingScheme:
 
 @dataclass(frozen=True)
 class SampleSet:
-    """Complex measurement values bound to a sampling scheme."""
+    """Complex measurement values bound to a sampling scheme.
+
+    values stays a tuple (equality, hash, JSON); _array holds the same values
+    as a read-only complex array for the solvers, and takes no part in
+    equality, hash or repr (as PiecewiseSignal._psi_array).
+    """
 
     scheme: SamplingScheme
     values: tuple
     noise_level: float = 0.0
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", tuple(_finite_array(self.values, "sample values").tolist()))
+        array = _finite_array(self.values, "sample values")
+        array.flags.writeable = False
+        object.__setattr__(self, "values", tuple(array.tolist()))
+        object.__setattr__(self, "_array", array)
         object.__setattr__(self, "noise_level", float(_check_level(self.noise_level, "noise_level")))
         if len(self.values) != self.scheme.count:
             raise ValidationError("values length must equal the scheme count")

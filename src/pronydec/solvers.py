@@ -8,16 +8,21 @@ structural ValidationError (`lm`'s finder returns the hints).
 decimate.decimated_solve is the one pipeline that runs them: finder, branch
 selection, then one `_fit_coefficients` fit or `_refine` from the node
 arguments; the public base solvers are its stride-one case (decimate.py).
-`_refine` is variable projection: it iterates on the node arguments only and
-refits the amplitudes at every step with the column-scaled least squares
-`_scaled_lstsq`; its start, with the amplitudes fitted there, must be a regular
-point at the stride (forward._require_regular).  `lm_refine` runs it from the
-nodes of a caller's model.
+`_refine` is variable projection: it iterates on the node arguments only, and
+each trial point is one R-only QR of [A | D | q], the amplitude basis, its
+theta-derivative and the data (`_trial`), whose small triangle gives the rank
+test, the amplitudes, the cost and the factored Jacobian (`_kaufman`).  `_column_scale` is the one home of the
+power-of-two column scale (it serves `_fit_coefficients` too), and
+`_full_rank_lstsq` of the rank test.  The refinement's start, with the
+amplitudes fitted there, must be a regular point at the stride
+(forward._require_regular).  `lm_refine` runs it from the nodes of a caller's
+model.
 """
 
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -74,7 +79,7 @@ def _max_residual(model: PronyModel, ks: np.ndarray, q: np.ndarray) -> float:
 def max_residual(model: PronyModel, samples: SampleSet) -> float:
     """max_k |m_k(model) - value_k| over the sample scheme."""
     _check_scheme(model.multiplicities, samples.scheme)
-    return _max_residual(model, _scheme_ks(samples.scheme), np.asarray(samples.values))
+    return _max_residual(model, _scheme_ks(samples.scheme), samples._array)
 
 
 def _project_unit(w: complex) -> complex:
@@ -86,8 +91,8 @@ def _project_unit(w: complex) -> complex:
 
 def _split(flat, multiplicities) -> tuple:
     """Per-node coefficient tuples from a flat coefficient vector."""
-    parts = np.split(flat, np.cumsum(multiplicities)[:-1])
-    return tuple(tuple(complex(c) for c in part) for part in parts)
+    values, ends = flat.tolist(), list(itertools.accumulate(multiplicities))
+    return tuple(tuple(values[a:b]) for a, b in zip([0] + ends, ends))
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +105,10 @@ def _multiplicities(multiplicities) -> tuple:
     if not mults:
         raise ValidationError("multiplicities must be non-empty")
     return mults
+
+
+#: the rank test's message for an amplitude basis
+_ALIASED = "coefficient basis is numerically rank-deficient (aliased nodes?)"
 
 
 def _full_rank_lstsq(matrix, rhs, message):
@@ -115,26 +124,23 @@ def _full_rank_lstsq(matrix, rhs, message):
     return solution
 
 
-def _scaled_lstsq(matrix, rhs):
-    """Least-squares solution of matrix @ x = rhs for one right-hand side or a
-    matrix of them.  Each column of the matrix is divided by the power of two
-    nearest its norm (exact in floating point), so the rank test sees the
-    nodes' conditioning, not the k^l growth of the columns."""
-    scale = np.exp2(np.round(np.log2(np.linalg.norm(matrix, axis=0))))
-    solution = _full_rank_lstsq(
-        matrix / scale,
-        rhs,
-        "coefficient basis is numerically rank-deficient (aliased nodes?)",
-    )
-    return (solution.T / scale).T
+def _column_scale(multiplicities, ks: np.ndarray) -> np.ndarray:
+    """The power of two nearest the norm of each column z^k k^l of the amplitude
+    basis A.  |z^k k^l| = k^l on the unit circle, so the scale does not depend
+    on the nodes, and dividing by it is exact in floating point: the rank test
+    on A / scale sees the nodes' conditioning, not the k^l growth of the columns."""
+    powers = [l for m in multiplicities for l in range(m)]
+    return np.exp2(np.round(np.log2(np.linalg.norm(ks[:, None] ** powers, axis=0))))
 
 
 def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
-    """Least-squares amplitudes on columns z^k k^l (see `_scaled_lstsq`)."""
+    """Least-squares amplitudes on columns z^k k^l, solved on the columns
+    divided by `_column_scale` and rank-tested there."""
     if len(ks) < sum(multiplicities):
         raise ValidationError("need at least as many samples as coefficients")
-    solution = _scaled_lstsq(_kernel([cmath.phase(z) for z in nodes], multiplicities, ks), q)
-    return _split(solution, multiplicities)
+    scale = _column_scale(multiplicities, ks)
+    matrix = _kernel([cmath.phase(z) for z in nodes], multiplicities, ks) / scale
+    return _split(_full_rank_lstsq(matrix, q, _ALIASED) / scale, multiplicities)
 
 
 def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
@@ -146,7 +152,7 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
     mults = _multiplicities(multiplicities)
     if len(nodes) != len(mults):
         raise ValidationError("need one multiplicity per node")
-    return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), np.asarray(samples.values))
+    return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), samples._array)
 
 
 # ---------------------------------------------------------------------------
@@ -298,17 +304,33 @@ BASE_SOLVERS = tuple(_FINDERS)
 # Levenberg-Marquardt refinement by variable projection
 # ---------------------------------------------------------------------------
 
-def _projected_fit(thetas, multiplicities, ks: np.ndarray, q: np.ndarray):
-    """At node arguments `thetas`, with A = [z_j^k k^l] and its derivative
-    columns D = i k A (d/dtheta of each column): the coefficients c, the
-    residual A c - q as one real vector (Re, Im), and D projected off the
-    range of A, D - A A^+ D.  One `_scaled_lstsq` solve serves q and D."""
+def _trial(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, scale: np.ndarray):
+    """lm_refine's trial point at node arguments `thetas`: the triangle R of
+    [A | D | q] (R-only QR, D = i k A), the coefficients from R11 / scale and
+    R[:L, -1] after `_full_rank_lstsq`'s rank test, and the cost ||R[L:, -1]||^2."""
+    width = len(scale)
     matrix = _kernel(thetas, multiplicities, ks)
-    deriv = 1j * ks[:, None] * matrix
-    solution = _scaled_lstsq(matrix, np.column_stack([q, deriv]))
-    coeffs = solution[:, 0]
-    diff = matrix @ coeffs - q
-    return coeffs, np.concatenate([diff.real, diff.imag]), deriv - matrix @ solution[:, 1:]
+    r = np.linalg.qr(np.concatenate([matrix, 1j * ks[:, None] * matrix, q[:, None]], axis=1), mode="r")
+    coeffs = _full_rank_lstsq(r[:width, :width] / scale, r[:width, -1], _ALIASED) / scale
+    tail = r[width:, -1]
+    return r, coeffs, float(np.vdot(tail, tail).real)
+
+
+def _kaufman(r, coeffs, starts):
+    """(column norms, s, V^T, g) of the column-scaled Kaufman Jacobian
+    J_s = U diag(s) V^T at a trial point, g = U^T r, from its triangle
+    (`_trial`): P D = Q2 R22, so J's real embedding is an orthonormal map times
+    [Re M; Im M] with M = R22 c summed per node, and the residual r = A c - q
+    has the Q2 coordinates -R[L:2L, -1] (lm_refine)."""
+    width = len(coeffs)
+    rows = r[width:2 * width]
+    kaufman = np.add.reduceat(rows[:, width:2 * width] * coeffs, starts, axis=1)
+    jac = np.concatenate([kaufman.real, kaufman.imag])
+    col_norms = np.linalg.norm(jac, axis=0)
+    col_norms[col_norms == 0] = 1.0
+    u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
+    t = rows[:, -1]
+    return col_norms, s, vt, -(u.T @ np.concatenate([t.real, t.imag]))
 
 
 def _damped_step(s, vt, g, lam):
@@ -320,11 +342,12 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     """lm_refine's iteration from the node-argument array `thetas`: final arguments
     (`thetas` itself if no step is accepted), coefficient tuples, iterations and
     flags.  The fit at `thetas` must be a regular point at the stride."""
-    # first column of each node's block in A
-    starts = np.cumsum((0,) + multiplicities[:-1])
-    coeffs, residual, projected = _projected_fit(thetas, multiplicities, ks, q)
-    _require_regular(thetas, abs(coeffs[np.cumsum(multiplicities) - 1]), stride, "the refinement's start")
-    cost = float(residual @ residual)
+    scale = _column_scale(multiplicities, ks)
+    # one past the last column of each node's block in A, and the first
+    ends = list(itertools.accumulate(multiplicities))
+    starts = [0] + ends[:-1]
+    r, coeffs, cost = _trial(thetas, multiplicities, ks, q, scale)
+    _require_regular(thetas, abs(coeffs[[e - 1 for e in ends]]), stride, "the refinement's start")
     lam, nu = 1e-3, 2.0
     iterations = 0
     factored = False
@@ -333,13 +356,7 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     while iterations < MAX_ITERATIONS:
         iterations += 1
         if not factored:
-            # P (dA/dtheta_j) c sums node j's projected columns times its coefficients
-            kaufman = np.add.reduceat(projected * coeffs, starts, axis=1)
-            jac = np.concatenate([kaufman.real, kaufman.imag])
-            col_norms = np.linalg.norm(jac, axis=0)
-            col_norms[col_norms == 0] = 1.0
-            u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
-            g = u.T @ residual
+            col_norms, s, vt, g = _kaufman(r, coeffs, starts)
             factored = True
             if (np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost)
                     or g @ g <= _DECREASE_TOL * cost):
@@ -349,15 +366,15 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
             break
         trial_thetas = thetas + step
         try:
-            trial = _projected_fit(trial_thetas, multiplicities, ks, q)
-            trial_cost = float(trial[1] @ trial[1])
+            trial = _trial(trial_thetas, multiplicities, ks, q, scale)
+            trial_cost = trial[2]
         except RankDeficiencyError:  # the step merged two nodes
             trial_cost = math.inf
         if trial_cost < cost:
             # predicted decrease sum g^2 (1 - t^2), t = lam / (s^2 + lam), as (1 - t)(1 + t)
             fit = s * s / (s * s + lam)
             rho = (cost - trial_cost) / float(np.sum(g * g * fit * (2.0 - fit)))
-            thetas, (coeffs, residual, projected), cost = trial_thetas, trial, trial_cost
+            thetas, (r, coeffs, cost) = trial_thetas, trial
             lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
             nu = 2.0
             factored = False
@@ -382,10 +399,19 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     1973).  The Jacobian is Kaufman's (BIT 15, 1975): column j is
     P (dA/dtheta_j) c with P = I - A A^+ the projector off the range of A and
     d(z^k k^l)/dtheta = i k z^k k^l.  Each trial point costs one kernel and
-    one least-squares solve, for q and D = dA/dtheta together, so an accepted
-    point forms P D c with no further solve.  At the start and after each
-    accepted step the column-scaled Jacobian J_s = U S V^T is factored once;
-    the damped step for any damping lam is -V (S / (S^2 + lam)) U^T r.  The
+    one R-only QR of the n x (2L + 1) matrix [A | D | q] (O'Leary & Rust,
+    Comput. Optim. Appl. 54, 2013), L = sum of the multiplicities and
+    D = dA/dtheta.  The triangle R holds all the iteration needs: the rank
+    test on the singular values of R11 / scale, R11 = R[:L, :L], which are
+    those of A / scale for the power-of-two column scale (column scaling
+    commutes with QR, and the scale is fixed for the solve: |z^k k^l| = k^l
+    does not depend on theta); the coefficients, from R11 and R[:L, -1]; the
+    cost ||R[L:, -1]||^2; and, since P D = Q2 R22, the Jacobian as an
+    orthonormal map times a small 2L-row matrix.  At the start and after each
+    accepted step that small matrix, column-scaled, is factored once as
+    J_s = U S V^T, with g = U^T r read from R[L:2L, -1] and the n-row U never
+    formed; the damped step for any damping lam is -V (S / (S^2 + lam)) g.
+    With fewer than 2L + 1 samples R has fewer rows, and so do R22 and g.  The
     damping follows Nielsen's gain-ratio rule (Madsen, Nielsen & Tingleff
     2004, section 3.2): with rho the actual over the predicted cost decrease,
     an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
@@ -401,7 +427,7 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     `init` itself is returned unless the refit gives a smaller max-abs residual.
     """
     _check_scheme(init.multiplicities, samples.scheme)
-    ks, q = _scheme_ks(samples.scheme), np.asarray(samples.values, dtype=complex)
+    ks, q = _scheme_ks(samples.scheme), samples._array
     start = np.array(init.node_args)
     thetas, coeffs, iterations, flags = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
     final = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), init.multiplicities, coeffs)

@@ -238,9 +238,11 @@ def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
     so different strides see identical perturbations on shared indices.
 
     Returns the sorted union of indices and the noise value at each."""
-    union = np.unique(np.concatenate([
-        p * np.arange(_count_for_stride(config, p, truth)) for p in config.p_values
-    ]))
+    stops = [p * _count_for_stride(config, p, truth) for p in config.p_values]
+    mask = np.zeros(max(stops), dtype=bool)
+    for p, stop in zip(config.p_values, stops):
+        mask[:stop:p] = True
+    union = np.flatnonzero(mask)
     rng = np.random.default_rng([seed, 0x0D15C])
     u = rng.random((len(union), 2))
     eta = config.noise * np.sqrt(u[:, 0]) * np.exp(1j * TWO_PI * u[:, 1])
@@ -260,7 +262,7 @@ def _decimation_task(config: SweepConfig, seed: int):
         _check_scheme(truth.multiplicities, scheme)
         ks = _scheme_ks(scheme)
         q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
-        samples = SampleSet(scheme, tuple(q), config.noise)
+        samples = SampleSet(scheme, q, config.noise)
 
         start = time.perf_counter()
         try:

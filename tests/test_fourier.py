@@ -229,6 +229,13 @@ def test_random_signal_checks_its_parameters(options, match):
         random_piecewise_signal(1, 1, 0, **options)
 
 
+@pytest.mark.parametrize("decay", [10**400, "1", math.nan], ids=["int-past-float-range", "string", "nan"])
+def test_synthesize_psi_checks_its_decay(decay):
+    # a bare OverflowError, a bare TypeError, or NaN coefficients
+    with pytest.raises(ValidationError, match="decay must be finite and nonnegative"):
+        pd.fourier.synthesize_psi(0, decay, 8, np.random.default_rng(0))
+
+
 def test_random_signal_needs_room_for_the_separation():
     with pytest.raises(ValidationError, match="cannot place the jumps with that separation"):
         random_piecewise_signal(0, 5, 0, min_separation=1.5)

@@ -69,6 +69,14 @@ class TestPronyModel:
         with pytest.raises(ValidationError):
             PronyModel([], [], [])
 
+    @pytest.mark.parametrize("rows", [
+        [5.0], ["12"], [[[1.0]]], [{1.0: 2.0}], [np.float64(1.0)], [[1.0], [[1.0]]], [[1.0], ["1"]],
+    ], ids=["number", "string", "2-d", "dict", "0-d-array", "ragged", "string-beside-number"])
+    def test_rejects_rows_that_are_not_number_lists(self, rows):
+        nodes = [1.0, -1.0][:len(rows)]
+        with pytest.raises(ValidationError, match="coefficients must be finite"):
+            PronyModel(nodes, [1] * len(rows), rows)
+
     def test_rejects_misaligned_fields(self):
         with pytest.raises(ValidationError, match="nodes, multiplicities, coefficients must align"):
             PronyModel([1.0, -1.0], [1], [[1.0]])
@@ -133,6 +141,28 @@ class TestSampling:
         # float() parsed the string and overflowed on the integer
         with pytest.raises(ValidationError, match="finite"):
             SampleSet(SamplingScheme(0, 1, 2), [1.0, 2.0], level)
+
+    def test_sampleset_array_is_read_only_copy_of_values(self):
+        q = np.array([1.0, 2.0 - 1.0j, 0.5j])
+        samples = SampleSet(SamplingScheme(0, 1, 3), q, 0.1)
+        assert isinstance(samples.values, tuple)
+        assert samples._array.dtype == complex
+        assert samples._array.tolist() == list(samples.values) == q.tolist()
+        assert samples._array is not q
+        q[0] = 7.0  # the caller's array is not shared
+        assert samples.values[0] == 1.0 and samples._array[0] == 1.0
+        with pytest.raises(ValueError):
+            samples._array[0] = 1.0
+
+    def test_sampleset_array_outside_equality_hash_and_repr(self):
+        a = SampleSet(SamplingScheme(0, 2, 2), np.array([1.0, 0.5j]), 0.1)
+        b = SampleSet(SamplingScheme(0, 2, 2), (1.0, 0.5j), 0.1)
+        assert a._array is not b._array
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b)
+        assert "_array" not in repr(a) and "array" not in repr(a)
+        assert repr(a).endswith("values=((1+0j), 0.5j), noise_level=0.1)")
+        assert a != SampleSet(SamplingScheme(0, 2, 2), (1.0, 0.25j), 0.1)
 
     def test_sampleset_length_check(self):
         with pytest.raises(ValidationError):
@@ -221,6 +251,11 @@ class TestPiecewiseSignal:
     def test_rejects_empty_smooth_part(self):
         with pytest.raises(ValidationError, match="psi_coeffs must contain at least the mean value"):
             PiecewiseSignal(0, [0.0], [[1.0]], [], 1.0)
+
+    @pytest.mark.parametrize("x", [math.pi, -4.0])
+    def test_rejects_jumps_outside_the_period(self, x):
+        with pytest.raises(ValidationError, match=r"jump positions must lie in \[-pi, pi\)"):
+            PiecewiseSignal(0, [x], [[1.0]], [0.0], 1.0)
 
     def test_rejects_no_jumps(self):
         with pytest.raises(ValidationError, match="at least one jump is required"):

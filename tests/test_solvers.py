@@ -360,7 +360,7 @@ class TestLmRefine:
         # is rejected, by a larger cost or as a merged pair of nodes
         truth = PronyModel([cmath.exp(1j * (-1.0 + math.pi / 2 + 1e-3))], [1], [[1.0]])
         start = PronyModel([cmath.exp(-1j)], [1], [[1.0]])
-        fit = solvers._projected_fit
+        fit = solvers._trial
         calls = []
 
         def fake(thetas, *args):
@@ -369,14 +369,76 @@ class TestLmRefine:
                 return fit(thetas, *args)
             if trial == "merged-nodes":
                 raise RankDeficiencyError("merged")
-            coeffs, residual, projected = fit(thetas, *args)
-            return coeffs, np.full_like(residual, 1e3), projected
+            r, coeffs, cost = fit(thetas, *args)
+            return r, coeffs, 1e3
 
-        monkeypatch.setattr(solvers, "_projected_fit", fake)
+        monkeypatch.setattr(solvers, "_trial", fake)
         model, report = lm_refine(exact_samples(truth, 4), start)
         assert report.flags == ("damping-saturated",)
         assert report.iterations == len(calls) - 1
         assert model.nodes == start.nodes
+
+
+class TestTriangle:
+    """`_trial` and `_kaufman` read the fit and the factored Jacobian from the
+    small triangle of [A | D | q]; the oracles are the dense formulas."""
+
+    @staticmethod
+    def _draw(rng):
+        """Node arguments 0.3 apart at the stride, the data's nodes 1e-3 from
+        them, multiplicities 1-3, strides 1-32, counts from L to 2200."""
+        k = int(rng.integers(1, 4))
+        mults = tuple(int(m) for m in rng.integers(1, 4, size=k))
+        stride = int(rng.integers(1, 33))
+        while True:
+            thetas = rng.uniform(-math.pi, math.pi, size=k)
+            powered = np.exp(1j * stride * thetas)
+            if k == 1 or min(abs(a - b) for i, a in enumerate(powered) for b in powered[i + 1:]) > 0.3:
+                break
+        count = int(np.exp(rng.uniform(math.log(sum(mults)), math.log(2200))))
+        ks = stride + stride * np.arange(count, dtype=float)
+        coeffs = rng.normal(size=sum(mults)) + 1j * rng.normal(size=sum(mults))
+        q = solvers._kernel(thetas + 1e-3 * rng.normal(size=k), mults, ks) @ coeffs
+        return thetas, mults, ks, q + 1e-3 * (rng.normal(size=count) + 1j * rng.normal(size=count))
+
+    def test_matches_dense_formulas(self):
+        rng = np.random.default_rng(23)
+        shapes = set()
+        for _ in range(60):
+            thetas, mults, ks, q = self._draw(rng)
+            width, count = sum(mults), len(ks)
+            shapes.add((count < 2 * width + 1, len(mults) > 1))
+            scale = solvers._column_scale(mults, ks)
+            starts = np.cumsum((0,) + mults[:-1])
+            r, coeffs, cost = solvers._trial(thetas, mults, ks, q, scale)
+            col_norms, s, vt, g = solvers._kaufman(r, coeffs, starts)
+
+            a_s = solvers._kernel(thetas, mults, ks) / scale
+            d_s = 1j * ks[:, None] * a_s
+            dense, *_ = np.linalg.lstsq(a_s, q, rcond=None)
+            residual = a_s @ dense - q
+            assert np.allclose(coeffs * scale, dense, rtol=0, atol=1e-9 * np.linalg.norm(dense))
+            assert cost == pytest.approx(np.vdot(residual, residual).real, rel=1e-8, abs=1e-20)
+            if count == width:  # interpolation: P = 0, so J = 0, and R has no rows for it
+                assert s.size == 0 and g.size == 0 and np.all(col_norms == 1.0)
+                continue
+            projected = d_s - a_s @ np.linalg.lstsq(a_s, d_s, rcond=None)[0]
+            jac = np.add.reduceat(projected * dense, starts, axis=1)
+            jac = np.concatenate([jac.real, jac.imag])
+            norms = np.linalg.norm(jac, axis=0)
+            assert np.allclose(col_norms, norms, rtol=1e-8, atol=1e-12 * norms.max())
+            u_d, s_d, vt_d = np.linalg.svd(jac / col_norms, full_matrices=False)
+            # fewer than 2L samples leave fewer rows, and the dense values beyond are zero
+            assert np.allclose(s, s_d[:len(s)], rtol=0, atol=1e-10)
+            assert np.all(s_d[len(s):] <= 1e-8)
+            for i in range(len(s)):
+                gaps = [abs(s_d[i] - s_d[j]) for j in range(len(s_d)) if j != i]
+                if min(gaps, default=1.0) > 1e-4:
+                    assert np.allclose(abs(vt[i]), abs(vt_d[i]), atol=1e-6)
+            gradient = (jac / col_norms).T @ np.concatenate([residual.real, residual.imag])
+            assert np.allclose(vt.T @ (s * g), gradient, rtol=0,
+                               atol=1e-10 * max(1.0, np.linalg.norm(gradient)))
+        assert shapes == {(short, merged) for short in (True, False) for merged in (True, False)}
 
 
 class TestDampedStep:

@@ -239,6 +239,23 @@ class TestOneTaskPerSeed:
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+@pytest.mark.parametrize("cfg", [
+    small_fig1_config(seeds=[4]),
+    SweepConfig(kind="fixed-top-index-decimation", seeds=[4], noise=1e-4, solver="hankel",
+                p_values=[1, 10, 100, 7], top_index=2200, model={"kind": "two-node", "gap": 0.01}),
+    SweepConfig(kind="bound-check", seeds=[4], noise=1e-6, p_values=[1, 4, 16],
+                model={"kind": "random-simple", "num_nodes": 3}),
+], ids=["fixed-count", "fixed-top", "bound-check"])
+def test_union_noise_covers_the_same_indices_as_unique(cfg):
+    truth = sweeps._build_model(cfg, 4)
+    union, eta = sweeps._union_noise(cfg, 4, truth)
+    expected = np.unique(np.concatenate([
+        p * np.arange(sweeps._count_for_stride(cfg, p, truth)) for p in cfg.p_values
+    ]))
+    assert union.dtype == expected.dtype and np.array_equal(union, expected)
+    assert eta.shape == union.shape
+
+
 class TestFixedCountSweep:
     def test_exact_data_recovers(self):
         cfg = small_fig1_config(noise=0.0, seeds=[0, 1])
