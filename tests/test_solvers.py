@@ -427,7 +427,7 @@ class TestTriangle:
             jac = np.concatenate([jac.real, jac.imag])
             norms = np.linalg.norm(jac, axis=0)
             assert np.allclose(col_norms, norms, rtol=1e-8, atol=1e-12 * norms.max())
-            u_d, s_d, vt_d = np.linalg.svd(jac / col_norms, full_matrices=False)
+            _, s_d, vt_d = np.linalg.svd(jac / col_norms, full_matrices=False)
             # fewer than 2L samples leave fewer rows, and the dense values beyond are zero
             assert np.allclose(s, s_d[:len(s)], rtol=0, atol=1e-10)
             assert np.all(s_d[len(s):] <= 1e-8)
@@ -438,7 +438,7 @@ class TestTriangle:
             gradient = (jac / col_norms).T @ np.concatenate([residual.real, residual.imag])
             assert np.allclose(vt.T @ (s * g), gradient, rtol=0,
                                atol=1e-10 * max(1.0, np.linalg.norm(gradient)))
-        assert shapes == {(short, merged) for short in (True, False) for merged in (True, False)}
+        assert shapes == {(short, several) for short in (True, False) for several in (True, False)}
 
 
 class TestDampedStep:
