@@ -90,8 +90,7 @@ def _moments(thetas, multiplicities, coeffs, ks: np.ndarray) -> np.ndarray:
 def evaluate_moments(model: PronyModel, scheme: SamplingScheme) -> SampleSet:
     """Exact measurements m_k = sum_j z_j^k * sum_l c_{l,j} k^l on the scheme."""
     _check_scheme(model.multiplicities, scheme)
-    values = _moments(*_model_arrays(model), _scheme_ks(scheme))
-    return SampleSet(scheme, tuple(values), 0.0)
+    return SampleSet(scheme, _moments(*_model_arrays(model), _scheme_ks(scheme)), 0.0)
 
 
 def moment_at(model: PronyModel, k: int) -> complex:
@@ -194,7 +193,7 @@ def add_noise(
     """
     seed = _integer("seed", seed)
     if _check_level(eps, "noise level") == 0:
-        return SampleSet(samples.scheme, samples.values, 0.0)
+        return SampleSet(samples.scheme, samples._array, 0.0)
     rng = np.random.default_rng(seed)
     n = samples.scheme.count
     if distribution == "disk":
@@ -205,5 +204,4 @@ def add_noise(
         eta = (eps / np.sqrt(2.0)) * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     else:
         raise ValidationError(f"unknown noise distribution {distribution!r}")
-    values = np.asarray(samples.values, dtype=complex) + eta
-    return SampleSet(samples.scheme, tuple(values), eps)
+    return SampleSet(samples.scheme, samples._array + eta, eps)

@@ -33,6 +33,7 @@ from .model import (
     _finite,
     _finite_array,
     _integer,
+    _order,
     _shown,
     position_from_node,
     wrap_angle,
@@ -73,6 +74,7 @@ def jump_basis_eval(order: int, x) -> np.ndarray:
     Closed form -(2pi)^order / (order+1)! * B_{order+1} of the fractional part
     of x/(2pi).  At the jump itself the value is the right-hand limit.
     """
+    order = _order("order", order)
     x = np.asarray(x, dtype=float)
     u = np.mod(x / TWO_PI, 1.0)
     poly = np.polyval(_bernoulli_poly(order + 1), u)
@@ -103,7 +105,7 @@ def piecewise_poly_coeffs(jumps, magnitudes, smoothness: int, ks) -> np.ndarray:
             "k = 0 has no formula coefficient; the absorbing part is zero-mean "
             "and the mean belongs to the smooth remainder"
         )
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     if len(magnitudes) != d + 1:
         raise ValidationError("magnitudes must have smoothness+1 rows")
     out = np.zeros(len(ks), dtype=complex)
@@ -217,16 +219,15 @@ def eckhoff_transform(window: CoefficientWindow, smoothness: int) -> SampleSet:
     exp(-i x_j) of multiplicity d+1; the smooth part contributes a perturbation
     decaying like 1/k.
     """
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     m = window.bandwidth
-    values = _transform(window, d, np.arange(1, m + 1))
-    return SampleSet(SamplingScheme(1, 1, m), tuple(values), 0.0)
+    return SampleSet(SamplingScheme(1, 1, m), _transform(window, d, np.arange(1, m + 1)), 0.0)
 
 
 def induced_prony_model(jumps, magnitudes, smoothness: int) -> PronyModel:
     """The Prony model the transform produces from pure jump data:
     nodes exp(-i x_j), multiplicity d+1, coefficients c_{l,j} = i^l a_{d-l,j}."""
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     nodes = tuple(cmath.exp(-1j * x) for x in jumps)
     mults = (d + 1,) * len(jumps)
     coeffs = tuple(
@@ -239,7 +240,7 @@ def induced_prony_model(jumps, magnitudes, smoothness: int) -> PronyModel:
 def magnitudes_from_coefficients(coefficients, smoothness: int) -> np.ndarray:
     """Invert c_l = i^l a_{d-l}: jump magnitudes (a_0, ..., a_d) from one node's
     polynomial amplitudes."""
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     if len(coefficients) != d + 1:
         raise ValidationError("need d+1 coefficients")
     mags = np.empty(d + 1)
@@ -426,7 +427,7 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
 
     min_separation must lower-bound the true pairwise jump separation.
     """
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     k = _integer("num_jumps", num_jumps, 1)
     m = window.bandwidth
     if m < 8 * (d + 2) * k:
@@ -451,8 +452,7 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
             )
             loc = localize(window, moll, m // 2)
         n = loc.bandwidth // (d + 2)
-        values = _transform(loc, d, n * np.arange(1, d + 3))
-        sub = SampleSet(SamplingScheme(n, n, d + 2), tuple(values), 0.0)
+        sub = SampleSet(SamplingScheme(n, n, d + 2), _transform(loc, d, n * np.arange(1, d + 3)), 0.0)
         node_model, report = decimated_solve(
             sub, (d + 1,), [wrap_angle(-x0)], base_solver="annihilation", refine=True
         )
@@ -521,15 +521,27 @@ def sup_error_away(
 
 def synthesize_psi(smoothness: int, decay: float, degree: int, rng) -> tuple:
     """Smooth-part coefficients r_n * n^(-d-2) * exp(i phi_n) with random
-    amplitudes r_n in [0, decay) and phases, plus a random real mean."""
+    amplitudes r_n in [0, decay) and phases, plus a random real mean.
+
+    The stream is one draw for the mean, then r_1, phi_1, r_2, phi_2, ... in
+    turn, read as one (degree, 2) block.  Each coefficient is bit for bit the
+    scalar r * float(n) ** (-d - 2) * cmath.exp(1j * phi): np.float_power,
+    np.cos and np.sin round as libm's pow, cos and sin do (np.power does not),
+    and the product is CPython's float times complex, whose 0.0 * sin and
+    0.0 * cos terms set the signs of zeros when decay is 0.
+    """
     _check_level(decay, "decay")
-    d, degree = _integer("smoothness", smoothness), _integer("psi_degree", degree)
-    coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
-    for n in range(1, degree + 1):
-        r = decay * rng.random()
-        phi = TWO_PI * rng.random()
-        coeffs.append(r * float(n) ** (-d - 2) * cmath.exp(1j * phi))
-    return tuple(coeffs)
+    d, degree = _order("smoothness", smoothness), _integer("psi_degree", degree)
+    mean = decay * (2.0 * rng.random() - 1.0)
+    u = rng.random((degree, 2))
+    amp = decay * u[:, 0] * np.float_power(np.arange(1, degree + 1), float(-d - 2))
+    phi = TWO_PI * u[:, 1]
+    cos, sin = np.cos(phi), np.sin(phi)
+    coeffs = np.empty(degree + 1, dtype=complex)
+    coeffs[0] = mean
+    coeffs.real[1:] = amp * cos - 0.0 * sin
+    coeffs.imag[1:] = amp * sin + 0.0 * cos
+    return tuple(coeffs.tolist())
 
 
 def random_piecewise_signal(
@@ -543,7 +555,7 @@ def random_piecewise_signal(
     psi_degree: int = 4096,
 ) -> PiecewiseSignal:
     """Seeded random signal with certified jump separation and magnitude floor."""
-    d = _integer("smoothness", smoothness)
+    d = _order("smoothness", smoothness)
     k = _integer("num_jumps", num_jumps, 1)
     rng = np.random.default_rng(_integer("seed", seed))
     for name, value in (("min_separation", min_separation), ("psi_decay", psi_decay),

@@ -108,6 +108,19 @@ def _integer(name: str, value, minimum: int = 0) -> int:
     return int(value)
 
 
+#: largest smoothness, or derivative order of a jump: the absorbing basis V_l
+#: divides by (l + 1)!, and 171! is past float range
+MAX_ORDER = 169
+
+
+def _order(name: str, value) -> int:
+    """A smoothness or jump order: an integer (_integer) in [0, MAX_ORDER]."""
+    value = _integer(name, value)
+    if value > MAX_ORDER:
+        raise ValidationError(f"{name} must be at most {MAX_ORDER}, got {_shown(value)}")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # circle geometry
 # ---------------------------------------------------------------------------
@@ -310,7 +323,7 @@ class PiecewiseSignal:
     _psi_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        d = _integer("smoothness", self.smoothness)
+        d = _order("smoothness", self.smoothness)
         jumps = tuple(_finite_array(self.jumps, "jump positions", float).tolist())
         what = "jump magnitudes and smooth-part coefficients"
         mags = tuple(tuple(_finite_array(row, what, float).tolist()) for row in self.magnitudes)

@@ -34,6 +34,7 @@ from .model import (
     _finite,
     _integer,
     _loader,
+    _order,
     _shown,
     circle_distance,
     match_estimates,
@@ -185,7 +186,8 @@ def _check_spec(spec, what: str) -> None:
     function that consumes it, less those the sweep supplies itself; the
     parameters without a default are required.  Every value but the model
     kind is a finite number: an integer of at least the parameter's minimum
-    where it is annotated int, a pair of numbers for base_magnitude_range."""
+    where it is annotated int (the smoothness also at most MAX_ORDER), a pair
+    of numbers for base_magnitude_range."""
     if not isinstance(spec, dict):
         raise ValidationError(f"{what} spec must be an object, got {_shown(spec)}")
     if what == "signal":
@@ -209,7 +211,9 @@ def _check_spec(spec, what: str) -> None:
         if len(items) != (2 if pair else 1) or not all(
                 isinstance(v, kind) and _finite(abs(v)) for v in items):
             raise ValidationError(f"{what} spec value {key}={_shown(value)} has the wrong type or is not finite")
-        if annotation is int:
+        if key == "smoothness":
+            _order(f"{what} spec value {key}", value)
+        elif annotation is int:
             _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
     missing = [k for k, p in params.items()
                if p.default is p.empty and k not in supplied and k not in spec]

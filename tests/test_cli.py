@@ -421,6 +421,22 @@ def test_sweep_two_bandwidths_exit_code(tmp_path, capsys, m_values):
     assert not (tmp_path / "out.csv").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("gen", "signal", "-d", 10**12, "-K", 1),
+    ("reconstruct", "-d", 170, "-K", 1, "-J", 6.0),
+], ids=["gen-signal", "reconstruct"])
+def test_order_past_the_float_limit_exit_code(tmp_path, capsys, argv):
+    """gen signal looped over a trillion orders before any check; a
+    smoothness of 170 or more overflows (d + 1)!."""
+    win = tmp_path / "win.txt"
+    win.write_text("".join(f"{k} 0.5 0.0\n" for k in range(-64, 65)))
+    if argv[0] == "reconstruct":
+        argv = argv + ("--window", win)
+    assert run(*argv, "--out", tmp_path / "out.json") == 2
+    assert "smoothness must be at most 169" in capsys.readouterr().err
+    assert not (tmp_path / "out.json").exists()
+
+
 def test_gen_signal_takes_generator_defaults(tmp_path):
     sig = tmp_path / "sig.json"
     assert run("gen", "signal", "-d", "1", "-K", "2", "--seed", "3", "--out", sig) == 0

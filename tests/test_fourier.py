@@ -236,6 +236,51 @@ def test_synthesize_psi_checks_its_decay(decay):
         pd.fourier.synthesize_psi(0, decay, 8, np.random.default_rng(0))
 
 
+def _synthesize_psi_loop(smoothness, decay, degree, rng):
+    """The scalar loop synthesize_psi once was: the reference for its random
+    stream and for every bit (and zero sign) of its coefficients."""
+    coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
+    for n in range(1, degree + 1):
+        r = decay * rng.random()
+        phi = pd.model.TWO_PI * rng.random()
+        coeffs.append(r * float(n) ** (-smoothness - 2) * cmath.exp(1j * phi))
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 8192])
+@pytest.mark.parametrize("decay", [0.0, 5e-324, 1e-300, 0.3, 4.0],
+                         ids=["zero", "least-subnormal", "tiny", "ordinary", "large"])
+def test_synthesize_psi_matches_the_scalar_loop(decay, degree):
+    # same repr (so the same bits and signs of zeros) and the generator left in the same state
+    for d in range(4):
+        for seed in range(3):
+            want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            want = _synthesize_psi_loop(d, decay, degree, want_rng)
+            got = pd.fourier.synthesize_psi(d, decay, degree, got_rng)
+            assert type(got) is tuple and all(type(c) is complex for c in got)
+            assert repr(got) == repr(want)
+            assert got_rng.random() == want_rng.random()
+
+
+# criterion 6's three signal specs (tests/test_acceptance.py), less the reconstruction's separation
+_CRITERION_6_SIGNALS = [
+    {"smoothness": 0, "num_jumps": 1, "psi_decay": 1.0, "psi_degree": 8192,
+     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
+    {"smoothness": 1, "num_jumps": 2, "min_separation": 1.6, "psi_decay": 1.0, "psi_degree": 8192,
+     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
+    {"smoothness": 2, "num_jumps": 1, "psi_decay": 4.0, "psi_degree": 8192,
+     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
+]
+
+
+@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
+def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
+    got = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
+    monkeypatch.setattr(pd.fourier, "synthesize_psi", _synthesize_psi_loop)
+    want = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
+    assert [repr(s) for s in got] == [repr(s) for s in want]
+
+
 def test_random_signal_needs_room_for_the_separation():
     with pytest.raises(ValidationError, match="cannot place the jumps with that separation"):
         random_piecewise_signal(0, 5, 0, min_separation=1.5)

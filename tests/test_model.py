@@ -558,3 +558,43 @@ def test_fractional_integer_argument_is_rejected(field, call, args):
     """Each of these truncated a fraction (or a bool) to an int, or passed it on."""
     with pytest.raises(ValidationError, match=f"{field} must be an integer"):
         call(*args)
+
+
+# ---------------------------------------------------------------------------
+# the order limit: V_l divides by (l + 1)!, and 171! is past float range
+# ---------------------------------------------------------------------------
+
+_ROWS_170 = [[1.0]] * 171
+_ORDER_CASES = [
+    ("smoothness", PiecewiseSignal, (170, [0.5], _ROWS_170, [0.0], 0.0)),
+    ("smoothness", signal_from_dict, ({**SIGNAL_DICT, "smoothness": 170, "magnitudes": _ROWS_170},)),
+    ("smoothness", pd.piecewise_poly_coeffs, ([0.5], _ROWS_170, 170, [1, 2])),
+    ("smoothness", pd.eckhoff_transform, (_WINDOW, 170)),
+    ("smoothness", pd.induced_prony_model, ([0.5], _ROWS_170, 170)),
+    ("smoothness", pd.magnitudes_from_coefficients, ([1.0] * 171, 170)),
+    ("smoothness", pd.reconstruct, (_WINDOW, 170, 1, 1.0)),
+    ("smoothness", synthesize_psi, (170, 1.0, 4, np.random.default_rng(0))),
+    ("smoothness", pd.random_piecewise_signal, (170, 1, 0)),
+    ("smoothness", pd.random_piecewise_signal, (10**12, 1, 0)),
+    ("order", pd.fourier.jump_basis_eval, (170, [0.5])),
+    ("order", pd.evaluate_absorbing, ([0.5], _ROWS_170, [0.1])),
+    ("order", pd.ReconstructionResult((0.5,), _ROWS_170, _WINDOW, 170).evaluate, (0.1,)),
+]
+
+
+@pytest.mark.parametrize("field, call, args", _ORDER_CASES,
+                         ids=[f"{field}-{call.__name__}" for field, call, _ in _ORDER_CASES])
+def test_order_past_the_float_limit_is_rejected(field, call, args):
+    """These accepted a smoothness of 170 or more: V_170 raised a bare
+    OverflowError once evaluated, and a huge smoothness hung in
+    random_piecewise_signal's per-order loop."""
+    with pytest.raises(ValidationError, match=f"{field} must be at most 169, got"):
+        call(*args)
+
+
+def test_order_169_is_accepted_and_finite():
+    rows = [[1.0]] * 170
+    signal = PiecewiseSignal(169, [0.5], rows, [0.25, 0.0], 1.0)
+    assert np.isfinite(pd.evaluate_signal(signal, np.linspace(-3.0, 3.0, 7))).all()
+    assert np.isfinite(pd.fourier.jump_basis_eval(169, [0.1, 2.0])).all()
+    assert pd.random_piecewise_signal(169, 1, 0, psi_degree=4).smoothness == 169

@@ -104,6 +104,12 @@ class TestConfig:
         with pytest.raises(ValidationError, match=f"{what} spec value {key} must be an integer"):
             SweepConfig(kind=kind, seeds=[0], p_values=[1], m_values=[64, 128, 256], **{what: spec})
 
+    def test_spec_smoothness_past_the_order_limit_checked_at_construction(self):
+        # this built, then every task raised
+        with pytest.raises(ValidationError, match="signal spec value smoothness must be at most 169"):
+            SweepConfig(kind="fourier-convergence", seeds=[0], m_values=[64, 128, 256],
+                        signal={"smoothness": 170, "num_jumps": 1})
+
     @pytest.mark.parametrize("kind, spec, key", [
         ("fourier-convergence", {"smoothness": 10**400, "num_jumps": 1}, "smoothness"),
         ("fourier-convergence", {"smoothness": 0, "num_jumps": 10**400}, "num_jumps"),
