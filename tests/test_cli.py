@@ -428,10 +428,10 @@ def test_sweep_two_bandwidths_exit_code(tmp_path, capsys, m_values):
 def test_order_past_the_float_limit_exit_code(tmp_path, capsys, argv):
     """gen signal looped over a trillion orders before any check; a
     smoothness of 170 or more overflows (d + 1)!."""
-    win = tmp_path / "win.txt"
-    win.write_text("".join(f"{k} 0.5 0.0\n" for k in range(-64, 65)))
     if argv[0] == "reconstruct":
-        argv = argv + ("--window", win)
+        win = tmp_path / "win.txt"
+        win.write_text("".join(f"{k} 0.5 0.0\n" for k in range(-64, 65)))
+        argv += ("--window", win)
     assert run(*argv, "--out", tmp_path / "out.json") == 2
     assert "smoothness must be at most 169" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
