@@ -281,6 +281,16 @@ def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
     assert [repr(s) for s in got] == [repr(s) for s in want]
 
 
+@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
+def test_random_signal_hands_over_the_scalar_loops_draw(monkeypatch, spec):
+    # the signal takes its smooth part from the private array draw, not from
+    # synthesize_psi's tuple; the loop's tuple, as an array, gives the same signal
+    got = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
+    monkeypatch.setattr(pd.fourier, "_draw_psi", lambda *args: np.array(_synthesize_psi_loop(*args)))
+    want = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
+    assert [repr(s) for s in got] == [repr(s) for s in want]
+
+
 def test_random_signal_needs_room_for_the_separation():
     with pytest.raises(ValidationError, match="cannot place the jumps with that separation"):
         random_piecewise_signal(0, 5, 0, min_separation=1.5)
@@ -448,6 +458,60 @@ class TestMollifier:
             build_mollifier(0.0, 0.2, 0.2 - 1e-9, 8)
 
 
+def _smoothstep_clipped(u):
+    """The smoothstep _centered_bump_coeffs once called on every sample."""
+    u = np.clip(u, 0.0, 1.0)
+    with np.errstate(divide="ignore", over="ignore"):
+        return 1.0 / (1.0 + np.exp(1.0 / (1.0 - u) - 1.0 / u))
+
+
+def _centered_bump_coeffs_resampled(half_width, flat_half_width, degree):
+    """The body _centered_bump_coeffs once had: every grid sampled afresh and
+    the clipped smoothstep at every point.  The reference for its bits."""
+    fourier = pd.fourier
+    signs = np.where(np.arange(degree + 1) % 2 == 0, 1.0, -1.0)
+    size = max(fourier._MIN_SAMPLES, 1 << (4 * (degree + 1) - 1).bit_length())
+    coarse, worst = None, math.inf
+    while size <= fourier._MAX_SAMPLES:
+        xs = -math.pi + pd.model.TWO_PI * np.arange(size) / size
+        bump = _smoothstep_clipped((np.abs(xs) - flat_half_width) / (half_width - flat_half_width))
+        fine = signs * np.fft.rfft(bump)[: degree + 1].real / size
+        if coarse is not None:
+            worst = float(np.max(np.abs(fine - coarse)))
+            if worst <= 0.5 * QUAD_CERT / math.pi:
+                return fine, worst
+        coarse, size = fine, 2 * size
+    raise pd.QuadratureError(
+        f"bump coefficients did not converge within {fourier._MAX_SAMPLES} samples (disagreement {worst:.2g})"
+    )
+
+
+# reconstruct's widths (J/3, J/9) over its separation range at three degrees,
+# the quadrature-oracle geometries, and the two ways to miss the certificate
+_BUMP_CASES = (
+    [(j / 3, j / 9, degree) for j in (0.3, 0.9, 1.5, 1.6, 3.0, 2 * math.pi, 3 * math.pi)
+     for degree in (96, 768, 3072)]
+    + [(0.6, 0.2, 64), (1.5, 0.5, 512), (math.pi, 1.0, 96), (0.2, 0.199, 64), (0.2, 0.19, 256),
+       (0.6, 0.2, 0)]
+    + [(0.2, 0.2 - 1e-9, 8), (0.6, 0.2, 2 ** 20)]
+)
+
+
+@pytest.mark.parametrize("half, flat, degree", _BUMP_CASES)
+def test_bump_coefficients_equal_the_resampling_body(half, flat, degree):
+    # reusing the L samples on the 2L grid, and the smoothstep only in the band, moves no bit
+    try:
+        want = _centered_bump_coeffs_resampled(half, flat, degree)
+    except pd.QuadratureError as exc:
+        with pytest.raises(pd.QuadratureError) as got:
+            pd.fourier._centered_bump_coeffs.__wrapped__(half, flat, degree)
+        assert str(got.value) == str(exc)
+        return
+    coeffs, accuracy = pd.fourier._centered_bump_coeffs.__wrapped__(half, flat, degree)
+    assert coeffs.tobytes() == want[0].tobytes()
+    assert accuracy == want[1]
+
+
 class TestLocalize:
     def test_identity_mollifier(self):
         window = sawtooth_window(64)
@@ -491,6 +555,30 @@ class TestLocalize:
         (est,) = initial_jump_estimates(loc, 1)
         assert circle_distance(est, -1.0) < 0.02
         assert circle_distance(est, 1.0) > 1.5
+
+
+class TestLocalizedCoeffs:
+    @pytest.mark.parametrize("symmetric", [True, False])
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    @pytest.mark.parametrize("m", [64, 1024, 2048])
+    def test_matches_direct_convolution(self, m, d, symmetric):
+        # reconstruct's d+2 indices, against the full convolution np.convolve gives
+        sig = random_piecewise_signal(1, 2, seed=m + d, min_separation=1.6)
+        window = signal_coeffs(sig, m)
+        if not symmetric:
+            window = CoefficientWindow(window.coeffs * cmath.exp(0.7j), m)
+        moll = build_mollifier(sig.jumps[1], 0.5, 0.5 / 3, m + m // 2)
+        ks = (m // 2) // (d + 2) * np.arange(1, d + 3)
+        got = pd.fourier._localized_coeffs(window, moll, ks)
+        want = np.convolve(window.coeffs, moll.two_sided())[m + moll.degree + ks]
+        assert np.max(np.abs(got - want)) <= 1e-15
+
+    def test_degree_contract(self):
+        # as localize's: every tap |k - j| <= M + max|k| must exist
+        window = sawtooth_window(64)
+        pd.fourier._localized_coeffs(window, identity_mollifier(96), np.array([16, 32]))
+        with pytest.raises(ValidationError, match="need >= bandwidth \\+ max\\|k\\| = 96"):
+            pd.fourier._localized_coeffs(window, identity_mollifier(95), np.array([16, 32]))
 
 
 class TestReconstruct:
@@ -605,6 +693,45 @@ class TestReconstruct:
     def test_bandwidth_precondition(self):
         with pytest.raises(ValidationError):
             reconstruct(sawtooth_window(8), 0, 1, 1.0)
+
+
+def _jumps_from_localized_windows(window, d, k, separation):
+    """reconstruct's K >= 2 jumps as they were found from the full localized
+    window: localize to half the bandwidth, then the transform at
+    n = floor(half / (d+2)).  The reference for the direct d+2 sums."""
+    m = window.bandwidth
+    jumps = []
+    for x0 in initial_jump_estimates(window, k):
+        moll = build_mollifier(x0, separation / 3.0, separation / 9.0, m + m // 2)
+        loc = localize(window, moll, m // 2)
+        n = loc.bandwidth // (d + 2)
+        ks = n * np.arange(1, d + 3)
+        values = 2 * math.pi * (1j * ks) ** (d + 1) * loc.coeffs[loc.bandwidth + ks]
+        model, _ = pd.decimated_solve(pd.SampleSet(SamplingScheme(n, n, d + 2), values, 0.0),
+                                      (d + 1,), [pd.wrap_angle(-x0)], base_solver="annihilation",
+                                      refine=True)
+        jumps.append(pd.position_from_node(model.nodes[0]))
+    return sorted(jumps)
+
+
+@pytest.mark.parametrize("d, k", [(1, 2), (0, 3), (2, 2)], ids=["d1-K2", "d0-K3", "d2-K2"])
+def test_multi_jump_solves_match_the_localized_window(d, k):
+    # every seed at the bandwidth floor and the next few, and at powers of two up to 2048
+    floor = 8 * (d + 2) * k
+    bandwidths = sorted({*range(floor, floor + 9), *(2 ** p for p in range(6, 12)), 1000, 2047})
+    for seed in range(10):
+        sig = random_piecewise_signal(d, k, seed, min_separation=1.6, psi_degree=8192,
+                                      base_magnitude_range=(3.0, 5.0))
+        for m in bandwidths:
+            window = signal_coeffs(sig, m)
+            try:
+                want = _jumps_from_localized_windows(window, d, k, 1.5)
+            except Exception as exc:
+                with pytest.raises(type(exc)):
+                    reconstruct(window, d, k, 1.5)
+                continue
+            got = reconstruct(window, d, k, 1.5).jumps
+            assert max(circle_distance(a, b) for a, b in zip(got, want)) <= 1e-10, (seed, m)
 
 
 @pytest.fixture(scope="module")
