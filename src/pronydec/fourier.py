@@ -458,12 +458,14 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
     """Recover jump positions, jump magnitudes, and a full-accuracy approximant.
 
     Pipeline: coarse jump positions from the order-zero transform; per jump,
-    one single-node progression solve on the d+2 transformed coefficients at
-    k = n, 2n, ..., (d+2)n; synthesis of the approximant from the estimated
-    jump data plus the corrected series.  With one jump they are the window's
-    own, at n = floor(bandwidth / (d+2)): the window is already single-jump
-    and a taper would only add contamination.  With more, they are
-    coefficients of (signal * mollifier about the coarse position) at
+    one single-node annihilation solve of the d+2 transformed coefficients at
+    k = n, 2n, ..., (d+2)n, the small square system solved once with no LM
+    polish (each report reads method "annihilation", 1 iteration); synthesis
+    of the approximant from the estimated jump data plus the corrected
+    series.  With one jump they are the window's own, at
+    n = floor(bandwidth / (d+2)): the window is already single-jump and a
+    taper would only add contamination.  With more, they are coefficients of
+    (signal * mollifier about the coarse position) at
     n = floor(floor(bandwidth / 2) / (d+2)), and only those d+2 are localized,
     each summed directly from the window (never the full `localize` window).
 
@@ -497,13 +499,13 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
             coeffs = _localized_coeffs(window, moll, ks)
         sub = SampleSet(SamplingScheme(n, n, d + 2), _transform(coeffs, d, ks), 0.0)
         node_model, report = decimated_solve(
-            sub, (d + 1,), [wrap_angle(-x0)], base_solver="annihilation", refine=True
+            sub, (d + 1,), [wrap_angle(-x0)], base_solver="annihilation", refine=False
         )
         x_hat = position_from_node(node_model.nodes[0])
         mags = magnitudes_from_coefficients(node_model.coefficients[0], d)
         estimates.append((x_hat, mags, report))
 
-    # a refined position may wrap past -pi, so each report moves with its jump
+    # a position may wrap past -pi, so each report moves with its jump
     estimates.sort(key=lambda estimate: estimate[0])
     jumps_hat = tuple(x for x, _, _ in estimates)
     mags_hat = tuple(

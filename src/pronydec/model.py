@@ -271,10 +271,6 @@ class SamplingScheme:
     def indices(self) -> tuple:
         return tuple(self.offset + s * self.stride for s in range(self.count))
 
-    @property
-    def max_index(self) -> int:
-        return self.offset + (self.count - 1) * self.stride
-
 
 @dataclass(frozen=True)
 class SampleSet:
@@ -374,10 +370,6 @@ class PiecewiseSignal:
         return min(
             circle_distance(a, b) for a, b in itertools.combinations(self.jumps, 2)
         )
-
-    @property
-    def min_base_magnitude(self) -> float:
-        return min(abs(a) for a in self.magnitudes[0])
 
     def psi_coeff(self, n: int) -> complex:
         """Coefficient of the smooth part at index n (0 beyond the stored degree)."""

@@ -274,21 +274,15 @@ _CRITERION_6_SIGNALS = [
 
 
 @pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
-def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
-    got = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
-    monkeypatch.setattr(pd.fourier, "synthesize_psi", _synthesize_psi_loop)
-    want = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
-    assert [repr(s) for s in got] == [repr(s) for s in want]
-
-
-@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
 def test_random_signal_hands_over_the_scalar_loops_draw(monkeypatch, spec):
     # the signal takes its smooth part from the private array draw, not from
-    # synthesize_psi's tuple; the loop's tuple, as an array, gives the same signal
+    # synthesize_psi's tuple; the loop's tuple, as an array, gives the same
+    # signal: the same repr, and the same bits in the array twin the hot path reads
     got = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
     monkeypatch.setattr(pd.fourier, "_draw_psi", lambda *args: np.array(_synthesize_psi_loop(*args)))
     want = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
     assert [repr(s) for s in got] == [repr(s) for s in want]
+    assert [s._psi_array.tobytes() for s in got] == [s._psi_array.tobytes() for s in want]
 
 
 def test_random_signal_needs_room_for_the_separation():
@@ -595,7 +589,7 @@ class TestReconstruct:
             reconstruct(sawtooth_window(128), 0, 1, separation)
 
     def test_reports_follow_their_jumps(self, monkeypatch):
-        # the coarse estimate 3.1408 refines to -3.1415, past -pi, so the jumps
+        # the coarse estimate 3.1408 solves to -3.14148, past -pi, so the jumps
         # change order; each report must stay with the jump its solve found
         psi = pd.fourier.synthesize_psi(0, 1.0, 512, np.random.default_rng(2))
         sig = PiecewiseSignal(0, [-math.pi, 0.3], [[3.0, -4.0]], psi, 1.0)
@@ -610,6 +604,18 @@ class TestReconstruct:
         result = reconstruct(signal_coeffs(sig, 256), 0, 2, 1.5)
         for x, report in zip(result.jumps, result.reports):
             assert circle_distance(x, -hints[id(report)]) < 1e-2
+
+    @pytest.mark.parametrize("spec, separation", zip(_CRITERION_6_SIGNALS, [8.0, 1.5, 8.0]),
+                             ids=["d0-K1", "d1-K2", "d2-K1"])
+    def test_each_jump_is_solved_once_unrefined(self, monkeypatch, spec, separation):
+        # the d+2 annihilation equations are solved once, with no LM polish after
+        def refuse(*args):
+            raise AssertionError("reconstruct refined a jump's solve")
+
+        monkeypatch.setattr(pd.decimate, "_refine", refuse)
+        d, k = spec["smoothness"], spec["num_jumps"]
+        result = reconstruct(signal_coeffs(random_piecewise_signal(seed=3, **spec), 256), d, k, separation)
+        assert [(r.method, r.iterations) for r in result.reports] == [("annihilation", 1)] * k
 
     @pytest.mark.parametrize("seed", [344, 748, 1130])
     def test_spurious_root_on_hint_ray(self, seed):
@@ -709,7 +715,7 @@ def _jumps_from_localized_windows(window, d, k, separation):
         values = 2 * math.pi * (1j * ks) ** (d + 1) * loc.coeffs[loc.bandwidth + ks]
         model, _ = pd.decimated_solve(pd.SampleSet(SamplingScheme(n, n, d + 2), values, 0.0),
                                       (d + 1,), [pd.wrap_angle(-x0)], base_solver="annihilation",
-                                      refine=True)
+                                      refine=False)
         jumps.append(pd.position_from_node(model.nodes[0]))
     return sorted(jumps)
 

@@ -117,7 +117,6 @@ class TestSampling:
     def test_scheme_indices(self):
         s = SamplingScheme(3, 5, 4)
         assert s.indices == (3, 8, 13, 18)
-        assert s.max_index == 18
 
     def test_scheme_validation(self):
         with pytest.raises(ValidationError):
@@ -238,7 +237,6 @@ class TestPiecewiseSignal:
         sig = PiecewiseSignal(0, [0.0], [[1.0]], [0.5], 1.0)
         assert sig.num_jumps == 1
         assert sig.min_separation == pytest.approx(2 * math.pi)
-        assert sig.min_base_magnitude == 1.0
 
     def test_psi_decay_enforced(self):
         with pytest.raises(ValidationError):

@@ -1,5 +1,6 @@
 """The experiment scripts run end to end in their --quick form."""
 
+import json
 import pathlib
 import re
 import subprocess
@@ -42,3 +43,31 @@ def test_line_reach_smoke():
     assert total and int(total.group(1)) == sum(int(n) for _, n in files)
     # the model tests never import the command line, and run most of model.py
     assert "cli.py" in dict(files) and 0 < int(dict(files)["model.py"]) < 100
+
+
+def test_gate_margins_smoke(tmp_path):
+    """Two small seed blocks: every criterion-6 gate of each config and block, with
+    the test's threshold, and a comparison of the file with itself."""
+    out = tmp_path / "margins.json"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "gate_margins.py"), "--first", "100", "--blocks", "2",
+         "--block-size", "3", "--out", str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    gates = json.loads(out.read_text())["gates"]
+    blocks = {(g["d"], g["K"], tuple(g["seeds"])) for g in gates}
+    assert blocks == {(d, k, seeds) for d, k in ((0, 1), (1, 2), (2, 1)) for seeds in ((100, 102), (103, 105))}
+    assert len(gates) == 2 * (3 + 4 + 5)
+    for g in gates:
+        d = g["d"]
+        rates = {"jump_error": -(d + 2), "sup_away": -(d + 1), **{f"mag_error_{l}": l - d - 1 for l in range(d + 1)}}
+        assert g["threshold"] == rates[g["gate"]] + 0.4
+        assert g["margin"] == g["threshold"] - g["slope"]
+    assert proc.stdout.count("criterion 6 (d=") == 6
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "gate_margins.py"), "--compare", str(out), str(out)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "largest slope move: 0.00e+00"
