@@ -274,6 +274,28 @@ _CRITERION_6_SIGNALS = [
 
 
 @pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
+def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
+    # record the generator state _draw_psi is handed, then replay the scalar
+    # loop from it: the signal's smooth part must be the loop's tuple, bit for
+    # bit, drawn with the spec's smoothness, decay and degree
+    draw, handed = pd.fourier._draw_psi, []
+
+    def recording_draw(smoothness, decay, degree, rng):
+        handed.append((smoothness, decay, degree, rng.bit_generator.state))
+        return draw(smoothness, decay, degree, rng)
+
+    monkeypatch.setattr(pd.fourier, "_draw_psi", recording_draw)
+    for seed in range(10):
+        sig = random_piecewise_signal(seed=seed, **spec)
+        (d, decay, degree, state), = handed
+        handed.clear()
+        assert (d, decay, degree) == (spec["smoothness"], spec["psi_decay"], spec["psi_degree"])
+        rng = np.random.default_rng()
+        rng.bit_generator.state = state
+        assert repr(sig.psi_coeffs) == repr(_synthesize_psi_loop(d, decay, degree, rng))
+
+
+@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
 def test_random_signal_hands_over_the_scalar_loops_draw(monkeypatch, spec):
     # the signal takes its smooth part from the private array draw, not from
     # synthesize_psi's tuple; the loop's tuple, as an array, gives the same
