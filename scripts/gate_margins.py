@@ -5,9 +5,9 @@ Runs the reconstruction-rate sweep of test_criterion_6_full_accuracy_rates
 (tests/test_acceptance.py) on disjoint blocks of consecutive seeds, one
 run_sweep per block and (d, K) configuration, and prints each gate's slope,
 its threshold (rate + slack) and its margin (threshold - slope; a gate passes
-when the margin is not negative).  The signal configs are imported from the
-test, and the bandwidths, radius, grid and slack below are the test's; only
-the seeds change.  The script measures: it never changes a seed or a gate.
+when the margin is not negative).  The signal configs, bandwidths, radius,
+grid and slack are imported from the test; only the seeds change.  The
+script measures: it never changes a seed or a gate.
 
 --compare reads two --out files of the same blocks (say, before and after a
 change) and prints, per configuration and block, the largest slope move and
@@ -28,13 +28,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 from pronydec.sweeps import SweepConfig, run_sweep  # noqa: E402
-from test_acceptance import FOURIER_CONFIGS  # noqa: E402
-
-# test_criterion_6_full_accuracy_rates' sweep and slack
-M_VALUES = [64, 128, 256, 512, 1024, 2048]
-EXCLUSION_RADIUS = 0.1
-GRID_SIZE = 1024
-SLACK = 0.4
+from test_acceptance import (  # noqa: E402
+    FOURIER_CONFIGS,
+    FOURIER_EXCLUSION_RADIUS,
+    FOURIER_GRID_SIZE,
+    FOURIER_M_VALUES,
+    FOURIER_SLACK,
+)
 
 
 def rates(d: int) -> dict:
@@ -49,11 +49,11 @@ def measure(first: int, blocks: int, block_size: int) -> list:
     for (d, k), signal in FOURIER_CONFIGS.items():
         for b in range(blocks):
             seeds = list(range(first + b * block_size, first + (b + 1) * block_size))
-            cfg = SweepConfig(kind="fourier-convergence", seeds=seeds, m_values=M_VALUES, signal=signal,
-                              exclusion_radius=EXCLUSION_RADIUS, grid_size=GRID_SIZE)
+            cfg = SweepConfig(kind="fourier-convergence", seeds=seeds, m_values=FOURIER_M_VALUES, signal=signal,
+                              exclusion_radius=FOURIER_EXCLUSION_RADIUS, grid_size=FOURIER_GRID_SIZE)
             slopes = run_sweep(cfg).slopes
             for gate, rate in rates(d).items():
-                threshold = rate + SLACK
+                threshold = rate + FOURIER_SLACK
                 records.append({"d": d, "K": k, "seeds": [seeds[0], seeds[-1]], "gate": gate,
                                 "slope": slopes[gate], "threshold": threshold,
                                 "margin": threshold - slopes[gate]})
@@ -116,7 +116,7 @@ def main():
     records = measure(args.first, args.blocks, args.block_size)
     report(records)
     if args.out:
-        pathlib.Path(args.out).write_text(json.dumps({"slack": SLACK, "gates": records}, indent=1) + "\n")
+        pathlib.Path(args.out).write_text(json.dumps({"slack": FOURIER_SLACK, "gates": records}, indent=1) + "\n")
 
 
 if __name__ == "__main__":

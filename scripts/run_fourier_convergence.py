@@ -14,28 +14,18 @@ import argparse
 import pathlib
 import sys
 
-sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from pronydec.sweeps import SweepConfig, emit_csv, emit_svg, emit_timings_csv, run_sweep  # noqa: E402
-
-CONFIGS = {
-    (0, 1): {
-        "smoothness": 0, "num_jumps": 1, "psi_decay": 1.0, "psi_degree": 8192,
-        "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5,
-        "reconstruction_separation": 8.0,
-    },
-    (1, 2): {
-        "smoothness": 1, "num_jumps": 2, "min_separation": 1.6,
-        "psi_decay": 1.0, "psi_degree": 8192,
-        "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5,
-        "reconstruction_separation": 1.5,
-    },
-    (2, 1): {
-        "smoothness": 2, "num_jumps": 1, "psi_decay": 4.0, "psi_degree": 8192,
-        "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5,
-        "reconstruction_separation": 8.0,
-    },
-}
+# criterion 6's signal configs, bandwidths, radius and grid (tests/test_acceptance.py)
+from test_acceptance import (  # noqa: E402
+    FOURIER_CONFIGS,
+    FOURIER_EXCLUSION_RADIUS,
+    FOURIER_GRID_SIZE,
+    FOURIER_M_VALUES,
+)
 
 
 def main():
@@ -49,16 +39,16 @@ def main():
     out = pathlib.Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     seeds = list(range(3 if args.quick else args.seeds))
-    m_values = [64, 128, 256, 512] if args.quick else [64, 128, 256, 512, 1024, 2048]
+    m_values = [64, 128, 256, 512] if args.quick else FOURIER_M_VALUES
 
-    for (d, k), signal in CONFIGS.items():
+    for (d, k), signal in FOURIER_CONFIGS.items():
         cfg = SweepConfig(
             kind="fourier-convergence",
             seeds=seeds,
             m_values=m_values,
             signal=signal,
-            exclusion_radius=0.1,
-            grid_size=1024,
+            exclusion_radius=FOURIER_EXCLUSION_RADIUS,
+            grid_size=FOURIER_GRID_SIZE,
             workers=args.workers,
         )
         result = run_sweep(cfg)

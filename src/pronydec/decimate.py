@@ -28,8 +28,7 @@ from .model import (
     _shown,
     wrap_angle,
 )
-from .solvers import _FINDERS, BASE_SOLVERS, SolverReport, _fit_coefficients, _max_residual
-from .solvers import _multiplicities, _refine
+from .solvers import _FINDERS, BASE_SOLVERS, SolverReport, _fit_coefficients, _multiplicities, _refine
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
@@ -87,8 +86,13 @@ def decimated_solve(
     branch selection (without hints, at stride 1, the nodes are used as found),
     then fits the coefficients on the original indices once, or with `refine`
     refines from the node arguments by lm_refine's iteration (one fit per step).
-    The report's residual is the max-abs residual on the sample indices, and
-    it is flagged "large-residual" when that exceeds 10 * noise_level * sqrt(count).
+    The model is built once, in canonical order (PronyModel.canonical's): the
+    one fit is made in the finder's order and sorted with its nodes, and a
+    refinement starts from that order, which its model keeps unsorted.  The
+    report's residual is the max-abs residual on the sample indices, read
+    from the kernel the fit (or the refinement's last accepted trial point)
+    formed, so no kernel is built a second time; it is flagged
+    "large-residual" when that exceeds 10 * noise_level * sqrt(count).
 
     Hints, one finite real number per node in a list, a tuple or a 1-d array
     (`_hints`), are required whenever stride > 1 and by the annihilation and
@@ -116,18 +120,20 @@ def decimated_solve(
             multiplicities,
         )
         nodes = tuple(undecimate_node(nodes[j], p, hint) for j, hint in zip(perm, hints))
+    # canonical order (PronyModel.canonical's); the refined model is not sorted again
+    order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
     if refine:
-        # from the node arguments in canonical order; the refined model keeps that order
-        order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
         multiplicities = tuple(multiplicities[j] for j in order)
-        thetas, coeffs, iterations, more = _refine(
+        thetas, coeffs, iterations, more, residual = _refine(
             np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, p)
-        model = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), multiplicities, coeffs)
+        nodes = tuple(cmath.exp(1j * a) for a in thetas)
         flags += more
     else:
-        coeffs = _fit_coefficients(nodes, multiplicities, ks, q)
-        model, iterations = PronyModel(nodes, multiplicities, coeffs).canonical(), 1
-    residual = _max_residual(model, ks, q)
+        # fitted in the finder's order, then sorted with its nodes
+        coeffs, residual = _fit_coefficients(nodes, multiplicities, ks, q)
+        nodes, multiplicities, coeffs = (tuple(seq[j] for j in order) for seq in (nodes, multiplicities, coeffs))
+        iterations = 1
+    model = PronyModel(nodes, multiplicities, coeffs)
     eps = samples.noise_level
     if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
         flags += ("large-residual",)

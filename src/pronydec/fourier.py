@@ -68,6 +68,13 @@ def _bernoulli_poly(n: int) -> tuple:
     return tuple(reversed(coeffs))
 
 
+def _basis_at_phase(order: int, u: np.ndarray) -> np.ndarray:
+    """V_order at the fractional phase u = mod(x / 2pi, 1):
+    -(2pi)^order / (order+1)! * B_{order+1}(u)."""
+    poly = np.polyval(_bernoulli_poly(order + 1), u)
+    return -((TWO_PI ** order) / math.factorial(order + 1)) * poly
+
+
 def jump_basis_eval(order: int, x) -> np.ndarray:
     """V_order(x): unit jump of the order-th derivative at 0, zero mean.
 
@@ -76,19 +83,44 @@ def jump_basis_eval(order: int, x) -> np.ndarray:
     """
     order = _order("order", order)
     x = np.asarray(x, dtype=float)
-    u = np.mod(x / TWO_PI, 1.0)
-    poly = np.polyval(_bernoulli_poly(order + 1), u)
-    return -((TWO_PI ** order) / math.factorial(order + 1)) * poly
+    return _basis_at_phase(order, np.mod(x / TWO_PI, 1.0))
+
+
+def _jump_data(jumps, magnitudes):
+    """(positions, magnitude rows) as float arrays: one row per derivative
+    order, at most MAX_ORDER + 1 of them (model._order), each as long as the
+    jump list, every value finite (model._finite_array); else a ValidationError."""
+    rows = tuple(magnitudes)
+    if rows:
+        _order("jump order", len(rows) - 1)
+    positions = _finite_array(jumps, "jump positions", float)
+    try:
+        aligned = all(len(row) == len(positions) for row in rows)
+    except TypeError:  # a row that is a bare number
+        aligned = False
+    if not aligned:
+        raise ValidationError(f"each magnitude row needs one value per jump ({len(positions)})")
+    try:
+        flat = np.concatenate(rows) if rows else ()
+    except ValueError:  # rows of strings, which fail the finiteness test below
+        flat = None
+    flat = _finite_array(flat, "jump magnitudes", float)
+    return positions, flat.reshape(len(rows), len(positions))
 
 
 def evaluate_absorbing(jumps, magnitudes, x) -> np.ndarray:
-    """Pointwise value of the absorbing piecewise polynomial for the jump data."""
+    """Pointwise value of the absorbing piecewise polynomial for the jump data
+    (checked by `_jump_data`).  Each jump's phase mod((x - x_j) / 2pi, 1) is
+    computed once for every order; the nonzero terms a_{l,j} V_l(x - x_j) are
+    added by order, then by jump, as summing jump_basis_eval did, bit for bit."""
+    positions, rows = _jump_data(jumps, magnitudes)
     x = np.asarray(x, dtype=float)
+    phases = [np.mod((x - xj) / TWO_PI, 1.0) for xj in positions]
     total = np.zeros_like(x)
-    for l, row in enumerate(magnitudes):
-        for xj, a in zip(jumps, row):
+    for l, row in enumerate(rows):
+        for u, a in zip(phases, row):
             if a != 0.0:
-                total = total + a * jump_basis_eval(l, x - xj)
+                total = total + a * _basis_at_phase(l, u)
     return total
 
 
@@ -97,7 +129,8 @@ def piecewise_poly_coeffs(jumps, magnitudes, smoothness: int, ks) -> np.ndarray:
 
     (1/2pi) * sum_j exp(-i k x_j) * sum_l (i k)^(-l-1) a_{l,j}; valid for
     negative k as well.  k = 0 is excluded: the canonical absorbing polynomial
-    has zero mean, so the mean coefficient belongs to the smooth part.
+    has zero mean, so the mean coefficient belongs to the smooth part.  The
+    jump data is checked by `_jump_data`.
     """
     ks = np.asarray(ks, dtype=float)
     if np.any(ks == 0):
@@ -108,13 +141,14 @@ def piecewise_poly_coeffs(jumps, magnitudes, smoothness: int, ks) -> np.ndarray:
     d = _order("smoothness", smoothness)
     if len(magnitudes) != d + 1:
         raise ValidationError("magnitudes must have smoothness+1 rows")
+    positions, rows = _jump_data(jumps, magnitudes)
     out = np.zeros(len(ks), dtype=complex)
     inv = 1.0 / (1j * ks)
-    for xj_idx, xj in enumerate(jumps):
+    for j, xj in enumerate(positions):
         inner = np.zeros(len(ks), dtype=complex)
         power = inv.copy()
         for l in range(d + 1):
-            inner += magnitudes[l][xj_idx] * power
+            inner += rows[l, j] * power
             power = power * inv
         out += np.exp(-1j * ks * xj) * inner
     return out / TWO_PI
@@ -175,12 +209,27 @@ def _series_eval(coeffs: np.ndarray, ks: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _grid_series(coeffs: np.ndarray, ks: np.ndarray, n: int) -> np.ndarray:
-    """sum_k coeffs_k exp(i k x) on the grid x_j = -pi + 2pi j / n, by one FFT:
-    exp(i k x_j) = (-1)^k exp(2pi i (k mod n) j / n), so fold, then transform."""
-    bins = np.zeros(n, dtype=complex)
-    np.add.at(bins, np.mod(ks, n), np.where(ks % 2 == 0, 1.0, -1.0) * coeffs)
-    return np.fft.ifft(bins, norm="forward")
+def _grid_series(runs, n: int) -> np.ndarray:
+    """sum_k c_k exp(i k x) on the grid x_j = -pi + 2pi j / n for contiguous
+    runs (first k, [c_k, c_{k+1}, ...]), by one FFT: exp(i k x_j) =
+    (-1)^k exp(2pi i (k mod n) j / n), so fold into bins r = k mod n, then
+    transform.  Each run is padded in front by (first k mod n) zeros and at
+    the back to a multiple of n, its odd k change sign in one strided slice,
+    and the runs' (rows, n) blocks are stacked and summed over axis 0.  For
+    n >= 2 that adds each bin's terms in order, run by run and k by k, as
+    np.add.at into zeroed bins did, so the bits are the same (zero bins aside,
+    whose sign may differ)."""
+    sizes = [-(-(k0 % n + len(c)) // n) * n for k0, c in runs]
+    folded = np.zeros(sum(sizes), dtype=complex)
+    start = 0
+    for (k0, c), size in zip(runs, sizes):
+        front = k0 % n
+        block = folded[start:start + size]
+        block[front:front + len(c)] = c
+        # block[i] holds k = k0 - front + i
+        block[(k0 - front + 1) % 2::2] *= -1.0
+        start += size
+    return np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward")
 
 
 def partial_sum(window: CoefficientWindow, x):
@@ -469,6 +518,11 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
     n = floor(floor(bandwidth / 2) / (d+2)), and only those d+2 are localized,
     each summed directly from the window (never the full `localize` window).
 
+    The corrected series is the window less the estimated jumps' coefficients
+    (piecewise_poly_coeffs), computed for k = 1..M only: the jump data is
+    real, so k = -M..-1 take their conjugates, which is the formula's value
+    there bit for bit, since libm's cos is even and its sin odd.
+
     min_separation must lower-bound the true pairwise jump separation.
     """
     d = _order("smoothness", smoothness)
@@ -512,10 +566,10 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
         tuple(float(estimates[j][1][l]) for j in range(k)) for l in range(d + 1)
     )
 
-    ks = np.arange(-m, m + 1)
+    jump_part = piecewise_poly_coeffs(jumps_hat, mags_hat, d, np.arange(1, m + 1))
     corrected = np.array(window.coeffs, dtype=complex)
-    nonzero = ks != 0
-    corrected[nonzero] -= piecewise_poly_coeffs(jumps_hat, mags_hat, d, ks[nonzero])
+    corrected[m + 1:] -= jump_part
+    corrected[:m] -= jump_part[::-1].conj()
 
     return ReconstructionResult(
         jumps=jumps_hat,
@@ -533,7 +587,9 @@ def sup_error_away(
     grid_size: int,
 ) -> float:
     """Max |f - f_hat| on the uniform grid x_j = -pi + 2pi j / grid_size, away
-    from the true jumps; both smooth series take one FFT of their difference."""
+    from the true jumps; both smooth series take one FFT of their difference,
+    folded by `_grid_series` from two runs: 2 psi_k for k = 1..psi_degree,
+    then -corrected_k for k = -M..M."""
     if not (_finite(exclusion_radius) and exclusion_radius > 0):
         raise ValidationError(f"exclusion radius must be finite and positive, got {_shown(exclusion_radius)}")
     rho = float(exclusion_radius)
@@ -548,14 +604,12 @@ def sup_error_away(
 
     # f's smooth part is psi_0 + sum_{n >= 1} Re(2 psi_n e^{inx})
     psi = signal._psi_array
-    m = result.corrected.bandwidth
-    ks = np.concatenate([np.arange(1, len(psi)), np.arange(-m, m + 1)])
-    coeffs = np.concatenate([2.0 * psi[1:], -result.corrected.coeffs])
+    runs = [(1, 2.0 * psi[1:]), (-result.corrected.bandwidth, -result.corrected.coeffs)]
     diff = (
         evaluate_absorbing(signal.jumps, signal.magnitudes, grid)
         - evaluate_absorbing(result.jumps, result.magnitudes, grid)
         + psi[0].real
-        + _grid_series(coeffs, ks, n).real
+        + _grid_series(runs, n).real
     )
     return float(np.max(np.abs(diff[keep])))
 

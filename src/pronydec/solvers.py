@@ -27,13 +27,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .forward import (
     _check_scheme,
     _kernel,
     _model_arrays,
-    _moments,
     _require_regular,
     _scheme_ks,
 )
@@ -72,8 +70,14 @@ class SolverReport:
     flags: tuple = ()
 
 
+def _residual(matrix: np.ndarray, coeffs: np.ndarray, q: np.ndarray) -> float:
+    """max|A c - q| for an amplitude basis A already formed."""
+    return float(np.max(np.abs(matrix @ coeffs - q)))
+
+
 def _max_residual(model: PronyModel, ks: np.ndarray, q: np.ndarray) -> float:
-    return float(np.max(np.abs(_moments(*_model_arrays(model), ks) - q)))
+    thetas, mults, coeffs = _model_arrays(model)
+    return _residual(_kernel(thetas, mults, ks), coeffs, q)
 
 
 def max_residual(model: PronyModel, samples: SampleSet) -> float:
@@ -134,13 +138,15 @@ def _column_scale(multiplicities, ks: np.ndarray) -> np.ndarray:
 
 
 def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
-    """Least-squares amplitudes on columns z^k k^l, solved on the columns
-    divided by `_column_scale` and rank-tested there."""
+    """(coefficient tuples, max|A c - q|) of the least-squares amplitudes c on
+    the columns A = [z^k k^l], solved on A divided by `_column_scale` and
+    rank-tested there; the residual reads the same A, formed once."""
     if len(ks) < sum(multiplicities):
         raise ValidationError("need at least as many samples as coefficients")
     scale = _column_scale(multiplicities, ks)
-    matrix = _kernel([cmath.phase(z) for z in nodes], multiplicities, ks) / scale
-    return _split(_full_rank_lstsq(matrix, q, _ALIASED) / scale, multiplicities)
+    matrix = _kernel([cmath.phase(z) for z in nodes], multiplicities, ks)
+    coeffs = _full_rank_lstsq(matrix / scale, q, _ALIASED) / scale
+    return _split(coeffs, multiplicities), _residual(matrix, coeffs, q)
 
 
 def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
@@ -152,7 +158,7 @@ def confluent_vandermonde_coeffs(nodes, multiplicities, samples: SampleSet):
     mults = _multiplicities(multiplicities)
     if len(nodes) != len(mults):
         raise ValidationError("need one multiplicity per node")
-    return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), samples._array)
+    return _fit_coefficients(nodes, mults, _scheme_ks(samples.scheme), samples._array)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -196,12 +202,17 @@ def _cluster_roots(roots, multiplicities):
 # Hankel / annihilating-polynomial solver
 # ---------------------------------------------------------------------------
 
+def _windows(q: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """The rows q[s + cols] for every s that keeps them inside q, by one gather."""
+    return q[np.arange(len(q) - int(cols.max()))[:, None] + cols]
+
+
 def _hankel_nodes(q: np.ndarray, multiplicities, hints):
     """Unit-circle projections of the root-cluster centroids (see decimate.prony_hankel_solve)."""
     total = sum(multiplicities)
     if len(q) < 2 * total:
         raise ValidationError(f"need at least {2 * total} samples, got {len(q)}")
-    hankel = sliding_window_view(q, total + 1)
+    hankel = _windows(q, np.arange(total + 1))
     # the L-column system must have full rank; the (L+1)-column Hankel is
     # rank-deficient by design on exact data (the annihilator is its null space)
     coeffs = _full_rank_lstsq(hankel[:, :total], -hankel[:, total], "degenerate sample set")
@@ -227,7 +238,7 @@ def _annihilation_node(q: np.ndarray, multiplicities, hints):
 
     # coefficient of w^i in sum_j C(m,j) (-w)^(m-j) q_{s+j} is (-1)^i C(m,i) q_{s+m-i}
     signed_binom = np.array([((-1) ** i) * math.comb(m, i) for i in range(m + 1)])
-    rows = sliding_window_view(q, m + 1)[:, ::-1] * signed_binom
+    rows = _windows(q, np.arange(m, -1, -1)) * signed_binom
     if len(rows) == 1:
         poly = rows[0]
     else:
@@ -262,7 +273,7 @@ def _esprit_nodes(q: np.ndarray, multiplicities, hints):
         raise ValidationError(f"need at least {2 * k + 1} samples, got {len(q)}")
 
     # len(q) // 2 + 1 rows
-    hankel = sliding_window_view(q, len(q) - len(q) // 2)
+    hankel = _windows(q, np.arange(len(q) - len(q) // 2))
 
     u, svals, _ = np.linalg.svd(hankel, full_matrices=False)
     flags = []
@@ -307,13 +318,14 @@ BASE_SOLVERS = tuple(_FINDERS)
 def _trial(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, scale: np.ndarray):
     """lm_refine's trial point at node arguments `thetas`: the triangle R of
     [A | D | q] (R-only QR, D = i k A), the coefficients from R11 / scale and
-    R[:L, -1] after `_full_rank_lstsq`'s rank test, and the cost ||R[L:, -1]||^2."""
+    R[:L, -1] after `_full_rank_lstsq`'s rank test, the cost ||R[L:, -1]||^2,
+    and A itself, for the residual at the point `_refine` ends on."""
     width = len(scale)
     matrix = _kernel(thetas, multiplicities, ks)
     r = np.linalg.qr(np.concatenate([matrix, 1j * ks[:, None] * matrix, q[:, None]], axis=1), mode="r")
     coeffs = _full_rank_lstsq(r[:width, :width] / scale, r[:width, -1], _ALIASED) / scale
     tail = r[width:, -1]
-    return r, coeffs, float(np.vdot(tail, tail).real)
+    return r, coeffs, float(np.vdot(tail, tail).real), matrix
 
 
 def _kaufman(r, coeffs, starts):
@@ -340,13 +352,15 @@ def _damped_step(s, vt, g, lam):
 
 def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     """lm_refine's iteration from the node-argument array `thetas`: final arguments
-    (`thetas` itself if no step is accepted), coefficient tuples, iterations and
-    flags.  The fit at `thetas` must be a regular point at the stride."""
+    (`thetas` itself if no step is accepted), coefficient tuples, iterations,
+    flags, and max|A c - q| from the kernel A of the last accepted trial point
+    (of the start when none is accepted).  The fit at `thetas` must be a
+    regular point at the stride."""
     scale = _column_scale(multiplicities, ks)
     # one past the last column of each node's block in A, and the first
     ends = list(itertools.accumulate(multiplicities))
     starts = [0] + ends[:-1]
-    r, coeffs, cost = _trial(thetas, multiplicities, ks, q, scale)
+    r, coeffs, cost, matrix = _trial(thetas, multiplicities, ks, q, scale)
     _require_regular(thetas, abs(coeffs[[e - 1 for e in ends]]), stride, "the refinement's start")
     lam, nu = 1e-3, 2.0
     iterations = 0
@@ -374,7 +388,7 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
             # predicted decrease sum g^2 (1 - t^2), t = lam / (s^2 + lam), as (1 - t)(1 + t)
             fit = s * s / (s * s + lam)
             rho = (cost - trial_cost) / float(np.sum(g * g * fit * (2.0 - fit)))
-            thetas, (r, coeffs, cost) = trial_thetas, trial
+            thetas, (r, coeffs, cost, matrix) = trial_thetas, trial
             lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
             nu = 2.0
             factored = False
@@ -386,7 +400,7 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
                 break
     else:
         flags = ("max-iterations",)
-    return thetas, _split(coeffs, multiplicities), iterations, flags
+    return thetas, _split(coeffs, multiplicities), iterations, flags, _residual(matrix, coeffs, q)
 
 
 def lm_refine(samples: SampleSet, init: PronyModel):
@@ -425,13 +439,15 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     with the coefficients refitted at its nodes, as in decimated_solve; init's
     own coefficients never enter the iteration.  When no step is accepted,
     `init` itself is returned unless the refit gives a smaller max-abs residual.
+    The reported residual is max|A c - q| on the kernel A of the last accepted
+    trial point (of the start when none is accepted), not a second kernel at
+    the returned nodes; only the comparison with `init` evaluates init's own.
     """
     _check_scheme(init.multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), samples._array
     start = np.array(init.node_args)
-    thetas, coeffs, iterations, flags = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
+    thetas, coeffs, iterations, flags, max_res = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
     final = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), init.multiplicities, coeffs)
-    max_res = _max_residual(final, ks, q)
     if thetas is start:
         # no step was accepted: keep init unless the refit at its nodes fits better
         init_res = _max_residual(init, ks, q)

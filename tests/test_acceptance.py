@@ -199,31 +199,36 @@ FOURIER_CONFIGS = {
         "reconstruction_separation": 8.0,
     },
 }
+# criterion 6's bandwidths, sup_error_away's exclusion radius and grid, and
+# the slack each fitted slope may exceed its rate by
+FOURIER_M_VALUES = [64, 128, 256, 512, 1024, 2048]
+FOURIER_EXCLUSION_RADIUS = 0.1
+FOURIER_GRID_SIZE = 1024
+FOURIER_SLACK = 0.4
 
 
 def test_criterion_6_full_accuracy_rates():
     with criterion(6, "reconstruction rate slopes"):
         start = time.perf_counter()
-        slack = 0.4
         for (d, k), signal_spec in FOURIER_CONFIGS.items():
             cfg = SweepConfig(
                 kind="fourier-convergence",
                 seeds=list(range(10)),
-                m_values=[64, 128, 256, 512, 1024, 2048],
+                m_values=FOURIER_M_VALUES,
                 signal=signal_spec,
-                exclusion_radius=0.1,
-                grid_size=1024,
+                exclusion_radius=FOURIER_EXCLUSION_RADIUS,
+                grid_size=FOURIER_GRID_SIZE,
             )
             result = run_sweep(cfg)
             slopes = result.slopes
-            assert slopes["jump_error"] <= -(d + 2) + slack, (
+            assert slopes["jump_error"] <= -(d + 2) + FOURIER_SLACK, (
                 f"(d={d},K={k}) jump slope {slopes['jump_error']:.2f}"
             )
-            assert slopes["sup_away"] <= -(d + 1) + slack, (
+            assert slopes["sup_away"] <= -(d + 1) + FOURIER_SLACK, (
                 f"(d={d},K={k}) pointwise slope {slopes['sup_away']:.2f}"
             )
             for l in range(d + 1):
-                assert slopes[f"mag_error_{l}"] <= (l - d - 1) + slack, (
+                assert slopes[f"mag_error_{l}"] <= (l - d - 1) + FOURIER_SLACK, (
                     f"(d={d},K={k}) magnitude-{l} slope {slopes[f'mag_error_{l}']:.2f}"
                 )
         elapsed = time.perf_counter() - start

@@ -20,11 +20,12 @@ from pronydec import (
     evaluate_moments,
     lm_refine,
     match_estimates,
+    max_residual,
     node_error_bound,
     prony_hankel_solve,
     undecimate_node,
 )
-from pronydec import sweeps
+from pronydec import forward, solvers, sweeps
 from pronydec.decimate import BRANCH_TOL
 from pronydec.forward import stride_separation
 from pronydec.model import TWO_PI
@@ -280,6 +281,77 @@ def test_refined_solve_is_lm_refine_of_the_unrefined_solve(hints):
     assert solved[0] == reference[0]
     assert solved[1].iterations == reference[1].iterations > 1
     assert solved[1].residual == reference[1].residual
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Count forward._kernel's calls under both names it is called by."""
+    calls = []
+    kernel = forward._kernel
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(forward, "_kernel", counting)
+    monkeypatch.setattr(solvers, "_kernel", counting)
+    return calls
+
+
+@pytest.mark.parametrize("solver, mults, hints", [
+    ("hankel", (1, 1), [0.5, -1.2]),
+    ("esprit", (1, 1), [0.5, -1.2]),
+    ("annihilation", (2,), [-0.45]),
+    ("lm", (1, 1), [0.5, -1.2]),
+])
+def test_unrefined_solve_forms_one_kernel(kernel_calls, solver, mults, hints):
+    # the fit's kernel also gives the residual; none is built after it
+    truth = _PAIR if len(mults) == 2 else PronyModel([cmath.exp(-0.4j)], [2], [[1.0, 0.5j]])
+    samples = add_noise(evaluate_moments(truth, SamplingScheme(2, 3, 16)), 1e-4, seed=5)
+    kernel_calls.clear()
+    decimated_solve(samples, mults, hints, base_solver=solver, refine=False)
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("solver", ["hankel", "lm"])
+def test_refined_solve_forms_one_kernel_per_trial_point(kernel_calls, monkeypatch, solver):
+    # one kernel per trial point, the start included; the residual reads the
+    # last accepted one's, so no kernel follows the refinement
+    trials = []
+    trial = solvers._trial
+
+    def counting_trial(*args):
+        trials.append(args[0])
+        return trial(*args)
+
+    monkeypatch.setattr(solvers, "_trial", counting_trial)
+    samples = add_noise(evaluate_moments(_PAIR, SamplingScheme(2, 3, 16)), 1e-4, seed=5)
+    kernel_calls.clear()
+    _, report = decimated_solve(samples, (1, 1), [0.5, -1.2], base_solver=solver)
+    assert report.iterations > 1
+    assert len(kernel_calls) == len(trials) > 1
+    kernel_calls.clear()
+    trials.clear()
+    model, _ = lm_refine(samples, _PAIR)
+    # lm_refine too, when a step is accepted (else it also evaluates init's own residual)
+    assert model.nodes != _PAIR.nodes
+    assert len(kernel_calls) == len(trials) > 1
+
+
+@pytest.mark.parametrize("refine", [False, True])
+def test_residual_is_the_max_abs_residual_of_the_model(refine):
+    # read from the fit's kernel: equal bit for bit for one node, where the
+    # canonical order is the finder's, and to rounding for two
+    one = PronyModel([cmath.exp(-0.4j)], [2], [[1.0, 0.5j]])
+    for truth, hints, solver in ((one, [-0.45], "annihilation"), (_PAIR, [0.5, -1.2], "hankel")):
+        samples = add_noise(evaluate_moments(truth, SamplingScheme(2, 3, 16)), 1e-4, seed=5)
+        model, report = decimated_solve(samples, truth.multiplicities, hints,
+                                        base_solver=solver, refine=refine)
+        direct = max_residual(model, samples)
+        if truth is one and not refine:
+            assert report.residual == direct
+        else:
+            assert report.residual == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
 def test_refine_start_must_be_regular():

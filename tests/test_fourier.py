@@ -36,6 +36,7 @@ from pronydec.fourier import (
     read_window_file,
     write_window_file,
 )
+from test_acceptance import FOURIER_CONFIGS
 
 
 def sawtooth_window(bandwidth):
@@ -107,6 +108,20 @@ class TestAbsorbingEvaluation:
         got = evaluate_absorbing([math.pi], SAWTOOTH_MAGS, xs)
         assert np.max(np.abs(got - xs)) < 1e-12
 
+    @pytest.mark.parametrize("d, k", [(0, 1), (1, 2), (2, 1), (0, 3), (3, 2)])
+    def test_equals_the_sum_of_basis_functions(self, d, k):
+        # one phase per jump serves every order; the terms are added in the
+        # order the per-basis loop added them, so the bits agree
+        x = -math.pi + 2 * math.pi * np.arange(1024) / 1024
+        for seed in range(5):
+            sig = random_piecewise_signal(d, k, seed=seed, min_separation=1.0, psi_degree=8)
+            want = np.zeros_like(x)
+            for l, row in enumerate(sig.magnitudes):
+                for xj, a in zip(sig.jumps, row):
+                    if a != 0.0:
+                        want = want + a * jump_basis_eval(l, x - xj)
+            assert evaluate_absorbing(sig.jumps, sig.magnitudes, x).tobytes() == want.tobytes()
+
     def test_jump_basis_mean_zero(self):
         # integrate over one period; (0, 2*pi) contains no interior jump
         for order in range(4):
@@ -124,6 +139,44 @@ class TestAbsorbingEvaluation:
                 assert right - left == pytest.approx(1.0, abs=1e-6)
             else:
                 assert right - left == pytest.approx(0.0, abs=1e-6)
+
+
+# jump data the absorbing-part functions must reject, each with the message's start
+_BAD_JUMP_DATA = [
+    pytest.param([0.1, 0.2], [[1.0]], "each magnitude row needs one value per jump", id="row-short"),
+    pytest.param([0.1], [[1.0, 5.0]], "each magnitude row needs one value per jump", id="row-long"),
+    pytest.param([0.1], [1.0], "each magnitude row needs one value per jump", id="bare-number-row"),
+    pytest.param([math.nan], [[1.0]], "jump positions must be finite", id="nan-jump"),
+    pytest.param([0.1], [[math.inf]], "jump magnitudes must be finite", id="inf-magnitude"),
+    pytest.param([0.1, 0.2], [[1.0, math.nan]], "jump magnitudes must be finite", id="nan-magnitude"),
+    pytest.param([0.1], [["1"]], "jump magnitudes must be finite", id="string-magnitude"),
+    pytest.param([0.1], [[0.0]] * 171, "must be at most 169", id="order-past-the-limit"),
+]
+
+
+class TestJumpData:
+    """evaluate_absorbing and piecewise_poly_coeffs share one check of their
+    jump data: before it, a short row dropped a jump, a long one was read in
+    part or raised a bare IndexError, a NaN gave NaN values, and an all-zero
+    order past MAX_ORDER passed unchecked."""
+
+    @pytest.mark.parametrize("jumps, magnitudes, match", _BAD_JUMP_DATA)
+    def test_evaluate_absorbing_rejects(self, jumps, magnitudes, match):
+        with pytest.raises(ValidationError, match=match):
+            evaluate_absorbing(jumps, magnitudes, np.linspace(-3.0, 3.0, 5))
+
+    @pytest.mark.parametrize("jumps, magnitudes, match", _BAD_JUMP_DATA)
+    def test_piecewise_poly_coeffs_rejects(self, jumps, magnitudes, match):
+        with pytest.raises(ValidationError, match=match):
+            piecewise_poly_coeffs(jumps, magnitudes, len(magnitudes) - 1, [1, 2])
+
+    def test_order_limit_is_inclusive(self):
+        x = np.linspace(-3.0, 3.0, 5)
+        assert np.all(evaluate_absorbing([0.1], [[0.0]] * 170, x) == 0.0)
+
+    def test_no_jumps_no_absorbing_part(self):
+        assert np.all(evaluate_absorbing([], [[]], np.linspace(-3.0, 3.0, 5)) == 0.0)
+        assert np.all(piecewise_poly_coeffs([], [[]], 0, [1, 2]) == 0.0)
 
 
 class TestSignalCoeffs:
@@ -262,18 +315,18 @@ def test_synthesize_psi_matches_the_scalar_loop(decay, degree):
             assert got_rng.random() == want_rng.random()
 
 
-# criterion 6's three signal specs (tests/test_acceptance.py), less the reconstruction's separation
-_CRITERION_6_SIGNALS = [
-    {"smoothness": 0, "num_jumps": 1, "psi_decay": 1.0, "psi_degree": 8192,
-     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
-    {"smoothness": 1, "num_jumps": 2, "min_separation": 1.6, "psi_decay": 1.0, "psi_degree": 8192,
-     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
-    {"smoothness": 2, "num_jumps": 1, "psi_decay": 4.0, "psi_degree": 8192,
-     "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5},
-]
+# criterion 6's signal specs (tests/test_acceptance.py), less the reconstruction's
+# separation, which is kept beside them
+_CRITERION_6_SIGNALS = [{key: value for key, value in spec.items() if key != "reconstruction_separation"}
+                        for spec in FOURIER_CONFIGS.values()]
+_CRITERION_6_SEPARATIONS = [spec["reconstruction_separation"] for spec in FOURIER_CONFIGS.values()]
+_CRITERION_6_IDS = [f"d{d}-K{k}" for d, k in FOURIER_CONFIGS]
+# a three-jump spec like the (0, 3) cells of the reconstruct-cli benchmark
+_ZERO_THREE = {"smoothness": 0, "num_jumps": 3, "min_separation": 1.6, "psi_decay": 1.0, "psi_degree": 8192,
+               "base_magnitude_range": [3.0, 5.0], "higher_magnitude_scale": 0.5}
 
 
-@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
+@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=_CRITERION_6_IDS)
 def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
     # record the generator state _draw_psi is handed, then replay the scalar
     # loop from it: the signal's smooth part must be the loop's tuple, bit for
@@ -295,7 +348,7 @@ def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
         assert repr(sig.psi_coeffs) == repr(_synthesize_psi_loop(d, decay, degree, rng))
 
 
-@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=["d0-K1", "d1-K2", "d2-K1"])
+@pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=_CRITERION_6_IDS)
 def test_random_signal_hands_over_the_scalar_loops_draw(monkeypatch, spec):
     # the signal takes its smooth part from the private array draw, not from
     # synthesize_psi's tuple; the loop's tuple, as an array, gives the same
@@ -627,8 +680,8 @@ class TestReconstruct:
         for x, report in zip(result.jumps, result.reports):
             assert circle_distance(x, -hints[id(report)]) < 1e-2
 
-    @pytest.mark.parametrize("spec, separation", zip(_CRITERION_6_SIGNALS, [8.0, 1.5, 8.0]),
-                             ids=["d0-K1", "d1-K2", "d2-K1"])
+    @pytest.mark.parametrize("spec, separation", zip(_CRITERION_6_SIGNALS, _CRITERION_6_SEPARATIONS),
+                             ids=_CRITERION_6_IDS)
     def test_each_jump_is_solved_once_unrefined(self, monkeypatch, spec, separation):
         # the d+2 annihilation equations are solved once, with no LM polish after
         def refuse(*args):
@@ -722,6 +775,24 @@ class TestReconstruct:
         with pytest.raises(ValidationError):
             reconstruct(sawtooth_window(8), 0, 1, 1.0)
 
+    @pytest.mark.parametrize("spec, separation", [*zip(_CRITERION_6_SIGNALS, _CRITERION_6_SEPARATIONS),
+                                                  (_ZERO_THREE, 1.5)],
+                             ids=[*_CRITERION_6_IDS, "d0-K3"])
+    def test_corrected_mirrors_the_positive_half(self, spec, separation):
+        # the jump coefficients are computed for k = 1..M and conjugated for
+        # -M..-1; this equals the formula at every nonzero k, bit for bit,
+        # only if libm's cos is even and its sin odd
+        d, k = spec["smoothness"], spec["num_jumps"]
+        for seed in range(3):
+            sig = random_piecewise_signal(seed=seed, **spec)
+            for m in (128, 2048):
+                window = signal_coeffs(sig, m)
+                result = reconstruct(window, d, k, separation)
+                ks = np.arange(-m, m + 1)
+                want = np.array(window.coeffs)
+                want[ks != 0] -= piecewise_poly_coeffs(result.jumps, result.magnitudes, d, ks[ks != 0])
+                assert result.corrected.coeffs.tobytes() == want.tobytes()
+
 
 def _jumps_from_localized_windows(window, d, k, separation):
     """reconstruct's K >= 2 jumps as they were found from the full localized
@@ -802,13 +873,12 @@ class TestSupErrorAway:
         dist = np.min([np.abs(np.mod(grid - xj + math.pi, 2 * math.pi) - math.pi)
                        for xj in sig.jumps], axis=0)
         psi = np.asarray(sig.psi_coeffs)
-        ks = np.concatenate([np.arange(1, len(psi)), np.arange(-128, 129)])
-        coeffs = np.concatenate([2.0 * psi[1:], -result.corrected.coeffs])
+        runs = [(1, 2.0 * psi[1:]), (-128, -result.corrected.coeffs)]
         diff = (
             evaluate_absorbing(sig.jumps, sig.magnitudes, grid)
             - evaluate_absorbing(result.jumps, result.magnitudes, grid)
             + psi[0].real
-            + _grid_series(coeffs, ks, grid_size).real
+            + _grid_series(runs, grid_size).real
         )
         assert sup_error_away(sig, result, 0.1, grid_size) == float(np.max(np.abs(diff[dist > 0.1])))
 
@@ -851,6 +921,50 @@ class TestSupErrorAway:
         x = grid[np.abs(np.angle(np.exp(1j * (grid - sig.jumps[0])))) > 0.1]
         want = float(np.max(np.abs(pd.evaluate_signal(sig, x) - result.evaluate(x))))
         assert abs(sup_error_away(sig, result, 0.1, 999) - want) <= 1e-12
+
+
+def _grid_series_add_at(runs, n):
+    """The fold _grid_series replaced: np.add.at of the signed coefficients of
+    the concatenated runs into n zeroed bins, then one inverse FFT."""
+    ks = np.concatenate([k0 + np.arange(len(c)) for k0, c in runs])
+    coeffs = np.concatenate([c for _, c in runs])
+    bins = np.zeros(n, dtype=complex)
+    np.add.at(bins, np.mod(ks, n), np.where(ks % 2 == 0, 1.0, -1.0) * coeffs)
+    return np.fft.ifft(bins, norm="forward")
+
+
+def _random_runs(rng, count):
+    """`count` runs of random coefficients, first k in [-3000, 3000), lengths 0-4999."""
+    return [(int(rng.integers(-3000, 3000)),
+             rng.normal(size=length) + 1j * rng.normal(size=length))
+            for length in rng.integers(0, 5000, size=count)]
+
+
+class TestGridSeries:
+    """The reshape fold adds each bin's terms in the order np.add.at did."""
+
+    @pytest.mark.parametrize("n", [1024, 999, 100, 2])
+    def test_equals_the_add_at_fold(self, n):
+        rng = np.random.default_rng(n)
+        cases = [_random_runs(rng, count) for count in (1, 2, 2, 3) * 10]
+        # sup_error_away's shape: a positive run from 1, then a window from -M
+        cases += [[(1, rng.normal(size=8192) + 1j * rng.normal(size=8192)),
+                   (-m, rng.normal(size=2 * m + 1) + 1j * rng.normal(size=2 * m + 1))]
+                  for m in (64, 1000, 2048)]
+        assert any(k0 < 0 for runs in cases for k0, _ in runs)
+        assert any(k0 > 0 for runs in cases for k0, _ in runs)
+        assert any(len(c) % n for runs in cases for _, c in runs)
+        for runs in cases:
+            assert _grid_series(runs, n).tobytes() == _grid_series_add_at(runs, n).tobytes()
+
+    def test_one_bin_to_rounding(self):
+        # at n = 1 numpy sums the one-column block pairwise, not in order
+        rng = np.random.default_rng(1)
+        for count in (1, 2, 3):
+            runs = _random_runs(rng, count)
+            want = _grid_series_add_at(runs, 1)
+            scale = sum(np.sum(np.abs(c)) for _, c in runs)
+            assert np.allclose(_grid_series(runs, 1), want, rtol=0, atol=1e-14 * scale)
 
 
 class TestWindowFile:

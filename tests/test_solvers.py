@@ -369,8 +369,8 @@ class TestLmRefine:
                 return fit(thetas, *args)
             if trial == "merged-nodes":
                 raise RankDeficiencyError("merged")
-            r, coeffs, cost = fit(thetas, *args)
-            return r, coeffs, 1e3
+            r, coeffs, cost, matrix = fit(thetas, *args)
+            return r, coeffs, 1e3, matrix
 
         monkeypatch.setattr(solvers, "_trial", fake)
         model, report = lm_refine(exact_samples(truth, 4), start)
@@ -410,10 +410,11 @@ class TestTriangle:
             shapes.add((count < 2 * width + 1, len(mults) > 1))
             scale = solvers._column_scale(mults, ks)
             starts = np.cumsum((0,) + mults[:-1])
-            r, coeffs, cost = solvers._trial(thetas, mults, ks, q, scale)
+            r, coeffs, cost, matrix = solvers._trial(thetas, mults, ks, q, scale)
             col_norms, s, vt, g = solvers._kaufman(r, coeffs, starts)
 
-            a_s = solvers._kernel(thetas, mults, ks) / scale
+            assert np.array_equal(matrix, solvers._kernel(thetas, mults, ks))
+            a_s = matrix / scale
             d_s = 1j * ks[:, None] * a_s
             dense, *_ = np.linalg.lstsq(a_s, q, rcond=None)
             residual = a_s @ dense - q
