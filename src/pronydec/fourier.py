@@ -82,8 +82,15 @@ def jump_basis_eval(order: int, x) -> np.ndarray:
     of x/(2pi).  At the jump itself the value is the right-hand limit.
     """
     order = _order("order", order)
+    return _basis_at_phase(order, np.mod(_points(x) / TWO_PI, 1.0))
+
+
+def _points(x) -> np.ndarray:
+    """Evaluation points as a float array; a NaN or infinite one is a ValidationError."""
     x = np.asarray(x, dtype=float)
-    return _basis_at_phase(order, np.mod(x / TWO_PI, 1.0))
+    if not np.isfinite(x).all():
+        raise ValidationError("evaluation points must be finite")
+    return x
 
 
 def _jump_data(jumps, magnitudes):
@@ -102,7 +109,7 @@ def _jump_data(jumps, magnitudes):
         raise ValidationError(f"each magnitude row needs one value per jump ({len(positions)})")
     try:
         flat = np.concatenate(rows) if rows else ()
-    except ValueError:  # rows of strings, which fail the finiteness test below
+    except ValueError:  # nested or ragged rows, which fail the finiteness test below
         flat = None
     flat = _finite_array(flat, "jump magnitudes", float)
     return positions, flat.reshape(len(rows), len(positions))
@@ -110,11 +117,16 @@ def _jump_data(jumps, magnitudes):
 
 def evaluate_absorbing(jumps, magnitudes, x) -> np.ndarray:
     """Pointwise value of the absorbing piecewise polynomial for the jump data
-    (checked by `_jump_data`).  Each jump's phase mod((x - x_j) / 2pi, 1) is
-    computed once for every order; the nonzero terms a_{l,j} V_l(x - x_j) are
-    added by order, then by jump, as summing jump_basis_eval did, bit for bit."""
+    (checked by `_jump_data`) at the finite points x.  Each jump's phase
+    mod((x - x_j) / 2pi, 1) is computed once for every order; the nonzero
+    terms a_{l,j} V_l(x - x_j) are added by order, then by jump, as summing
+    jump_basis_eval did, bit for bit."""
     positions, rows = _jump_data(jumps, magnitudes)
-    x = np.asarray(x, dtype=float)
+    return _absorbing(positions, rows, _points(x))
+
+
+def _absorbing(positions: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """evaluate_absorbing without its checks, for jump data and points known valid."""
     phases = [np.mod((x - xj) / TWO_PI, 1.0) for xj in positions]
     total = np.zeros_like(x)
     for l, row in enumerate(rows):
@@ -141,17 +153,32 @@ def piecewise_poly_coeffs(jumps, magnitudes, smoothness: int, ks) -> np.ndarray:
     d = _order("smoothness", smoothness)
     if len(magnitudes) != d + 1:
         raise ValidationError("magnitudes must have smoothness+1 rows")
-    positions, rows = _jump_data(jumps, magnitudes)
+    return _poly_coeffs(*_jump_data(jumps, magnitudes), ks)
+
+
+def _poly_coeffs(positions: np.ndarray, rows: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """piecewise_poly_coeffs without its checks, for jump data known valid
+    (one row per order) and nonzero float ks."""
     out = np.zeros(len(ks), dtype=complex)
     inv = 1.0 / (1j * ks)
     for j, xj in enumerate(positions):
         inner = np.zeros(len(ks), dtype=complex)
         power = inv.copy()
-        for l in range(d + 1):
-            inner += rows[l, j] * power
+        for row in rows:
+            inner += row[j] * power
             power = power * inv
         out += np.exp(-1j * ks * xj) * inner
     return out / TWO_PI
+
+
+def _jump_window(positions: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
+    """The absorbing part's coefficients at k = -M..M, 0 at k = 0, for jump data
+    known valid.  They are computed for k = 1..M only; k = -M..-1 take their
+    conjugates, which is the formula's value there bit for bit, since the jump
+    data is real and libm's cos is even and its sin odd (a zero coefficient,
+    from all-zero magnitudes, may change the sign of a zero part)."""
+    half = _poly_coeffs(positions, rows, np.arange(1.0, m + 1))
+    return np.concatenate([half[::-1].conj(), [0.0], half])
 
 
 # ---------------------------------------------------------------------------
@@ -181,21 +208,20 @@ class CoefficientWindow:
 
 def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     """Exact coefficient window of a piecewise signal: closed-form absorbing part
-    plus the stored smooth-part series."""
+    plus the stored smooth-part series.
+
+    The absorbing part is computed for k = 1..M and mirrored to k = -M..-1 by
+    conjugation (_jump_window); that equals piecewise_poly_coeffs at every
+    nonzero k, bit for bit, as long as libm's cos is even and its sin odd
+    (the sign of a zero may differ where every magnitude is zero)."""
     m = _integer("bandwidth", bandwidth, 1)
-    ks = np.arange(-m, m + 1)
-    coeffs = np.zeros(2 * m + 1, dtype=complex)
-    nonzero = ks != 0
-    coeffs[nonzero] = piecewise_poly_coeffs(
-        signal.jumps, signal.magnitudes, signal.smoothness, ks[nonzero]
-    )
+    jump_part = _jump_window(np.array(signal.jumps), np.array(signal.magnitudes), m)
     # psi_n at k = n >= 0, its conjugate at -n, 0 beyond: bit-equal to a per-index sum
     psi, n = signal._psi_array, min(m, signal.psi_degree)
     smooth = np.zeros(2 * m + 1, dtype=complex)
     smooth[m:m + n + 1] = psi[:n + 1]
     smooth[m - n:m] = psi[n:0:-1].conj()
-    coeffs += smooth
-    return CoefficientWindow(coeffs, m)
+    return CoefficientWindow(jump_part + smooth, m)
 
 
 def _series_eval(coeffs: np.ndarray, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -209,40 +235,51 @@ def _series_eval(coeffs: np.ndarray, ks: np.ndarray, x: np.ndarray) -> np.ndarra
     return out
 
 
-def _grid_series(runs, n: int) -> np.ndarray:
-    """sum_k c_k exp(i k x) on the grid x_j = -pi + 2pi j / n for contiguous
-    runs (first k, [c_k, c_{k+1}, ...]), by one FFT: exp(i k x_j) =
-    (-1)^k exp(2pi i (k mod n) j / n), so fold into bins r = k mod n, then
-    transform.  Each run is padded in front by (first k mod n) zeros and at
-    the back to a multiple of n, its odd k change sign in one strided slice,
-    and the runs' (rows, n) blocks are stacked and summed over axis 0.  For
-    n >= 2 that adds each bin's terms in order, run by run and k by k, as
-    np.add.at into zeroed bins did, so the bits are the same (zero bins aside,
-    whose sign may differ)."""
+def _fold(runs, n: int, start=None) -> np.ndarray:
+    """The runs (first k, [c_k, c_{k+1}, ...]) folded into bins r = k mod n,
+    each term signed (-1)^k.  Each run is padded in front by (first k mod n)
+    zeros and at the back to a multiple of n, its odd k change sign in one
+    strided slice, and the runs' (rows, n) blocks are stacked and summed over
+    axis 0.  For n >= 2 that adds each bin's terms in order, run by run and k
+    by k, as np.add.at into zeroed bins did, so the bits are the same (zero
+    bins aside, whose sign may differ).  `start`, the bins of earlier runs, is
+    stacked as the first row, so for n >= 2 folding the later runs onto it
+    gives the bits of folding all the runs at once."""
+    head = 0 if start is None else n
     sizes = [-(-(k0 % n + len(c)) // n) * n for k0, c in runs]
-    folded = np.zeros(sum(sizes), dtype=complex)
-    start = 0
+    folded = np.zeros(head + sum(sizes), dtype=complex)
+    if start is not None:
+        folded[:n] = start
+    begin = head
     for (k0, c), size in zip(runs, sizes):
         front = k0 % n
-        block = folded[start:start + size]
+        block = folded[begin:begin + size]
         block[front:front + len(c)] = c
         # block[i] holds k = k0 - front + i
         block[(k0 - front + 1) % 2::2] *= -1.0
-        start += size
-    return np.fft.ifft(folded.reshape(-1, n).sum(axis=0), norm="forward")
+        begin += size
+    return folded.reshape(-1, n).sum(axis=0)
+
+
+def _grid_series(runs, n: int, start=None) -> np.ndarray:
+    """sum_k c_k exp(i k x) on the grid x_j = -pi + 2pi j / n for contiguous
+    runs (first k, [c_k, c_{k+1}, ...]), by one FFT: exp(i k x_j) =
+    (-1)^k exp(2pi i (k mod n) j / n), so fold into bins r = k mod n (_fold,
+    onto the bins `start` of earlier runs if given), then transform."""
+    return np.fft.ifft(_fold(runs, n, start), norm="forward")
 
 
 def partial_sum(window: CoefficientWindow, x):
-    """Truncated Fourier series of the window at x (scalar or array); the real part."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """Truncated Fourier series of the window at finite x (scalar or array); the real part."""
+    xs = np.atleast_1d(_points(x))
     ks = np.arange(-window.bandwidth, window.bandwidth + 1)
     result = _series_eval(window.coeffs, ks, xs).real
     return float(result[0]) if np.isscalar(x) or np.ndim(x) == 0 else result
 
 
 def evaluate_signal(signal: PiecewiseSignal, x):
-    """Pointwise value of the signal: absorbing part + smooth trigonometric series."""
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    """Pointwise value of the signal at finite x: absorbing part + smooth trigonometric series."""
+    xs = np.atleast_1d(_points(x))
     total = evaluate_absorbing(signal.jumps, signal.magnitudes, xs)
     psi = signal._psi_array
     ns = np.arange(1, len(psi))
@@ -494,8 +531,8 @@ class ReconstructionResult:
     reports: tuple = field(default=())
 
     def evaluate(self, x):
-        """Final approximation: absorbing part from the estimates plus the
-        corrected truncated series."""
+        """Final approximation at finite x: absorbing part from the estimates
+        plus the corrected truncated series."""
         xs = np.atleast_1d(np.asarray(x, dtype=float))
         values = evaluate_absorbing(self.jumps, self.magnitudes, xs) + partial_sum(
             self.corrected, xs
@@ -519,9 +556,9 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
     each summed directly from the window (never the full `localize` window).
 
     The corrected series is the window less the estimated jumps' coefficients
-    (piecewise_poly_coeffs), computed for k = 1..M only: the jump data is
-    real, so k = -M..-1 take their conjugates, which is the formula's value
-    there bit for bit, since libm's cos is even and its sin odd.
+    (piecewise_poly_coeffs, unchecked: the estimates are valid by
+    construction), computed for k = 1..M only and mirrored by conjugation
+    (_jump_window), which is the formula's value at k = -M..-1 bit for bit.
 
     min_separation must lower-bound the true pairwise jump separation.
     """
@@ -566,10 +603,7 @@ def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_
         tuple(float(estimates[j][1][l]) for j in range(k)) for l in range(d + 1)
     )
 
-    jump_part = piecewise_poly_coeffs(jumps_hat, mags_hat, d, np.arange(1, m + 1))
-    corrected = np.array(window.coeffs, dtype=complex)
-    corrected[m + 1:] -= jump_part
-    corrected[:m] -= jump_part[::-1].conj()
+    corrected = window.coeffs - _jump_window(np.array(jumps_hat), np.array(mags_hat), m)
 
     return ReconstructionResult(
         jumps=jumps_hat,
@@ -589,29 +623,51 @@ def sup_error_away(
     """Max |f - f_hat| on the uniform grid x_j = -pi + 2pi j / grid_size, away
     from the true jumps; both smooth series take one FFT of their difference,
     folded by `_grid_series` from two runs: 2 psi_k for k = 1..psi_degree,
-    then -corrected_k for k = -M..M."""
+    then -corrected_k for k = -M..M.
+
+    The signal's side depends only on (signal, grid_size, radius), so it is
+    memoised on the signal, one entry (_signal_on_grid): the grid, the kept
+    points, f's absorbing part, psi_0 and the psi run's folded bins.  The
+    first call fills it; later calls fold only the corrected run after the
+    stored bins, which for grid_size >= 2 gives the bits of folding both."""
     if not (_finite(exclusion_radius) and exclusion_radius > 0):
         raise ValidationError(f"exclusion radius must be finite and positive, got {_shown(exclusion_radius)}")
-    rho = float(exclusion_radius)
     n = _integer("grid_size", grid_size, 1)
-    grid = -math.pi + TWO_PI * np.arange(n) / n
-    keep = np.ones(n, dtype=bool)
-    for xj in signal.jumps:
-        delta = np.abs(np.mod(grid - xj + math.pi, TWO_PI) - math.pi)
-        keep &= delta > rho
-    if not np.any(keep):
-        raise ValidationError("exclusion radius removed every grid point")
-
-    # f's smooth part is psi_0 + sum_{n >= 1} Re(2 psi_n e^{inx})
-    psi = signal._psi_array
-    runs = [(1, 2.0 * psi[1:]), (-result.corrected.bandwidth, -result.corrected.coeffs)]
+    grid, keep, absorbing, psi0, psi_bins = _signal_on_grid(signal, n, float(exclusion_radius))
+    corrected = result.corrected
     diff = (
-        evaluate_absorbing(signal.jumps, signal.magnitudes, grid)
-        - evaluate_absorbing(result.jumps, result.magnitudes, grid)
-        + psi[0].real
-        + _grid_series(runs, n).real
+        absorbing
+        - _absorbing(*_jump_data(result.jumps, result.magnitudes), grid)
+        + psi0
+        + _grid_series([(-corrected.bandwidth, -corrected.coeffs)], n, psi_bins).real
     )
     return float(np.max(np.abs(diff[keep])))
+
+
+def _signal_on_grid(signal: PiecewiseSignal, n: int, rho: float) -> tuple:
+    """(grid, keep mask, f's absorbing part, psi_0, psi run's bins) of
+    sup_error_away, read-only, from the signal's one-entry memo or computed
+    into it.  A radius that removes every grid point raises and stores nothing."""
+    key = (n, rho)
+    entry = signal._grid_memo.get(key)
+    if entry is None:
+        grid = -math.pi + TWO_PI * np.arange(n) / n
+        keep = np.ones(n, dtype=bool)
+        for xj in signal.jumps:
+            delta = np.abs(np.mod(grid - xj + math.pi, TWO_PI) - math.pi)
+            keep &= delta > rho
+        if not np.any(keep):
+            raise ValidationError("exclusion radius removed every grid point")
+        # f's smooth part is psi_0 + sum_{n >= 1} Re(2 psi_n e^{inx})
+        psi = signal._psi_array
+        absorbing = _absorbing(np.array(signal.jumps), np.array(signal.magnitudes), grid)
+        psi_bins = _fold([(1, 2.0 * psi[1:])], n)
+        for array in (grid, keep, absorbing, psi_bins):
+            array.flags.writeable = False
+        entry = (grid, keep, absorbing, psi[0].real, psi_bins)
+        signal._grid_memo.clear()
+        signal._grid_memo[key] = entry
+    return entry
 
 
 # ---------------------------------------------------------------------------

@@ -308,7 +308,9 @@ class PiecewiseSignal:
 
     psi_coeffs stays a tuple (equality, hash, JSON); _psi_array holds the same
     coefficients as a read-only complex array for the numeric consumers, and
-    takes no part in equality, hash or repr.
+    takes no part in equality, hash or repr.  Neither does _grid_memo, the
+    one-entry memo of fourier.sup_error_away's signal side, which a pickle or
+    copy also leaves out: the copy starts with an empty one.
     """
 
     smoothness: int
@@ -317,6 +319,7 @@ class PiecewiseSignal:
     psi_coeffs: tuple
     psi_decay: float
     _psi_array: np.ndarray = field(init=False, repr=False, compare=False)
+    _grid_memo: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         d = _order("smoothness", self.smoothness)
@@ -332,6 +335,7 @@ class PiecewiseSignal:
         object.__setattr__(self, "psi_coeffs", psi)
         object.__setattr__(self, "psi_decay", float(_check_level(self.psi_decay, "psi_decay")))
         object.__setattr__(self, "_psi_array", array)
+        object.__setattr__(self, "_grid_memo", {})
         if len(jumps) < 1:
             raise ValidationError("at least one jump is required")
         for x in jumps:
@@ -353,6 +357,9 @@ class PiecewiseSignal:
             raise ValidationError(
                 f"smooth-part coefficient {over[0] + 1} exceeds the certified decay bound"
             )
+
+    def __getstate__(self):
+        return {**self.__dict__, "_grid_memo": {}}
 
     @property
     def num_jumps(self) -> int:

@@ -1,5 +1,8 @@
 import cmath
+import copy
+import dataclasses
 import math
+import pickle
 import warnings
 
 import numpy as np
@@ -36,7 +39,8 @@ from pronydec.fourier import (
     read_window_file,
     write_window_file,
 )
-from test_acceptance import FOURIER_CONFIGS
+from pronydec.model import signal_to_dict
+from test_acceptance import FOURIER_CONFIGS, FOURIER_M_VALUES
 
 
 def sawtooth_window(bandwidth):
@@ -150,6 +154,8 @@ _BAD_JUMP_DATA = [
     pytest.param([0.1], [[math.inf]], "jump magnitudes must be finite", id="inf-magnitude"),
     pytest.param([0.1, 0.2], [[1.0, math.nan]], "jump magnitudes must be finite", id="nan-magnitude"),
     pytest.param([0.1], [["1"]], "jump magnitudes must be finite", id="string-magnitude"),
+    pytest.param([0.1, 0.2], [[1.0, 2.0], [[1.0], [2.0]]], "jump magnitudes must be finite", id="nested-row"),
+    pytest.param([0.1, 0.2], [[[1.0], [2.0, 3.0]]], "jump magnitudes must be finite", id="ragged-row"),
     pytest.param([0.1], [[0.0]] * 171, "must be at most 169", id="order-past-the-limit"),
 ]
 
@@ -249,6 +255,35 @@ class TestPartialSum:
         # imaginary part of 4.6e-10 at 0; only the real part is returned
         window = CoefficientWindow(np.full(1025, 0.45e-12j), 512)
         assert partial_sum(window, 0.0) == 0.0
+
+
+_NONFINITE_POINTS = [
+    pytest.param(math.inf, id="inf"),
+    pytest.param(-math.inf, id="minus-inf"),
+    pytest.param(math.nan, id="nan"),
+    pytest.param([0.5, math.nan], id="nan-in-array"),
+    pytest.param(np.array([[0.1, 0.2], [math.inf, 0.3]]), id="inf-in-2d-array"),
+]
+
+
+@pytest.mark.parametrize("x", _NONFINITE_POINTS)
+def test_evaluators_reject_nonfinite_points(x):
+    # each returned NaN, with numpy's invalid-value RuntimeWarning, before the check
+    sig = random_piecewise_signal(1, 2, seed=3, min_separation=1.6, psi_degree=64)
+    window = signal_coeffs(sig, 64)
+    result = reconstruct(window, 1, 2, 1.5)
+    calls = [
+        lambda: jump_basis_eval(1, x),
+        lambda: evaluate_absorbing(sig.jumps, sig.magnitudes, x),
+        lambda: pd.evaluate_signal(sig, x),
+        lambda: partial_sum(window, x),
+        lambda: result.evaluate(x),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValidationError, match="evaluation points must be finite"):
+                call()
 
 
 class TestCoefficientWindow:
@@ -794,6 +829,21 @@ class TestReconstruct:
                 assert result.corrected.coeffs.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("spec", [*_CRITERION_6_SIGNALS, _ZERO_THREE], ids=[*_CRITERION_6_IDS, "d0-K3"])
+def test_signal_coeffs_mirror_the_positive_half(spec):
+    # the jump coefficients are computed for k = 1..M and conjugated for
+    # -M..-1; this equals the formula at every nonzero k, bit for bit, only
+    # if libm's cos is even and its sin odd
+    for seed in range(3):
+        sig = random_piecewise_signal(seed=seed, **spec)
+        for m in (64, 2048):
+            ks = np.arange(-m, m + 1)
+            want = np.zeros(2 * m + 1, dtype=complex)
+            want[ks != 0] = piecewise_poly_coeffs(sig.jumps, sig.magnitudes, sig.smoothness, ks[ks != 0])
+            want += [sig.psi_coeff(int(k)) for k in ks]
+            assert signal_coeffs(sig, m).coeffs.tobytes() == want.tobytes()
+
+
 def _jumps_from_localized_windows(window, d, k, separation):
     """reconstruct's K >= 2 jumps as they were found from the full localized
     window: localize to half the bandwidth, then the transform at
@@ -921,6 +971,98 @@ class TestSupErrorAway:
         x = grid[np.abs(np.angle(np.exp(1j * (grid - sig.jumps[0])))) > 0.1]
         want = float(np.max(np.abs(pd.evaluate_signal(sig, x) - result.evaluate(x))))
         assert abs(sup_error_away(sig, result, 0.1, 999) - want) <= 1e-12
+
+
+class TestSupErrorAwayMemo:
+    """The signal's side of sup_error_away, which depends only on (signal,
+    grid size, radius), is kept in a one-entry memo on the signal."""
+
+    @staticmethod
+    def _count_absorbing(monkeypatch):
+        """The grid sizes of the absorbing-part evaluations made from now on."""
+        calls, core = [], pd.fourier._absorbing
+
+        def counted(positions, rows, x):
+            calls.append(len(x))
+            return core(positions, rows, x)
+
+        monkeypatch.setattr(pd.fourier, "_absorbing", counted)
+        return calls
+
+    def test_six_bandwidths_evaluate_the_signal_once(self, monkeypatch):
+        # criterion 6's (1, 2) cells: one fill, then one estimate per bandwidth
+        spec, separation = _CRITERION_6_SIGNALS[1], _CRITERION_6_SEPARATIONS[1]
+        sig = random_piecewise_signal(seed=0, **spec)
+        results = [reconstruct(signal_coeffs(sig, m), 1, 2, separation) for m in FOURIER_M_VALUES]
+        calls = self._count_absorbing(monkeypatch)
+        for result in results:
+            sup_error_away(sig, result, 0.1, 1024)
+        assert calls == [1024] * 7
+
+    @staticmethod
+    def _one_fold(sig, result, radius, n):
+        """sup_error_away without the memo: both runs folded at once."""
+        grid = -math.pi + 2 * math.pi * np.arange(n) / n
+        keep = np.all([np.abs(np.mod(grid - xj + math.pi, 2 * math.pi) - math.pi) > radius
+                       for xj in sig.jumps], axis=0)
+        psi, m = sig._psi_array, result.corrected.bandwidth
+        diff = (
+            evaluate_absorbing(sig.jumps, sig.magnitudes, grid)
+            - evaluate_absorbing(result.jumps, result.magnitudes, grid)
+            + psi[0].real
+            + _grid_series([(1, 2.0 * psi[1:]), (-m, -result.corrected.coeffs)], n).real
+        )
+        return float(np.max(np.abs(diff[keep])))
+
+    @pytest.mark.parametrize("spec, separation", zip(_CRITERION_6_SIGNALS, _CRITERION_6_SEPARATIONS),
+                             ids=_CRITERION_6_IDS)
+    def test_warm_and_cold_calls_give_the_one_fold_bits(self, spec, separation):
+        d, k = spec["smoothness"], spec["num_jumps"]
+        for seed in range(2):
+            sig = random_piecewise_signal(seed=seed, **spec)
+            results = [reconstruct(signal_coeffs(sig, m), d, k, separation) for m in FOURIER_M_VALUES]
+            for n in (1024, 999, 100):
+                for result in results:
+                    warm = sup_error_away(sig, result, 0.1, n)
+                    cold = sup_error_away(dataclasses.replace(sig), result, 0.1, n)
+                    want = self._one_fold(sig, result, 0.1, n)
+                    assert {np.float64(v).tobytes() for v in (warm, cold, want)} == {np.float64(want).tobytes()}
+                assert list(sig._grid_memo) == [(n, 0.1)]
+
+    def test_a_new_key_replaces_the_entry(self, monkeypatch, one_jump_case):
+        sig, result = one_jump_case
+        sig = dataclasses.replace(sig)  # the fixture's signal may hold an entry
+        calls = self._count_absorbing(monkeypatch)
+        for n, radius, fills in [(1024, 0.1, 1), (1024, 0.1, 0), (999, 0.1, 1),
+                                 (999, 0.2, 1), (999, 0.2, 0), (1024, 0.1, 1)]:
+            del calls[:]
+            got = sup_error_away(sig, result, radius, n)
+            assert calls == [n] * (1 + fills)
+            assert list(sig._grid_memo) == [(n, radius)]
+            assert got == sup_error_away(dataclasses.replace(sig), result, radius, n)
+        grid, keep, absorbing, _, bins = sig._grid_memo[(1024, 0.1)]
+        assert not any(a.flags.writeable for a in (grid, keep, absorbing, bins))
+
+    def test_a_raising_call_stores_nothing(self, one_jump_case):
+        sig, result = one_jump_case
+        sig = dataclasses.replace(sig)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="removed every grid point"):
+                sup_error_away(sig, result, 4.0, 64)
+            assert sig._grid_memo == {}
+
+    def test_outside_equality_hash_repr_dict_and_pickle(self, one_jump_case):
+        sig, result = one_jump_case
+        filled, fresh = dataclasses.replace(sig), dataclasses.replace(sig)
+        before = (repr(filled), signal_to_dict(filled), pickle.dumps(filled))
+        value = sup_error_away(filled, result, 0.1, 1024)
+        assert filled._grid_memo and not fresh._grid_memo
+        assert filled == fresh and hash(filled) == hash(fresh)
+        assert (repr(filled), signal_to_dict(filled), pickle.dumps(filled)) == before
+        for copied in (pickle.loads(pickle.dumps(filled)), copy.copy(filled),
+                       copy.deepcopy(filled), dataclasses.replace(filled)):
+            assert copied == filled and copied._grid_memo == {}
+            assert sup_error_away(copied, result, 0.1, 1024) == value
 
 
 def _grid_series_add_at(runs, n):
