@@ -38,7 +38,6 @@ from .solvers import (
     SolverReport,
     confluent_vandermonde_coeffs,
     lm_refine,
-    max_residual,
 )
 from .decimate import (
     annihilation_solve_single,

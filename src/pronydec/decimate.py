@@ -55,9 +55,14 @@ def undecimate_node(w: complex, p: int, hint: float) -> complex:
     farther away; a gap below BRANCH_TOL is ambiguous.
     """
     p = _integer("stride", p, 1)
+    (hint,) = _hints([hint], 1)
+    return _undecimate(w, p, hint)
+
+
+def _undecimate(w: complex, p: int, hint: float) -> complex:
+    """undecimate_node for a stride and a hint already checked."""
     if not 0.5 <= abs(w) <= 2.0:
         raise ValidationError(f"powered node modulus {abs(w):.3g} is outside [0.5, 2]")
-    (hint,) = _hints([hint], 1)
     base = cmath.phase(w)
     if p == 1:
         return cmath.exp(1j * base)
@@ -119,7 +124,7 @@ def decimated_solve(
             [wrap_angle(p * h) for h in hints],
             multiplicities,
         )
-        nodes = tuple(undecimate_node(nodes[j], p, hint) for j, hint in zip(perm, hints))
+        nodes = tuple(_undecimate(nodes[j], p, hint) for j, hint in zip(perm, hints))
     # canonical order (PronyModel.canonical's); the refined model is not sorted again
     order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
     if refine:

@@ -55,25 +55,31 @@ def _model_arrays(model: PronyModel):
     return np.array(model.node_args), model.multiplicities, coeffs
 
 
-def _kernel(thetas, multiplicities, ks: np.ndarray, coeffs=None) -> np.ndarray:
-    """Columns exp(i*theta_j*k) * k^l for each node j and l = 0..mult_j-1.
+def _kernel(thetas, multiplicities, ks: np.ndarray, coeffs=None, out=None) -> np.ndarray:
+    """Columns exp(i*theta_j*k) * k^l for each node j and l = 0..mult_j-1,
+    written into `out` (an n x width complex array or view) when it is given.
 
     With the flat coefficient vector `coeffs`, each node's columns are followed
     by its node-derivative column d m_k/dz_j = k z_j^(k-1) sum_l c_{l,j} k^l,
     formed as (k / z_j) times the node's own columns applied to its
     coefficients.  Powers of the unit nodes are taken as exp(i*k*arg z_j) so
-    the modulus does not drift for large k.
+    the modulus does not drift for large k, every node's in one np.exp over
+    the products k * (1j*theta_j).  In each product one operand has a zero
+    part, so the exponent is +-0 + i*round(theta_j*k) whatever the operand
+    order and whether or not the complex multiply fuses.
     """
     pows = np.empty((max(multiplicities), len(ks)))
     pows[0] = 1.0
     for l in range(1, len(pows)):
         pows[l] = pows[l - 1] * ks
-    width = sum(multiplicities) + (0 if coeffs is None else len(multiplicities))
-    out = np.empty((len(ks), width), dtype=complex)
+    if out is None:
+        width = sum(multiplicities) + (0 if coeffs is None else len(multiplicities))
+        out = np.empty((len(ks), width), dtype=complex)
+    waves = np.exp(ks * (1j * np.asarray(thetas))[:, None])
     col = pos = 0
-    for theta, m in zip(thetas, multiplicities):
+    for theta, wave, m in zip(thetas, waves, multiplicities):
         block = out[:, col:col + m]
-        block[:] = (np.exp(1j * theta * ks) * pows[:m]).T
+        block[:] = (wave * pows[:m]).T
         col += m
         if coeffs is not None:
             out[:, col] = (ks * cmath.exp(-1j * theta)) * (block @ coeffs[pos:pos + m])

@@ -271,16 +271,21 @@ def _grid_series(runs, n: int, start=None) -> np.ndarray:
 
 def partial_sum(window: CoefficientWindow, x):
     """Truncated Fourier series of the window at finite x (scalar or array); the real part."""
-    xs = np.atleast_1d(_points(x))
-    ks = np.arange(-window.bandwidth, window.bandwidth + 1)
-    result = _series_eval(window.coeffs, ks, xs).real
+    result = _window_series(window, np.atleast_1d(_points(x)))
     return float(result[0]) if np.isscalar(x) or np.ndim(x) == 0 else result
+
+
+def _window_series(window: CoefficientWindow, xs: np.ndarray) -> np.ndarray:
+    """partial_sum's real part at points already checked, as a 1-d array."""
+    ks = np.arange(-window.bandwidth, window.bandwidth + 1)
+    return _series_eval(window.coeffs, ks, xs).real
 
 
 def evaluate_signal(signal: PiecewiseSignal, x):
     """Pointwise value of the signal at finite x: absorbing part + smooth trigonometric series."""
     xs = np.atleast_1d(_points(x))
-    total = evaluate_absorbing(signal.jumps, signal.magnitudes, xs)
+    # a PiecewiseSignal's jump data is checked at construction
+    total = _absorbing(np.array(signal.jumps), np.array(signal.magnitudes), xs)
     psi = signal._psi_array
     ns = np.arange(1, len(psi))
     if len(ns):
@@ -532,11 +537,10 @@ class ReconstructionResult:
 
     def evaluate(self, x):
         """Final approximation at finite x: absorbing part from the estimates
-        plus the corrected truncated series."""
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
-        values = evaluate_absorbing(self.jumps, self.magnitudes, xs) + partial_sum(
-            self.corrected, xs
-        )
+        plus the corrected truncated series.  The jump data is checked, since
+        a caller can fill this dataclass; the points are checked once."""
+        xs = np.atleast_1d(_points(x))
+        values = _absorbing(*_jump_data(self.jumps, self.magnitudes), xs) + _window_series(self.corrected, xs)
         return float(values[0]) if np.isscalar(x) or np.ndim(x) == 0 else values
 
 

@@ -11,9 +11,13 @@ arguments; the public base solvers are its stride-one case (decimate.py).
 `_refine` is variable projection: it iterates on the node arguments only, and
 each trial point is one R-only QR of [A | D | q], the amplitude basis, its
 theta-derivative and the data (`_trial`), whose small triangle gives the rank
-test, the amplitudes, the cost and the factored Jacobian (`_kaufman`).  `_column_scale` is the one home of the
-power-of-two column scale (it serves `_fit_coefficients` too), and
-`_full_rank_lstsq` of the rank test.  The refinement's start, with the
+test, the amplitudes, the cost and the factored Jacobian (`_kaufman`).  A
+trial point touches only what changes with theta: [A | D | q] is one of two
+workspaces allocated once per refinement, with q and 1j * k already in place,
+A is written there by `_kernel` (one np.exp for all the nodes) and D = i k A
+beside it, and an accepted point swaps the two.  `_column_scale` is the one
+home of the power-of-two column scale (it serves `_fit_coefficients` too),
+and `_full_rank_lstsq` of the rank test.  The refinement's start, with the
 amplitudes fitted there, must be a regular point at the stride
 (forward._require_regular).  `lm_refine` runs it from the nodes of a caller's
 model.
@@ -80,12 +84,6 @@ def _max_residual(model: PronyModel, ks: np.ndarray, q: np.ndarray) -> float:
     return _residual(_kernel(thetas, mults, ks), coeffs, q)
 
 
-def max_residual(model: PronyModel, samples: SampleSet) -> float:
-    """max_k |m_k(model) - value_k| over the sample scheme."""
-    _check_scheme(model.multiplicities, samples.scheme)
-    return _max_residual(model, _scheme_ks(samples.scheme), samples._array)
-
-
 def _project_unit(w: complex) -> complex:
     mod = abs(w)
     if mod == 0:
@@ -132,9 +130,11 @@ def _column_scale(multiplicities, ks: np.ndarray) -> np.ndarray:
     """The power of two nearest the norm of each column z^k k^l of the amplitude
     basis A.  |z^k k^l| = k^l on the unit circle, so the scale does not depend
     on the nodes, and dividing by it is exact in floating point: the rank test
-    on A / scale sees the nodes' conditioning, not the k^l growth of the columns."""
-    powers = [l for m in multiplicities for l in range(m)]
-    return np.exp2(np.round(np.log2(np.linalg.norm(ks[:, None] ** powers, axis=0))))
+    on A / scale sees the nodes' conditioning, not the k^l growth of the columns.
+    The norms of the distinct powers 0..max(m)-1 are taken once, column by
+    column as for all the columns, and gathered per column."""
+    norms = np.linalg.norm(ks[:, None] ** np.arange(max(multiplicities)), axis=0)
+    return np.exp2(np.round(np.log2(norms)))[[l for m in multiplicities for l in range(m)]]
 
 
 def _fit_coefficients(nodes, multiplicities, ks: np.ndarray, q: np.ndarray) -> tuple:
@@ -174,10 +174,15 @@ def _cluster_roots(roots, multiplicities):
     wrap-around gap included) and take each run's complex mean as its centroid.
     Raises SolverError when the run sizes are not the multiplicities; flags
     "ambiguous-clustering" when the widest uncut gap is within CLUSTER_AMBIGUITY
-    of the narrowest cut.  Equal-size runs go in order of their lowest root index.
+    of the narrowest cut.  Equal-size runs go in order of their lowest root index,
+    so when every cluster is one root the centroids are the roots in root
+    order, with no flag (1 < k < n fails).
     """
     roots = np.asarray(roots, dtype=complex)
     n, k = len(roots), len(multiplicities)
+    if n == k and max(multiplicities) == 1:
+        # + 0.0 rounds signed zeros as the mean of one root does
+        return list(roots + 0.0), []
     order = np.argsort(np.angle(roots), kind="stable")
     angles = np.angle(roots[order])
     # gap i lies between sorted roots i and i + 1 (mod n)
@@ -315,14 +320,18 @@ BASE_SOLVERS = tuple(_FINDERS)
 # Levenberg-Marquardt refinement by variable projection
 # ---------------------------------------------------------------------------
 
-def _trial(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, scale: np.ndarray):
-    """lm_refine's trial point at node arguments `thetas`: the triangle R of
-    [A | D | q] (R-only QR, D = i k A), the coefficients from R11 / scale and
-    R[:L, -1] after `_full_rank_lstsq`'s rank test, the cost ||R[L:, -1]||^2,
-    and A itself, for the residual at the point `_refine` ends on."""
+def _trial(thetas, multiplicities, ks: np.ndarray, iks: np.ndarray, scale: np.ndarray, work: np.ndarray):
+    """lm_refine's trial point at node arguments `thetas`, in the workspace
+    `work` = [A | D | q] (n x (2L + 1), q already in its last column, iks =
+    1j * ks[:, None]): A is written by `_kernel` and D = i k A beside it, and
+    the R-only QR of `work` gives the triangle R; then the coefficients from
+    R11 / scale and R[:L, -1] after `_full_rank_lstsq`'s rank test, the cost
+    ||R[L:, -1]||^2, and A itself (a view of `work`), for the residual at the
+    point `_refine` ends on."""
     width = len(scale)
-    matrix = _kernel(thetas, multiplicities, ks)
-    r = np.linalg.qr(np.concatenate([matrix, 1j * ks[:, None] * matrix, q[:, None]], axis=1), mode="r")
+    matrix = _kernel(thetas, multiplicities, ks, out=work[:, :width])
+    np.multiply(iks, matrix, out=work[:, width:2 * width])
+    r = np.linalg.qr(work, mode="r")
     coeffs = _full_rank_lstsq(r[:width, :width] / scale, r[:width, -1], _ALIASED) / scale
     tail = r[width:, -1]
     return r, coeffs, float(np.vdot(tail, tail).real), matrix
@@ -333,10 +342,13 @@ def _kaufman(r, coeffs, starts):
     J_s = U diag(s) V^T at a trial point, g = U^T r, from its triangle
     (`_trial`): P D = Q2 R22, so J's real embedding is an orthonormal map times
     [Re M; Im M] with M = R22 c summed per node, and the residual r = A c - q
-    has the Q2 coordinates -R[L:2L, -1] (lm_refine)."""
+    has the Q2 coordinates -R[L:2L, -1] (lm_refine).  With every node simple
+    each per-node sum has one term, so no sum is taken."""
     width = len(coeffs)
     rows = r[width:2 * width]
-    kaufman = np.add.reduceat(rows[:, width:2 * width] * coeffs, starts, axis=1)
+    kaufman = rows[:, width:2 * width] * coeffs
+    if len(starts) < width:
+        kaufman = np.add.reduceat(kaufman, starts, axis=1)
     jac = np.concatenate([kaufman.real, kaufman.imag])
     col_norms = np.linalg.norm(jac, axis=0)
     col_norms[col_norms == 0] = 1.0
@@ -355,12 +367,23 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     (`thetas` itself if no step is accepted), coefficient tuples, iterations,
     flags, and max|A c - q| from the kernel A of the last accepted trial point
     (of the start when none is accepted).  The fit at `thetas` must be a
-    regular point at the stride."""
+    regular point at the stride.
+
+    Two n x (2L + 1) workspaces for `_trial` are allocated once, q written
+    into both and 1j * ks formed once: the accepted point's A lives in `work`,
+    each trial point is formed in `spare`, and an accepted trial swaps them,
+    so a rejected trial never overwrites the A the residual is read from.  The
+    workspaces are column-major, so each column of A and D is contiguous; the
+    residual reads a row-major copy of A, which BLAS multiplies by c in the
+    order it multiplies the row-major kernel `_kernel` returns."""
     scale = _column_scale(multiplicities, ks)
     # one past the last column of each node's block in A, and the first
     ends = list(itertools.accumulate(multiplicities))
     starts = [0] + ends[:-1]
-    r, coeffs, cost, matrix = _trial(thetas, multiplicities, ks, q, scale)
+    iks = 1j * ks[:, None]
+    work, spare = (np.empty((len(ks), 2 * len(scale) + 1), dtype=complex, order="F") for _ in range(2))
+    work[:, -1] = spare[:, -1] = q
+    r, coeffs, cost, matrix = _trial(thetas, multiplicities, ks, iks, scale, work)
     _require_regular(thetas, abs(coeffs[[e - 1 for e in ends]]), stride, "the refinement's start")
     lam, nu = 1e-3, 2.0
     iterations = 0
@@ -371,6 +394,7 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
         iterations += 1
         if not factored:
             col_norms, s, vt, g = _kaufman(r, coeffs, starts)
+            s2 = s * s
             factored = True
             if (np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost)
                     or g @ g <= _DECREASE_TOL * cost):
@@ -380,15 +404,16 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
             break
         trial_thetas = thetas + step
         try:
-            trial = _trial(trial_thetas, multiplicities, ks, q, scale)
+            trial = _trial(trial_thetas, multiplicities, ks, iks, scale, spare)
             trial_cost = trial[2]
         except RankDeficiencyError:  # the step merged two nodes
             trial_cost = math.inf
         if trial_cost < cost:
             # predicted decrease sum g^2 (1 - t^2), t = lam / (s^2 + lam), as (1 - t)(1 + t)
-            fit = s * s / (s * s + lam)
+            fit = s2 / (s2 + lam)
             rho = (cost - trial_cost) / float(np.sum(g * g * fit * (2.0 - fit)))
             thetas, (r, coeffs, cost, matrix) = trial_thetas, trial
+            work, spare = spare, work
             lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 1e-15)
             nu = 2.0
             factored = False
@@ -400,7 +425,8 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
                 break
     else:
         flags = ("max-iterations",)
-    return thetas, _split(coeffs, multiplicities), iterations, flags, _residual(matrix, coeffs, q)
+    residual = _residual(np.ascontiguousarray(matrix), coeffs, q)
+    return thetas, _split(coeffs, multiplicities), iterations, flags, residual
 
 
 def lm_refine(samples: SampleSet, init: PronyModel):

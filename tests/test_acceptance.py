@@ -102,19 +102,28 @@ def test_criterion_2_bridge_identity():
             assert float(np.max(np.abs(got - want) / scale)) < 1e-10
 
 
+# criteria 3-5's sweeps without their seeds, which stay in the tests; the
+# fixed-count sweep runs once per solver in FIXED_COUNT_SOLVERS
+FIXED_COUNT_CONFIG = {
+    "kind": "fixed-count-decimation", "noise": 1e-4, "p_values": [1, 8, 32], "count": 66,
+    "model": {"kind": "two-node", "gap": 1e-2},
+}
+FIXED_COUNT_SOLVERS = ("hankel", "lm")
+FIXED_TOP_CONFIG = {
+    "kind": "fixed-top-index-decimation", "noise": 1e-4, "solver": "hankel", "p_values": [1, 10, 100],
+    "top_index": 2200, "model": {"kind": "two-node", "gap": 1e-2},
+}
+BOUND_CHECK_CONFIG = {
+    "kind": "bound-check", "noise": 1e-6, "solver": "hankel", "p_values": [1, 4, 16],
+    "model": {"kind": "random-simple", "num_nodes": 2, "min_stride_separation": 0.8},
+}
+
+
 def test_criterion_3_fixed_count_decimation_gain():
     with criterion(3, "fixed-count sweep: stride 32 at least 10x better"):
         start = time.perf_counter()
-        for solver in ("hankel", "lm"):
-            cfg = SweepConfig(
-                kind="fixed-count-decimation",
-                seeds=list(range(50)),
-                noise=1e-4,
-                solver=solver,
-                p_values=[1, 8, 32],
-                count=66,
-                model={"kind": "two-node", "gap": 1e-2},
-            )
+        for solver in FIXED_COUNT_SOLVERS:
+            cfg = SweepConfig(seeds=list(range(50)), solver=solver, **FIXED_COUNT_CONFIG)
             result = run_sweep(cfg)
             medians = {}
             for p in cfg.p_values:
@@ -131,15 +140,7 @@ def test_criterion_3_fixed_count_decimation_gain():
 
 def test_criterion_4_fixed_top_decimation_flat():
     with criterion(4, "fixed-top sweep: error flat, solves faster"):
-        cfg = SweepConfig(
-            kind="fixed-top-index-decimation",
-            seeds=list(range(50)),
-            noise=1e-4,
-            solver="hankel",
-            p_values=[1, 10, 100],
-            top_index=2200,
-            model={"kind": "two-node", "gap": 1e-2},
-        )
+        cfg = SweepConfig(seeds=list(range(50)), **FIXED_TOP_CONFIG)
         result = run_sweep(cfg)
         medians = {}
         med_times = {}
@@ -159,18 +160,7 @@ def test_criterion_4_fixed_top_decimation_flat():
 
 def test_criterion_5_first_order_bound_consistency():
     with criterion(5, "observed node errors within 10x the a-priori bound"):
-        cfg = SweepConfig(
-            kind="bound-check",
-            seeds=list(range(100)),
-            noise=1e-6,
-            solver="hankel",
-            p_values=[1, 4, 16],
-            model={
-                "kind": "random-simple",
-                "num_nodes": 2,
-                "min_stride_separation": 0.8,
-            },
-        )
+        cfg = SweepConfig(seeds=list(range(100)), **BOUND_CHECK_CONFIG)
         result = run_sweep(cfg)
         assert len(result.rows) == 600
         for row in result.rows:

@@ -20,15 +20,19 @@ from pronydec import (
     evaluate_moments,
     lm_refine,
     match_estimates,
-    max_residual,
     node_error_bound,
     prony_hankel_solve,
     undecimate_node,
 )
-from pronydec import forward, solvers, sweeps
+from pronydec import decimate, forward, solvers, sweeps
 from pronydec.decimate import BRANCH_TOL
 from pronydec.forward import stride_separation
 from pronydec.model import TWO_PI
+
+
+def max_residual(model, samples):
+    """max_k |m_k(model) - value_k| over the sample scheme."""
+    return solvers._max_residual(model, forward._scheme_ks(samples.scheme), samples._array)
 
 
 def brute_force_branch(w, p, hint):
@@ -336,6 +340,36 @@ def test_refined_solve_forms_one_kernel_per_trial_point(kernel_calls, monkeypatc
     # lm_refine too, when a step is accepted (else it also evaluates init's own residual)
     assert model.nodes != _PAIR.nodes
     assert len(kernel_calls) == len(trials) > 1
+
+
+def test_residual_reads_the_last_accepted_point_after_rejected_trials(monkeypatch):
+    # each trial point is formed in the spare workspace and an accepted one
+    # swaps it in, so trials rejected after the last accepted one leave the
+    # A the residual reads untouched: max|A c - q| at the refinement's final
+    # argument and the model's coefficients, bit for bit
+    truth = PronyModel([cmath.exp(-1.39j)], [2], [[-1.1 - 0.75j, 0.9 - 0.5j]])
+    samples = add_noise(evaluate_moments(truth, SamplingScheme(2, 1, 16)), 1e-3, seed=13)
+    trials, ends = [], []
+    trial, refine = solvers._trial, decimate._refine
+
+    def recording_trial(*args):
+        trials.append(args[0])
+        return trial(*args)
+
+    def recording_refine(*args):
+        ends.append(refine(*args))
+        return ends[-1]
+
+    monkeypatch.setattr(solvers, "_trial", recording_trial)
+    monkeypatch.setattr(decimate, "_refine", recording_refine)
+    model, report = decimated_solve(samples, (2,), [-1.38])
+    thetas = ends[0][0]
+    last_accepted = max(i for i, t in enumerate(trials) if t is thetas)
+    assert 0 < last_accepted < len(trials) - 1
+    assert model.nodes == (cmath.exp(1j * thetas[0]),)
+    matrix = forward._kernel(thetas, (2,), forward._scheme_ks(samples.scheme))
+    direct = np.max(np.abs(matrix @ np.array(model.coefficients[0]) - samples._array))
+    assert report.residual == direct
 
 
 @pytest.mark.parametrize("refine", [False, True])

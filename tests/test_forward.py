@@ -17,6 +17,7 @@ from pronydec import (
     regularity_check,
     stride_separation,
 )
+from pronydec.forward import _kernel
 from pronydec.fourier import induced_prony_model
 
 
@@ -154,6 +155,57 @@ class TestJacobian:
             scale = np.max(np.abs(analytic))
             assert np.max(np.abs(fd - analytic)) / scale < 1e-5
             col += 1
+
+
+def _kernel_family(rng):
+    """Node arguments with theta < 0 and theta = 0 among them, multiplicities
+    1-3, strides 1-32, offset 0 in about half the draws (k = 0 rows)."""
+    k = int(rng.integers(1, 4))
+    mults = tuple(int(m) for m in rng.integers(1, 4, size=k))
+    thetas = rng.uniform(-math.pi, math.pi, size=k)
+    thetas[rng.random(k) < 0.25] = 0.0
+    offset = 0 if rng.random() < 0.5 else int(rng.integers(1, 50))
+    stride = int(rng.integers(1, 33))
+    count = int(rng.integers(sum(mults), 400))
+    coeffs = rng.normal(size=sum(mults)) + 1j * rng.normal(size=sum(mults))
+    return thetas, mults, offset + stride * np.arange(count, dtype=float), coeffs
+
+
+class TestKernel:
+    """`_kernel` takes every node's exponential in one np.exp; the oracle is
+    one np.exp per node, as the kernel was first written."""
+
+    @staticmethod
+    def _per_node(thetas, mults, ks, coeffs=None):
+        cols, pos = [], 0
+        for theta, m in zip(thetas, mults):
+            block = np.stack([np.exp(1j * theta * ks) * ks ** l for l in range(m)], axis=1)
+            cols.append(block)
+            if coeffs is not None:
+                cols.append(((ks * cmath.exp(-1j * theta)) * (block @ coeffs[pos:pos + m]))[:, None])
+            pos += m
+        return np.concatenate(cols, axis=1)
+
+    def test_equals_the_per_node_formula_bit_for_bit(self):
+        rng = np.random.default_rng(30)
+        seen = set()
+        for _ in range(200):
+            thetas, mults, ks, coeffs = _kernel_family(rng)
+            seen.update(("theta<0" if t < 0 else "theta=0" if t == 0 else "theta>0") for t in thetas)
+            seen.update({f"m={m}" for m in mults} | ({"k=0"} if ks[0] == 0 else set()))
+            assert _kernel(thetas, mults, ks).tobytes() == self._per_node(thetas, mults, ks).tobytes()
+            assert (_kernel(thetas, mults, ks, coeffs).tobytes()
+                    == self._per_node(thetas, mults, ks, coeffs).tobytes())
+        assert seen == {"theta<0", "theta=0", "theta>0", "m=1", "m=2", "m=3", "k=0"}
+
+    def test_writes_into_out(self):
+        rng = np.random.default_rng(31)
+        thetas, mults, ks, _ = _kernel_family(rng)
+        work = np.full((len(ks), sum(mults) + 2), np.nan, dtype=complex)
+        got = _kernel(thetas, mults, ks, out=work[:, 1:-1])
+        assert np.shares_memory(got, work)
+        assert got.tobytes() == _kernel(thetas, mults, ks).tobytes()
+        assert np.isnan(work[:, 0]).all() and np.isnan(work[:, -1]).all()
 
 
 class TestRegularity:

@@ -32,6 +32,7 @@ from pronydec import (
     signal_coeffs,
     sup_error_away,
 )
+from pronydec import fourier
 from pronydec.fourier import (
     QUAD_CERT,
     _grid_series,
@@ -284,6 +285,45 @@ def test_evaluators_reject_nonfinite_points(x):
         for call in calls:
             with pytest.raises(ValidationError, match="evaluation points must be finite"):
                 call()
+
+
+@pytest.mark.parametrize("x", [0.3, [-2.0, 0.1, 1.7, math.pi]], ids=["scalar", "array"])
+def test_evaluators_check_their_points_once(monkeypatch, x):
+    # each evaluator checks its points in one `_points` call, and gives the
+    # bits of its old composition through the public, checking functions
+    sig = random_piecewise_signal(1, 2, seed=3, min_separation=1.6, psi_degree=64)
+    window = signal_coeffs(sig, 64)
+    result = reconstruct(window, 1, 2, 1.5)
+    xs = np.atleast_1d(np.asarray(x, dtype=float))
+    psi = sig._psi_array
+    smooth = 2.0 * fourier._series_eval(psi[1:], np.arange(1, len(psi)), xs).real
+    before = {
+        "jump_basis_eval": jump_basis_eval(1, xs),
+        "evaluate_absorbing": evaluate_absorbing(sig.jumps, sig.magnitudes, xs),
+        "evaluate_signal": evaluate_absorbing(sig.jumps, sig.magnitudes, xs) + smooth + psi[0].real,
+        "partial_sum": partial_sum(window, xs),
+        "evaluate": evaluate_absorbing(result.jumps, result.magnitudes, xs) + partial_sum(result.corrected, xs),
+    }
+    calls = {
+        "jump_basis_eval": lambda: jump_basis_eval(1, x),
+        "evaluate_absorbing": lambda: evaluate_absorbing(sig.jumps, sig.magnitudes, x),
+        "evaluate_signal": lambda: pd.evaluate_signal(sig, x),
+        "partial_sum": lambda: partial_sum(window, x),
+        "evaluate": lambda: result.evaluate(x),
+    }
+    checked = []
+    points = fourier._points
+
+    def counting(*args):
+        checked.append(args)
+        return points(*args)
+
+    monkeypatch.setattr(fourier, "_points", counting)
+    for name, call in calls.items():
+        checked.clear()
+        got = np.atleast_1d(call())
+        assert len(checked) == 1, name
+        assert got.tobytes() == before[name].tobytes(), name
 
 
 class TestCoefficientWindow:

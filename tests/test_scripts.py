@@ -47,7 +47,8 @@ def test_line_reach_smoke():
 
 def test_gate_margins_smoke(tmp_path):
     """Two small seed blocks: every criterion-6 gate of each config and block, with
-    the test's threshold, and a comparison of the file with itself."""
+    the test's threshold, criteria 3-5's statistics on the same blocks, and a
+    comparison of the file with itself."""
     out = tmp_path / "margins.json"
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "gate_margins.py"), "--first", "100", "--blocks", "2",
@@ -65,9 +66,19 @@ def test_gate_margins_smoke(tmp_path):
         assert g["threshold"] == rates[g["gate"]] + 0.4
         assert g["margin"] == g["threshold"] - g["slope"]
     assert proc.stdout.count("criterion 6 (d=") == 6
+    decimation = json.loads(out.read_text())["decimation"]
+    assert [(g["criterion"], g["solver"], tuple(g["seeds"])) for g in decimation] == [
+        (c, solver, seeds) for c, solver in ((3, "hankel"), (3, "lm"), (4, "hankel"), (5, "hankel"))
+        for seeds in ((100, 102), (103, 105))
+    ]
+    for g in decimation:
+        assert g["threshold"] == 10.0 and g["nan"] == 0
+        assert g["room"] == (g["value"] / 10.0 if g["criterion"] == 3 else 10.0 / g["value"])
+        assert g["passes"] == (g["room"] >= 1.0)
     proc = subprocess.run(
         [sys.executable, str(SCRIPTS / "gate_margins.py"), "--compare", str(out), str(out)],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+    assert "criteria 3-5 statistics identical: 8 of 8" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "largest slope move: 0.00e+00"

@@ -24,9 +24,14 @@ from pronydec import (
     node_error_bound,
     prony_hankel_solve,
 )
-from pronydec import solvers
+from pronydec import forward, solvers
 from pronydec.solvers import _cluster_roots, _damped_step, _project_unit
 from pronydec.sweeps import SweepConfig, run_sweep
+
+
+def max_residual(model, samples):
+    """max_k |m_k(model) - value_k| over the sample scheme."""
+    return solvers._max_residual(model, forward._scheme_ks(samples.scheme), samples._array)
 
 
 def exact_samples(model, count, offset=0, stride=1):
@@ -166,6 +171,38 @@ class TestClusterRoots:
         roots = np.exp(1j * np.array([0.0, 0.1, 2.0, 2.1]))
         with pytest.raises(SolverError, match="multiplicities"):
             _cluster_roots(roots, (3, 1))
+
+    def test_singletons_are_the_general_paths_centroids(self):
+        # with every cluster one root, each run the general path cuts is one
+        # root, whose centroid is its one-element mean, in root order, and no
+        # gap is flagged; that mean turns some signed zeros into +0.0, and
+        # cmath.phase(-1 - 0j) is -pi where cmath.phase(-1 + 0j) is pi
+        rng = np.random.default_rng(33)
+        signed = [complex(-1.0, -0.0), complex(-0.0, 1.0), complex(-0.0, -0.0), complex(1.0, -0.0),
+                  complex(-0.0, -1.0)]
+        for n in range(1, 7):
+            for _ in range(20):
+                roots = rng.uniform(0.5, 2.0, n) * np.exp(1j * rng.uniform(-math.pi, math.pi, n))
+                picks = rng.random(n) < 0.3
+                roots[picks] = rng.choice(signed, size=int(picks.sum()))
+                centroids, flags = _cluster_roots(roots, (1,) * n)
+                means = [roots[[j]].mean() for j in range(n)]
+                assert np.array(centroids).tobytes() == np.array(means).tobytes()
+                assert flags == []
+
+
+class TestColumnScale:
+    def test_equals_the_all_columns_formula(self):
+        # the norms of the distinct powers, gathered per column, are the
+        # norms of all the columns, bit for bit
+        rng = np.random.default_rng(32)
+        for _ in range(300):
+            mults = tuple(int(m) for m in rng.integers(1, 5, size=int(rng.integers(1, 5))))
+            offset = int(rng.choice([0, int(rng.integers(1, 10**5))]))
+            ks = offset + int(rng.integers(1, 33)) * np.arange(int(rng.integers(1, 2201)), dtype=float)
+            powers = [l for m in mults for l in range(m)]
+            want = np.exp2(np.round(np.log2(np.linalg.norm(ks[:, None] ** powers, axis=0))))
+            assert solvers._column_scale(mults, ks).tobytes() == want.tobytes()
 
 
 class TestAnnihilationSolve:
@@ -316,8 +353,6 @@ class TestLmRefine:
                 truth.multiplicities,
                 [[c * (1 + rng.uniform(-0.1, 0.1)) for c in row] for row in truth.coefficients],
             )
-            from pronydec import max_residual
-
             model, report = lm_refine(samples, init)
             assert report.residual <= max_residual(init, samples) + 1e-15
 
@@ -410,7 +445,9 @@ class TestTriangle:
             shapes.add((count < 2 * width + 1, len(mults) > 1))
             scale = solvers._column_scale(mults, ks)
             starts = np.cumsum((0,) + mults[:-1])
-            r, coeffs, cost, matrix = solvers._trial(thetas, mults, ks, q, scale)
+            work = np.empty((count, 2 * width + 1), dtype=complex)
+            work[:, -1] = q
+            r, coeffs, cost, matrix = solvers._trial(thetas, mults, ks, 1j * ks[:, None], scale, work)
             col_norms, s, vt, g = solvers._kaufman(r, coeffs, starts)
 
             assert np.array_equal(matrix, solvers._kernel(thetas, mults, ks))
