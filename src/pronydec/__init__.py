@@ -30,7 +30,6 @@ from .forward import (
     condition_estimate,
     evaluate_moments,
     jacobian,
-    moment_at,
     regularity_check,
     stride_separation,
 )
@@ -57,7 +56,6 @@ from .fourier import (
     eckhoff_transform,
     evaluate_absorbing,
     evaluate_signal,
-    identity_mollifier,
     induced_prony_model,
     initial_jump_estimates,
     localize,

@@ -121,8 +121,19 @@ def _cmd_solve(args) -> int:
     mults = tuple(_parse_list(args.structure, int))
     hints = _parse_list(args.hints, float) if args.hints else None
 
-    if args.solver == "lm" and args.init:
-        model, report = lm_refine(samples, model_from_dict(load_json(args.init)))
+    if args.init is not None:
+        if args.solver != "lm":
+            raise ValidationError(f"--init needs --solver lm, not {args.solver}")
+        for flag, given in (("--hints", args.hints is not None), ("--no-refine", args.no_refine)):
+            if given:
+                raise ValidationError(f"{flag} cannot be combined with --init")
+        init = model_from_dict(load_json(args.init))
+        if mults != init.multiplicities:
+            raise ValidationError(
+                f"--structure {args.structure} differs from the --init model's multiplicities "
+                f"{','.join(map(str, init.multiplicities))}"
+            )
+        model, report = lm_refine(samples, init)
     else:
         model, report = decimated_solve(
             samples, mults, hints, base_solver=args.solver, refine=not args.no_refine

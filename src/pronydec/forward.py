@@ -99,13 +99,6 @@ def evaluate_moments(model: PronyModel, scheme: SamplingScheme) -> SampleSet:
     return SampleSet(scheme, _moments(*_model_arrays(model), _scheme_ks(scheme)), 0.0)
 
 
-def moment_at(model: PronyModel, k: int) -> complex:
-    """Single measurement m_k; k may be negative (used for symmetry checks)."""
-    k = _integer("index", k, -MAX_INDEX)
-    _check_limits(model.multiplicities, k)
-    return complex(_moments(*_model_arrays(model), np.array([float(k)]))[0])
-
-
 def jacobian(model: PronyModel, scheme: SamplingScheme) -> np.ndarray:
     """Jacobian of the measurement map, one row per index.
 

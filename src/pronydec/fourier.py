@@ -199,12 +199,6 @@ class CoefficientWindow:
             raise ValidationError("window needs 2*bandwidth + 1 coefficients")
         self.coeffs.flags.writeable = False
 
-    def coeff(self, k: int) -> complex:
-        k = _integer("index", k, -math.inf)
-        if abs(k) > self.bandwidth:
-            raise ValidationError(f"index {_shown(k)} outside the window bandwidth {self.bandwidth}")
-        return complex(self.coeffs[k + self.bandwidth])
-
 
 def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     """Exact coefficient window of a piecewise signal: closed-form absorbing part
@@ -225,14 +219,14 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
 
 
 def _series_eval(coeffs: np.ndarray, ks: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """sum_k coeffs_k exp(i k x), evaluated in blocks to bound memory."""
-    out = np.zeros(len(x), dtype=complex)
+    """sum_k coeffs_k exp(i k x) in x's shape, evaluated in blocks to bound memory."""
+    out = np.zeros(x.size, dtype=complex)
     block = 512
     for start in range(0, len(ks), block):
         kb = ks[start:start + block]
         cb = coeffs[start:start + block]
         out += np.exp(1j * np.outer(x, kb)) @ cb
-    return out
+    return out.reshape(x.shape)
 
 
 def _fold(runs, n: int, start=None) -> np.ndarray:
@@ -276,7 +270,7 @@ def partial_sum(window: CoefficientWindow, x):
 
 
 def _window_series(window: CoefficientWindow, xs: np.ndarray) -> np.ndarray:
-    """partial_sum's real part at points already checked, as a 1-d array."""
+    """partial_sum's real part at points already checked, in their shape."""
     ks = np.arange(-window.bandwidth, window.bandwidth + 1)
     return _series_eval(window.coeffs, ks, xs).real
 
@@ -461,14 +455,6 @@ def build_mollifier(center: float, half_width: float, flat_half_width: float, de
     degree = _integer("degree", degree)
     coeffs, accuracy = _centered_bump_coeffs(float(half_width), float(flat_half_width), degree)
     return Mollifier(center=float(center), degree=degree, centered_coeffs=coeffs, accuracy=accuracy)
-
-
-def identity_mollifier(degree: int) -> Mollifier:
-    """Degenerate mollifier identically equal to 1 (delta coefficient sequence)."""
-    degree = _integer("degree", degree)
-    coeffs = np.zeros(degree + 1)
-    coeffs[0] = 1.0
-    return Mollifier(0.0, degree, coeffs, 0.0)
 
 
 def localize(window: CoefficientWindow, moll: Mollifier, out_bandwidth: int) -> CoefficientWindow:
@@ -677,11 +663,6 @@ def _signal_on_grid(signal: PiecewiseSignal, n: int, rho: float) -> tuple:
 # ---------------------------------------------------------------------------
 # synthetic signals
 # ---------------------------------------------------------------------------
-
-def synthesize_psi(smoothness: int, decay: float, degree: int, rng) -> tuple:
-    """_draw_psi's coefficients as a tuple of Python complex."""
-    return tuple(_draw_psi(smoothness, decay, degree, rng).tolist())
-
 
 def _draw_psi(smoothness: int, decay: float, degree: int, rng) -> np.ndarray:
     """Smooth-part coefficients r_n * n^(-d-2) * exp(i phi_n) with random

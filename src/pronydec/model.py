@@ -362,10 +362,6 @@ class PiecewiseSignal:
         return {**self.__dict__, "_grid_memo": {}}
 
     @property
-    def num_jumps(self) -> int:
-        return len(self.jumps)
-
-    @property
     def psi_degree(self) -> int:
         return len(self.psi_coeffs) - 1
 
@@ -377,14 +373,6 @@ class PiecewiseSignal:
         return min(
             circle_distance(a, b) for a, b in itertools.combinations(self.jumps, 2)
         )
-
-    def psi_coeff(self, n: int) -> complex:
-        """Coefficient of the smooth part at index n (0 beyond the stored degree)."""
-        m = abs(_integer("index", n, -math.inf))
-        if m >= len(self.psi_coeffs):
-            return 0.0 + 0.0j
-        c = self.psi_coeffs[m]
-        return c.conjugate() if n < 0 else c
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import numbers
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, asdict, replace
+from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
@@ -373,26 +373,6 @@ def run_sweep(config: SweepConfig) -> SweepResult:
     return SweepResult(columns=columns, rows=rows, slopes=slopes, timings=timings)
 
 
-def audit_rows(result: SweepResult, config: SweepConfig, fraction: float = 0.01, seed: int = 0) -> int:
-    """Re-run a random subset of the sweep's seeds and compare their rows
-    with the recorded ones as CSV text, so NaN rows compare too.  Returns the
-    number of seeds audited.  Tasks are deterministic, so any difference
-    raises."""
-    seeds = sorted(set(config.seeds))
-    rng = np.random.default_rng(_integer("seed", seed))
-    n_pick = max(1, math.ceil(fraction * len(seeds)))
-    picked = sorted(seeds[i] for i in rng.choice(len(seeds), size=n_pick, replace=False))
-
-    def text(rows):
-        return [[_format_cell(r[c]) for c in result.columns] for r in rows]
-
-    rows, _ = _run_tasks(replace(config, seeds=picked))
-    recorded = [r for r in result.rows if r["seed"] in picked]
-    if text(rows) != text(recorded):
-        raise AssertionError(f"row audit failed at seeds {picked}: {text(recorded)} != {text(rows)}")
-    return len(picked)
-
-
 # ---------------------------------------------------------------------------
 # slope fitting and emission
 # ---------------------------------------------------------------------------
@@ -419,6 +399,8 @@ def fit_loglog_slope(points) -> float:
         raise ValidationError("need at least two points")
     if any(x <= 0 or y <= 0 for x, y in pts):
         raise ValidationError("log-log fit needs positive values")
+    if len({x for x, _ in pts}) < 2:
+        raise ValidationError("need at least two distinct x values")
     xs = np.log([x for x, _ in pts])
     ys = np.log([y for _, y in pts])
     return float(np.polyfit(xs, ys, 1)[0])

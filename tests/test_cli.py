@@ -193,6 +193,22 @@ def test_solve_lm_from_init(tmp_path, model_file, samples_file):
     assert sorted(load_json(est)["nodes"]) == pytest.approx([-1.1, 0.7], abs=1e-6)
 
 
+@pytest.mark.parametrize("extra, flag", [
+    (("--structure", "1,1"), "--solver"),
+    (("--structure", "1,1", "--solver", "esprit"), "--solver"),
+    (("--structure", "1,1", "--solver", "lm", "--hints", "0.1,0.2"), "--hints"),
+    (("--structure", "1,1", "--solver", "lm", "--no-refine"), "--no-refine"),
+    (("--structure", "2,1", "--solver", "lm"), "--structure"),
+], ids=["default-solver", "esprit", "hints", "no-refine", "structure"])
+def test_solve_init_conflict_exit_code(tmp_path, model_file, samples_file, capsys, extra, flag):
+    """--init went unread with any solver but lm, and with lm it dropped
+    --hints, --no-refine and a --structure unlike the initial model's."""
+    est = tmp_path / "est.json"
+    assert run("solve", "--samples", samples_file, *extra, "--init", model_file, "--out", est) == 2
+    assert flag in capsys.readouterr().err
+    assert not est.exists()
+
+
 def test_solve_malformed_hints_exit_code(tmp_path, samples_file):
     assert run("solve", "--samples", samples_file, "--structure", "1,1",
                "--hints", "a,b", "--out", tmp_path / "est.json") == 2

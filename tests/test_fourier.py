@@ -20,7 +20,6 @@ from pronydec import (
     eckhoff_transform,
     evaluate_absorbing,
     evaluate_moments,
-    identity_mollifier,
     induced_prony_model,
     initial_jump_estimates,
     localize,
@@ -52,6 +51,22 @@ def sawtooth_window(bandwidth):
     coeffs[bandwidth + 1:] = pos
     coeffs[:bandwidth] = np.conj(pos[::-1])
     return CoefficientWindow(coeffs, bandwidth)
+
+
+def delta_mollifier(degree):
+    """The mollifier identically equal to 1: a delta coefficient sequence."""
+    coeffs = np.zeros(degree + 1)
+    coeffs[0] = 1.0
+    return pd.Mollifier(0.0, degree, coeffs, 0.0)
+
+
+def psi_at(signal, k):
+    """The smooth part's coefficient at index k: psi_|k|, conjugated for k < 0,
+    and 0 beyond the stored degree."""
+    if abs(k) >= len(signal.psi_coeffs):
+        return 0j
+    c = signal.psi_coeffs[abs(k)]
+    return c.conjugate() if k < 0 else c
 
 
 SAWTOOTH_JUMPS = [math.pi - 1e-12]  # position domain is [-pi, pi)
@@ -197,10 +212,10 @@ class TestSignalCoeffs:
         psi = [0.25, 0.1 + 0.05j, 0.01 - 0.02j]
         sig = PiecewiseSignal(0, [0.0], [[0.0]], psi, 0.5)
         window = signal_coeffs(sig, 4)
-        assert window.coeff(0) == psi[0]
-        assert window.coeff(1) == psi[1]
-        assert window.coeff(-2) == psi[2].conjugate()
-        assert window.coeff(3) == 0.0
+        assert window.coeffs[4] == psi[0]
+        assert window.coeffs[5] == psi[1]
+        assert window.coeffs[2] == psi[2].conjugate()
+        assert window.coeffs[7] == 0.0
 
     @pytest.mark.parametrize("degree", [20, 64, 300])
     def test_bit_identical_to_per_index_sum(self, degree):
@@ -211,7 +226,7 @@ class TestSignalCoeffs:
         want = np.zeros(2 * m + 1, dtype=complex)
         want[ks != 0] = piecewise_poly_coeffs(sig.jumps, sig.magnitudes, 1, ks[ks != 0])
         for i, k in enumerate(ks):
-            want[i] += sig.psi_coeff(int(k))
+            want[i] += psi_at(sig, int(k))
         got = signal_coeffs(sig, m).coeffs
         assert np.array_equal(got, want)
         assert got.tobytes() == want.tobytes()
@@ -285,6 +300,29 @@ def test_evaluators_reject_nonfinite_points(x):
         for call in calls:
             with pytest.raises(ValidationError, match="evaluation points must be finite"):
                 call()
+
+
+@pytest.mark.parametrize("evaluator", ["jump_basis_eval", "evaluate_absorbing", "evaluate_signal",
+                                       "partial_sum", "evaluate"])
+def test_evaluators_keep_the_shape_of_their_points(evaluator):
+    # evaluate_signal, partial_sum and evaluate raised numpy's bare
+    # "non-broadcastable output operand" ValueError on a 2-d point array
+    sig = random_piecewise_signal(1, 2, seed=3, min_separation=1.6, psi_degree=64)
+    window = signal_coeffs(sig, 64)
+    result = reconstruct(window, 1, 2, 1.5)
+    call = {
+        "jump_basis_eval": lambda x: jump_basis_eval(1, x),
+        "evaluate_absorbing": lambda x: evaluate_absorbing(sig.jumps, sig.magnitudes, x),
+        "evaluate_signal": lambda x: pd.evaluate_signal(sig, x),
+        "partial_sum": lambda x: partial_sum(window, x),
+        "evaluate": lambda x: result.evaluate(x),
+    }[evaluator]
+    x = np.linspace(-3.0, 3.0, 6).reshape(2, 3)
+    got = call(x)
+    assert isinstance(got, np.ndarray) and got.shape == (2, 3)
+    assert np.array_equal(got.ravel(), call(x.ravel()))
+    assert call(x[:1, :1]).shape == (1, 1)
+    assert np.ndim(call(0.5)) == 0 and call(0.5) == call(np.array([0.5]))[0]
 
 
 @pytest.mark.parametrize("x", [0.3, [-2.0, 0.1, 1.7, math.pi]], ids=["scalar", "array"])
@@ -361,12 +399,13 @@ def test_random_signal_checks_its_parameters(options, match):
 def test_synthesize_psi_checks_its_decay(decay):
     # a bare OverflowError, a bare TypeError, or NaN coefficients
     with pytest.raises(ValidationError, match="decay must be finite and nonnegative"):
-        pd.fourier.synthesize_psi(0, decay, 8, np.random.default_rng(0))
+        pd.fourier._draw_psi(0, decay, 8, np.random.default_rng(0))
 
 
 def _synthesize_psi_loop(smoothness, decay, degree, rng):
-    """The scalar loop synthesize_psi once was: the reference for its random
-    stream and for every bit (and zero sign) of its coefficients."""
+    """The scalar loop the smooth-part draw once was: the reference for
+    _draw_psi's random stream and for every bit (and zero sign) of its
+    coefficients."""
     coeffs = [complex(decay * (2.0 * rng.random() - 1.0), 0.0)]
     for n in range(1, degree + 1):
         r = decay * rng.random()
@@ -379,14 +418,15 @@ def _synthesize_psi_loop(smoothness, decay, degree, rng):
 @pytest.mark.parametrize("decay", [0.0, 5e-324, 1e-300, 0.3, 4.0],
                          ids=["zero", "least-subnormal", "tiny", "ordinary", "large"])
 def test_synthesize_psi_matches_the_scalar_loop(decay, degree):
-    # same repr (so the same bits and signs of zeros) and the generator left in the same state
+    # _draw_psi's array, read as a tuple, has the loop tuple's repr (so the
+    # same bits and signs of zeros), and the generator is left in the same state
     for d in range(4):
         for seed in range(3):
             want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
             want = _synthesize_psi_loop(d, decay, degree, want_rng)
-            got = pd.fourier.synthesize_psi(d, decay, degree, got_rng)
-            assert type(got) is tuple and all(type(c) is complex for c in got)
-            assert repr(got) == repr(want)
+            got = pd.fourier._draw_psi(d, decay, degree, got_rng)
+            assert got.dtype == complex and got.shape == (degree + 1,)
+            assert repr(tuple(got.tolist())) == repr(want)
             assert got_rng.random() == want_rng.random()
 
 
@@ -425,9 +465,9 @@ def test_random_signal_draws_the_scalar_loops_smooth_part(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", _CRITERION_6_SIGNALS, ids=_CRITERION_6_IDS)
 def test_random_signal_hands_over_the_scalar_loops_draw(monkeypatch, spec):
-    # the signal takes its smooth part from the private array draw, not from
-    # synthesize_psi's tuple; the loop's tuple, as an array, gives the same
-    # signal: the same repr, and the same bits in the array twin the hot path reads
+    # the signal takes its smooth part from the private array draw; the
+    # loop's tuple, as an array, gives the same signal: the same repr, and
+    # the same bits in the array twin the hot path reads
     got = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
     monkeypatch.setattr(pd.fourier, "_draw_psi", lambda *args: np.array(_synthesize_psi_loop(*args)))
     want = [random_piecewise_signal(seed=seed, **spec) for seed in range(10)]
@@ -453,7 +493,7 @@ class TestEckhoffTransform:
         d = 1
         sig = random_piecewise_signal(d, 1, seed=9, psi_decay=2.0)
         psi_only = PiecewiseSignal(
-            d, sig.jumps, [[0.0] * sig.num_jumps for _ in range(d + 1)],
+            d, sig.jumps, [[0.0] * len(sig.jumps) for _ in range(d + 1)],
             sig.psi_coeffs, sig.psi_decay,
         )
         window = signal_coeffs(psi_only, 64)
@@ -659,20 +699,20 @@ def test_bump_coefficients_equal_the_resampling_body(half, flat, degree):
 class TestLocalize:
     def test_identity_mollifier(self):
         window = sawtooth_window(64)
-        moll = identity_mollifier(128)
+        moll = delta_mollifier(128)
         out = localize(window, moll, 32)
         assert np.max(np.abs(out.coeffs - window.coeffs[32:-32])) < 1e-15
 
     def test_bandwidth_contract(self):
         window = sawtooth_window(64)
-        moll = identity_mollifier(128)
+        moll = delta_mollifier(128)
         with pytest.raises(ValidationError):
             localize(window, moll, 33)
 
     def test_degree_contract(self):
         window = sawtooth_window(64)
         with pytest.raises(ValidationError):
-            localize(window, identity_mollifier(64), 32)
+            localize(window, delta_mollifier(64), 32)
 
     @pytest.mark.parametrize("symmetric", [True, False])
     @pytest.mark.parametrize("m", [64, 1024, 2048])
@@ -720,9 +760,9 @@ class TestLocalizedCoeffs:
     def test_degree_contract(self):
         # as localize's: every tap |k - j| <= M + max|k| must exist
         window = sawtooth_window(64)
-        pd.fourier._localized_coeffs(window, identity_mollifier(96), np.array([16, 32]))
+        pd.fourier._localized_coeffs(window, delta_mollifier(96), np.array([16, 32]))
         with pytest.raises(ValidationError, match="need >= bandwidth \\+ max\\|k\\| = 96"):
-            pd.fourier._localized_coeffs(window, identity_mollifier(95), np.array([16, 32]))
+            pd.fourier._localized_coeffs(window, delta_mollifier(95), np.array([16, 32]))
 
 
 class TestReconstruct:
@@ -741,7 +781,7 @@ class TestReconstruct:
     def test_reports_follow_their_jumps(self, monkeypatch):
         # the coarse estimate 3.1408 solves to -3.14148, past -pi, so the jumps
         # change order; each report must stay with the jump its solve found
-        psi = pd.fourier.synthesize_psi(0, 1.0, 512, np.random.default_rng(2))
+        psi = pd.fourier._draw_psi(0, 1.0, 512, np.random.default_rng(2))
         sig = PiecewiseSignal(0, [-math.pi, 0.3], [[3.0, -4.0]], psi, 1.0)
         hints = {}
 
@@ -880,7 +920,7 @@ def test_signal_coeffs_mirror_the_positive_half(spec):
             ks = np.arange(-m, m + 1)
             want = np.zeros(2 * m + 1, dtype=complex)
             want[ks != 0] = piecewise_poly_coeffs(sig.jumps, sig.magnitudes, sig.smoothness, ks[ks != 0])
-            want += [sig.psi_coeff(int(k)) for k in ks]
+            want += [psi_at(sig, int(k)) for k in ks]
             assert signal_coeffs(sig, m).coeffs.tobytes() == want.tobytes()
 
 

@@ -26,7 +26,7 @@ from pronydec.model import (
     signal_from_dict,
     signal_to_dict,
 )
-from pronydec.fourier import synthesize_psi
+from pronydec.fourier import _draw_psi
 
 
 def test_circle_distance_identity():
@@ -235,7 +235,7 @@ class TestMatchEstimates:
 class TestPiecewiseSignal:
     def test_basic_construction(self):
         sig = PiecewiseSignal(0, [0.0], [[1.0]], [0.5], 1.0)
-        assert sig.num_jumps == 1
+        assert sig.jumps == (0.0,)
         assert sig.min_separation == pytest.approx(2 * math.pi)
 
     def test_psi_decay_enforced(self):
@@ -263,12 +263,6 @@ class TestPiecewiseSignal:
         # strictly increasing, but 1e-17 apart is no distance in float arithmetic
         with pytest.raises(ValidationError, match="jump positions must be distinct on the circle"):
             PiecewiseSignal(0, [0.0, 1e-17], [[1.0, 1.0]], [0.0], 1.0)
-
-    def test_psi_coeff_conjugate(self):
-        sig = PiecewiseSignal(0, [0.0], [[1.0]], [0.0, 0.1 + 0.2j], 1.0)
-        assert sig.psi_coeff(-1) == (0.1 - 0.2j)
-        assert sig.psi_coeff(5) == 0.0
-
 
     @pytest.mark.parametrize("args", [
         (0, [0.5], [[math.nan]], [math.nan + 0j], math.nan),
@@ -498,6 +492,7 @@ _NODE = PronyModel([cmath.exp(0.7j)], [1], [[1.0]])
 _SAMPLES = pd.evaluate_moments(_NODE, SamplingScheme(0, 1, 8))
 _SIGNAL = pd.random_piecewise_signal(0, 1, seed=0, psi_degree=16)
 _WINDOW = pd.signal_coeffs(_SIGNAL, 16)
+_MOLLIFIER = pd.build_mollifier(0.0, 0.6, 0.2, 24)
 
 
 _INTEGER_CASES = [
@@ -522,27 +517,20 @@ _INTEGER_CASES = [
     ("smoothness", pd.magnitudes_from_coefficients, ([1.0], 0.5)),
     ("num_jumps", pd.initial_jump_estimates, (_WINDOW, 1.5)),
     ("degree", pd.build_mollifier, (0.0, 0.6, 0.2, 48.5)),
-    ("degree", pd.identity_mollifier, (4.5,)),
-    ("out_bandwidth", pd.localize, (_WINDOW, pd.identity_mollifier(24), 4.5)),
+    ("out_bandwidth", pd.localize, (_WINDOW, _MOLLIFIER, 4.5)),
     ("smoothness", pd.reconstruct, (_WINDOW, 0.5, 1, 1.0)),
     ("num_jumps", pd.reconstruct, (_WINDOW, 0, 1.5, 1.0)),
     ("grid_size", pd.sup_error_away, (_SIGNAL, pd.reconstruct(_WINDOW, 0, 1, 1.0), 0.1, 64.5)),
-    ("psi_degree", synthesize_psi, (0, 1.0, 4.5, np.random.default_rng(0))),
+    ("psi_degree", _draw_psi, (0, 1.0, 4.5, np.random.default_rng(0))),
     ("smoothness", pd.random_piecewise_signal, (0.5, 1, 0)),
     ("num_jumps", pd.random_piecewise_signal, (0, 1.5, 0)),
     ("seed", pd.random_piecewise_signal, (0, 1, 0.5)),
-    ("index", _WINDOW.coeff, (1.5,)),
-    ("index", _WINDOW.coeff, (True,)),
-    ("index", pd.identity_mollifier(4).coeff, (1.5,)),
-    ("index", pd.identity_mollifier(4).coeff, (True,)),
-    ("index", _SIGNAL.psi_coeff, (1.5,)),
-    ("index", _SIGNAL.psi_coeff, (True,)),
+    ("index", _MOLLIFIER.coeff, (1.5,)),
+    ("index", _MOLLIFIER.coeff, (True,)),
 ]
 
 
-@pytest.mark.parametrize("call", [_WINDOW.coeff, pd.identity_mollifier(4).coeff,
-                                  lambda k: pd.moment_at(_NODE, k)],
-                         ids=["window", "mollifier", "moment_at"])
+@pytest.mark.parametrize("call", [_MOLLIFIER.coeff], ids=["mollifier"])
 def test_index_past_the_digit_limit(call):
     """The out-of-range message printed the index, which raised ValueError
     for an integer of more than 4,300 digits."""
@@ -571,7 +559,7 @@ _ORDER_CASES = [
     ("smoothness", pd.induced_prony_model, ([0.5], _ROWS_170, 170)),
     ("smoothness", pd.magnitudes_from_coefficients, ([1.0] * 171, 170)),
     ("smoothness", pd.reconstruct, (_WINDOW, 170, 1, 1.0)),
-    ("smoothness", synthesize_psi, (170, 1.0, 4, np.random.default_rng(0))),
+    ("smoothness", _draw_psi, (170, 1.0, 4, np.random.default_rng(0))),
     ("smoothness", pd.random_piecewise_signal, (170, 1, 0)),
     ("smoothness", pd.random_piecewise_signal, (10**12, 1, 0)),
     ("order", pd.fourier.jump_basis_eval, (170, [0.5])),

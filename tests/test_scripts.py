@@ -3,6 +3,7 @@
 import json
 import pathlib
 import re
+import shutil
 import subprocess
 import sys
 
@@ -82,3 +83,87 @@ def test_gate_margins_smoke(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "criteria 3-5 statistics identical: 8 of 8" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "largest slope move: 0.00e+00"
+
+
+@pytest.fixture(scope="module")
+def drift():
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import drift
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    return drift
+
+
+@pytest.fixture(scope="module")
+def drift_records(drift, tmp_path_factory):
+    """Two drift records of this checkout, each on the first two seeds of every acceptance sweep."""
+    records = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(drift, "ACCEPTANCE_SEEDS", dict.fromkeys(drift.ACCEPTANCE_SEEDS, 2))
+        for name in ("first", "second"):
+            out = tmp_path_factory.mktemp("drift") / name
+            drift.write_all(out)
+            records.append(out)
+    return records
+
+
+def compare_drift(first, second):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / "drift.py"), "--compare", str(first), str(second)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_drift_smoke(drift_records):
+    """Two runs of one checkout are identical file for file, timing sidecars aside."""
+    first, second = drift_records
+    manifest = json.loads((first / "manifest.json").read_text())
+    assert manifest["wc_l"]["total"] > manifest["code_lines"]["total"] > 0
+    assert {"acceptance/criterion3_lm.csv", "acceptance/criterion6_d1_K2.csv", "acceptance/criterion8.csv",
+            "quick/decimation/fixed_top.svg", "quick/fourier/convergence_d2_K1.csv",
+            "cli/solve_annihilation_norefine_p32_report.json", "cli/transcript.txt"} <= set(manifest["files"])
+    lines = compare_drift(first, second)
+    assert sum(line.endswith(": identical") for line in lines) == len(manifest["files"]) - 5  # timing sidecars
+    assert not any(line.endswith(": different") or ": only in " in line for line in lines)
+    wc, code = manifest["wc_l"]["total"], manifest["code_lines"]["total"]
+    assert lines[-2:] == [f"wc -l src/pronydec: {wc} -> {wc} (+0)",
+                          f"code-only lines src/pronydec: {code} -> {code} (+0)"]
+
+
+def test_drift_counts_code_lines_without_docstrings_comments_or_blanks(drift, tmp_path):
+    path = tmp_path / "module.py"
+    path.write_text('''"""Module docstring,
+over two lines."""
+
+import math  # a comment
+
+
+def f(x):
+    """Docstring."""
+    # a comment line
+    text = """a string
+    that is code"""
+    return (math.pi
+            + x)
+''')
+    assert drift.code_lines(path) == 6  # import, def, the two lines of text, the two of return
+
+
+def test_drift_reports_a_moved_cell_and_flag(drift_records, tmp_path):
+    first, _ = drift_records
+    changed = tmp_path / "changed"
+    shutil.copytree(first, changed)
+    path = changed / "acceptance" / "criterion3_hankel.csv"
+    header, *rows = path.read_text().splitlines()
+    cells = rows[2].split(",")
+    cells[3] = repr(float(cells[3]) * 1.5)  # the error column
+    cells[-1] = "max-iterations"  # the flags column
+    path.write_text("\n".join([header, *rows[:2], ",".join(cells), *rows[3:]]) + "\n")
+    lines = compare_drift(first, changed)
+    at = lines.index("acceptance/criterion3_hankel.csv: different")
+    assert lines[at + 1:at + 3] == [
+        f"  error: 1 of {len(rows)} rows moved, largest relative change 0.5",
+        "  flags: gained max-iterations; lost none",
+    ]
+    assert sum(line.endswith(": different") for line in lines) == 1

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -7,13 +8,31 @@ from pronydec import ValidationError, fourier, sweeps
 from pronydec.model import circle_distance
 from pronydec.sweeps import (
     SweepConfig,
-    audit_rows,
     emit_csv,
     emit_svg,
     emit_timings_csv,
     fit_loglog_slope,
     run_sweep,
 )
+
+
+def audit_rows(result, config, fraction=0.01, seed=0):
+    """Re-run a random subset of the sweep's seeds and compare their rows
+    with the recorded ones as CSV text, so NaN rows compare too.  Returns the
+    number of seeds audited; any difference raises."""
+    seeds = sorted(set(config.seeds))
+    rng = np.random.default_rng(seed)
+    n_pick = max(1, math.ceil(fraction * len(seeds)))
+    picked = sorted(seeds[i] for i in rng.choice(len(seeds), size=n_pick, replace=False))
+
+    def text(rows):
+        return [[sweeps._format_cell(r[c]) for c in result.columns] for r in rows]
+
+    rows, _ = sweeps._run_tasks(dataclasses.replace(config, seeds=picked))
+    recorded = [r for r in result.rows if r["seed"] in picked]
+    if text(rows) != text(recorded):
+        raise AssertionError(f"row audit failed at seeds {picked}: {text(recorded)} != {text(rows)}")
+    return len(picked)
 
 
 def small_fig1_config(**overrides):
@@ -463,6 +482,14 @@ class TestFailureRows:
 class TestSlopeFit:
     def test_linear(self):
         assert fit_loglog_slope([(1, 1), (2, 2), (4, 4)]) == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("points", [[(1, 1), (1, 2)], [(4, 1), (4, 2), (4.0, 3)]])
+    def test_needs_two_distinct_x(self, points, capfd):
+        # LAPACK printed "DLASCL parameter number 4 had an illegal value" and
+        # np.polyfit raised a bare LinAlgError
+        with pytest.raises(ValidationError, match="two distinct x"):
+            fit_loglog_slope(points)
+        assert capfd.readouterr().err == ""
 
     def test_exact_power_law(self):
         pts = [(x, 7 * x ** -3.0) for x in (2, 4, 8, 16)]
