@@ -10,9 +10,11 @@ writes under DIR:
   scripts/run_fourier_convergence.py --quick;
 - cli/: the files of a fixed list of pronydec commands (models, samples,
   solves with their reports for every base solver, refined or not, at
-  strides 1, 8 and 32, lm from --init and the --init conflicts, bounds
-  tables, signals, windows and reconstructions), run in that directory, and
-  transcript.txt with each command's output and exit code;
+  strides 1, 8 and 32, lm from --init and the --init conflicts, lm from
+  --init on one sample, abbreviated long options, bounds tables, signals,
+  windows and reconstructions), run in that directory, and transcript.txt
+  with each command's output and exit code (an argparse usage error's
+  SystemExit code included);
 - manifest.json: each file's SHA-256, `wc -l` of src/pronydec/*.py, and its
   code-only line count (code_lines below).
 
@@ -42,6 +44,7 @@ import pathlib
 import subprocess
 import sys
 import tokenize
+from unittest import mock
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -155,6 +158,14 @@ def cli_commands() -> list:
             name = f"solve_lm_init{suffix}_p{p}"
             commands.append([*init, *extra, "--out", f"{name}.json", "--report-out", f"{name}_report.json"])
         commands.append(["bounds", "--model", "model_pair.json", "--p", str(p), "--eps", "1e-6"])
+    # refusals: lm from --init on one sample for two coefficients, and abbreviated long options
+    solve = ["solve", "--samples", "samples_pair_p1.json"]
+    commands += [
+        [*solve, "--scheme", "0,1,1", "--structure", "1,1", "--solver", "lm", "--init", "model_pair.json",
+         "--out", "solve_lm_init_one_sample.json"],
+        [*solve, "--structure", "1,1", "--hint", "0.7,-1.1", "--out", "solve_abbreviated_hint.json"],
+        [*solve, "--struct", "1,1", "--hints", "0.7,-1.1", "--out", "solve_abbreviated_struct.json"],
+    ]
     for d, k, m in ((0, 1, 256), (2, 1, 2048), (1, 2, 512), (0, 3, 1024)):
         tag = f"d{d}_K{k}_M{m}"
         commands += [
@@ -172,11 +183,16 @@ def write_cli(out: pathlib.Path) -> None:
     cwd = os.getcwd()
     os.chdir(out)  # relative paths keep the output text free of DIR
     try:
-        for argv in cli_commands():
-            text = io.StringIO()
-            with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
-                code = pronydec(argv)
-            transcript.append(f"$ pronydec {' '.join(argv)}\n{text.getvalue()}exit {code}\n")
+        # argparse wraps a usage error at COLUMNS, else at the terminal's width
+        with mock.patch.dict(os.environ, COLUMNS="80"):
+            for argv in cli_commands():
+                text = io.StringIO()
+                with contextlib.redirect_stdout(text), contextlib.redirect_stderr(text):
+                    try:
+                        code = pronydec(argv)
+                    except SystemExit as exc:  # argparse's usage error
+                        code = exc.code
+                transcript.append(f"$ pronydec {' '.join(argv)}\n{text.getvalue()}exit {code}\n")
     finally:
         os.chdir(cwd)
     (out / TRANSCRIPT).write_text("".join(transcript))

@@ -5,7 +5,8 @@ solve (single solve), bounds (a-priori error bound tables), reconstruct
 (window file -> jump data + corrected series), sweep (config-driven
 experiments with CSV/SVG output).
 
-Exit codes: 0 success, 2 validation error, 3 solver failure.
+Exit codes: 0 success, 2 validation error (an abbreviated long option
+included: options are taken in full only), 3 solver failure.
 """
 
 from __future__ import annotations
@@ -208,8 +209,17 @@ def _cmd_sweep(args) -> int:
 # argument wiring
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """A parser that takes long options only in full: `--hint` is not
+    `--hints`.  Subparsers are built of their parser's class, so every
+    subcommand's parser is one too."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pronydec",
         description="Decimated Prony solvers and piecewise-smooth Fourier reconstruction",
     )

@@ -129,10 +129,10 @@ def decimated_solve(
     order = sorted(range(len(nodes)), key=lambda j: wrap_angle(cmath.phase(nodes[j])))
     if refine:
         multiplicities = tuple(multiplicities[j] for j in order)
-        thetas, coeffs, iterations, more, residual = _refine(
-            np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, p)
-        nodes = tuple(cmath.exp(1j * a) for a in thetas)
-        flags += more
+        end = _refine(np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, p)
+        nodes = tuple(cmath.exp(1j * a) for a in end.thetas)
+        coeffs, iterations, residual = end.coeffs, end.iterations, end.residual
+        flags += end.flags  # the finder's flags may be a list
     else:
         # fitted in the finder's order, then sorted with its nodes
         coeffs, residual = _fit_coefficients(nodes, multiplicities, ks, q)

@@ -33,6 +33,15 @@ MAX_MULTIPLICITY = 12
 REGULARITY_TOL = 1e-10
 
 
+def _top_index(name: str, value, minimum: int = 0) -> int:
+    """A bandwidth or degree, the top index of an array about to be allocated:
+    an integer (model._integer) of at least `minimum` and at most MAX_INDEX."""
+    value = _integer(name, value, minimum)
+    if value > MAX_INDEX:
+        raise ValidationError(f"{name} must be at most {MAX_INDEX}, got {_shown(value)}")
+    return value
+
+
 def _check_limits(multiplicities, extent: int) -> None:
     if abs(extent) > MAX_INDEX:
         raise ValidationError(f"index extent {_shown(extent)} exceeds the supported {MAX_INDEX}")

@@ -20,6 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .decimate import decimated_solve
+from .forward import _top_index
 from .model import (
     TWO_PI,
     PiecewiseSignal,
@@ -75,14 +76,14 @@ def _basis_at_phase(order: int, u: np.ndarray) -> np.ndarray:
     return -((TWO_PI ** order) / math.factorial(order + 1)) * poly
 
 
-def jump_basis_eval(order: int, x) -> np.ndarray:
+def jump_basis_eval(order: int, x):
     """V_order(x): unit jump of the order-th derivative at 0, zero mean.
 
     Closed form -(2pi)^order / (order+1)! * B_{order+1} of the fractional part
     of x/(2pi).  At the jump itself the value is the right-hand limit.
     """
     order = _order("order", order)
-    return _basis_at_phase(order, np.mod(_points(x) / TWO_PI, 1.0))
+    return _shaped(_basis_at_phase(order, np.mod(_points(x) / TWO_PI, 1.0)), x)
 
 
 def _points(x) -> np.ndarray:
@@ -91,6 +92,12 @@ def _points(x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValidationError("evaluation points must be finite")
     return x
+
+
+def _shaped(values: np.ndarray, x):
+    """A point evaluator's result: a Python float for a scalar or 0-d x (values
+    then hold one number, in any shape), else the values, in x's shape."""
+    return values.item() if np.ndim(x) == 0 else values
 
 
 def _jump_data(jumps, magnitudes):
@@ -115,14 +122,14 @@ def _jump_data(jumps, magnitudes):
     return positions, flat.reshape(len(rows), len(positions))
 
 
-def evaluate_absorbing(jumps, magnitudes, x) -> np.ndarray:
+def evaluate_absorbing(jumps, magnitudes, x):
     """Pointwise value of the absorbing piecewise polynomial for the jump data
     (checked by `_jump_data`) at the finite points x.  Each jump's phase
     mod((x - x_j) / 2pi, 1) is computed once for every order; the nonzero
     terms a_{l,j} V_l(x - x_j) are added by order, then by jump, as summing
     jump_basis_eval did, bit for bit."""
     positions, rows = _jump_data(jumps, magnitudes)
-    return _absorbing(positions, rows, _points(x))
+    return _shaped(_absorbing(positions, rows, _points(x)), x)
 
 
 def _absorbing(positions: np.ndarray, rows: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -207,8 +214,9 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     The absorbing part is computed for k = 1..M and mirrored to k = -M..-1 by
     conjugation (_jump_window); that equals piecewise_poly_coeffs at every
     nonzero k, bit for bit, as long as libm's cos is even and its sin odd
-    (the sign of a zero may differ where every magnitude is zero)."""
-    m = _integer("bandwidth", bandwidth, 1)
+    (the sign of a zero may differ where every magnitude is zero).  The
+    bandwidth is at most forward.MAX_INDEX."""
+    m = _top_index("bandwidth", bandwidth, 1)
     jump_part = _jump_window(np.array(signal.jumps), np.array(signal.magnitudes), m)
     # psi_n at k = n >= 0, its conjugate at -n, 0 beyond: bit-equal to a per-index sum
     psi, n = signal._psi_array, min(m, signal.psi_degree)
@@ -266,7 +274,7 @@ def _grid_series(runs, n: int, start=None) -> np.ndarray:
 def partial_sum(window: CoefficientWindow, x):
     """Truncated Fourier series of the window at finite x (scalar or array); the real part."""
     result = _window_series(window, np.atleast_1d(_points(x)))
-    return float(result[0]) if np.isscalar(x) or np.ndim(x) == 0 else result
+    return _shaped(result, x)
 
 
 def _window_series(window: CoefficientWindow, xs: np.ndarray) -> np.ndarray:
@@ -285,7 +293,7 @@ def evaluate_signal(signal: PiecewiseSignal, x):
     if len(ns):
         total = total + 2.0 * _series_eval(psi[1:], ns, xs).real
     total = total + psi[0].real
-    return float(total[0]) if np.isscalar(x) or np.ndim(x) == 0 else total
+    return _shaped(total, x)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +535,7 @@ class ReconstructionResult:
         a caller can fill this dataclass; the points are checked once."""
         xs = np.atleast_1d(_points(x))
         values = _absorbing(*_jump_data(self.jumps, self.magnitudes), xs) + _window_series(self.corrected, xs)
-        return float(values[0]) if np.isscalar(x) or np.ndim(x) == 0 else values
+        return _shaped(values, x)
 
 
 def reconstruct(window: CoefficientWindow, smoothness: int, num_jumps: int, min_separation: float) -> ReconstructionResult:
@@ -673,10 +681,11 @@ def _draw_psi(smoothness: int, decay: float, degree: int, rng) -> np.ndarray:
     scalar r * float(n) ** (-d - 2) * cmath.exp(1j * phi): np.float_power,
     np.cos and np.sin round as libm's pow, cos and sin do (np.power does not),
     and the product is CPython's float times complex, whose 0.0 * sin and
-    0.0 * cos terms set the signs of zeros when decay is 0.
+    0.0 * cos terms set the signs of zeros when decay is 0.  The degree is at
+    most forward.MAX_INDEX.
     """
     _check_level(decay, "decay")
-    d, degree = _order("smoothness", smoothness), _integer("psi_degree", degree)
+    d, degree = _order("smoothness", smoothness), _top_index("psi_degree", degree)
     mean = decay * (2.0 * rng.random() - 1.0)
     u = rng.random((degree, 2))
     amp = decay * u[:, 0] * np.float_power(np.arange(1, degree + 1), float(-d - 2))

@@ -19,7 +19,10 @@ beside it, and an accepted point swaps the two.  `_column_scale` is the one
 home of the power-of-two column scale (it serves `_fit_coefficients` too),
 and `_full_rank_lstsq` of the rank test.  The refinement's start, with the
 amplitudes fitted there, must be a regular point at the stride
-(forward._require_regular).  `lm_refine` runs it from the nodes of a caller's
+(forward._require_regular), and it needs at least as many samples as
+coefficients.  It ends at one of five stops, "gradient", "decrease", "step",
+"damping" or "cap" (lm_refine), and returns one `_Refinement`, whose stop
+gives the report's flags.  `lm_refine` runs it from the nodes of a caller's
 model.
 """
 
@@ -29,6 +32,7 @@ import cmath
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,9 +55,10 @@ from .model import (
 #: relative singular-value threshold below which linear systems count as degenerate
 RANK_TOL = 1e-12
 
-#: lm_refine stops when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s column-scaled),
-#: when no step can lower the cost by more than _DECREASE_TOL of itself, when a
-#: step is shorter than STEP_TOL, or after MAX_ITERATIONS iterations
+#: lm_refine's stops: "gradient" when ||J_s^T r||_inf <= GRAD_TOL * ||r|| (J_s
+#: column-scaled), "decrease" when no step can lower the cost by more than
+#: _DECREASE_TOL of itself, "step" when a step is shorter than STEP_TOL, and
+#: "cap" after MAX_ITERATIONS iterations ("damping" is the fifth, lam > 1e14)
 GRAD_TOL = 1e-10
 _DECREASE_TOL = 1e-13
 STEP_TOL = 1e-12
@@ -301,8 +306,6 @@ def _esprit_nodes(q: np.ndarray, multiplicities, hints):
 def _lm_finder(q: np.ndarray, multiplicities, hints):
     if hints is None:
         raise ValidationError("the lm solver needs node-argument hints")
-    if len(q) < sum(multiplicities):
-        raise ValidationError("need at least as many samples as coefficients")
     return tuple(hints), ()
 
 
@@ -362,12 +365,30 @@ def _damped_step(s, vt, g, lam):
     return -vt.T @ (s / (s * s + lam) * g)
 
 
-def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
-    """lm_refine's iteration from the node-argument array `thetas`: final arguments
-    (`thetas` itself if no step is accepted), coefficient tuples, iterations,
-    flags, and max|A c - q| from the kernel A of the last accepted trial point
-    (of the start when none is accepted).  The fit at `thetas` must be a
-    regular point at the stride.
+class _Refinement(NamedTuple):
+    """What `_refine` ends on: final node arguments (the start array itself if
+    no step is accepted), coefficient tuples, iterations, the stop that fired
+    ("gradient", "decrease", "step", "damping" or "cap", see lm_refine), and
+    max|A c - q| from the kernel A of the last accepted trial point (of the
+    start when none is accepted)."""
+
+    thetas: np.ndarray
+    coeffs: tuple
+    iterations: int
+    stop: str
+    residual: float
+
+    @property
+    def flags(self) -> tuple:
+        """The report flags of the stop: the damping and cap stops flag the
+        solve as unconverged, the other three end converged."""
+        return {"damping": ("damping-saturated",), "cap": ("max-iterations",)}.get(self.stop, ())
+
+
+def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int) -> _Refinement:
+    """lm_refine's iteration from the node-argument array `thetas`, as one
+    `_Refinement`.  It needs at least as many samples as coefficients, and the
+    fit at `thetas` must be a regular point at the stride.
 
     Two n x (2L + 1) workspaces for `_trial` are allocated once, q written
     into both and 1j * ks formed once: the accepted point's A lives in `work`,
@@ -376,6 +397,8 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     workspaces are column-major, so each column of A and D is contiguous; the
     residual reads a row-major copy of A, which BLAS multiplies by c in the
     order it multiplies the row-major kernel `_kernel` returns."""
+    if len(ks) < sum(multiplicities):
+        raise ValidationError("need at least as many samples as coefficients")
     scale = _column_scale(multiplicities, ks)
     # one past the last column of each node's block in A, and the first
     ends = list(itertools.accumulate(multiplicities))
@@ -386,9 +409,8 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
     r, coeffs, cost, matrix = _trial(thetas, multiplicities, ks, iks, scale, work)
     _require_regular(thetas, abs(coeffs[[e - 1 for e in ends]]), stride, "the refinement's start")
     lam, nu = 1e-3, 2.0
-    iterations = 0
+    iterations, stop = 0, "cap"  # the stop when no other fires first
     factored = False
-    flags = ()
 
     while iterations < MAX_ITERATIONS:
         iterations += 1
@@ -396,11 +418,13 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
             col_norms, s, vt, g = _kaufman(r, coeffs, starts)
             s2 = s * s
             factored = True
-            if (np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost)
-                    or g @ g <= _DECREASE_TOL * cost):
+            gradient = np.max(np.abs(vt.T @ (s * g))) <= GRAD_TOL * math.sqrt(cost)
+            if gradient or g @ g <= _DECREASE_TOL * cost:
+                stop = "gradient" if gradient else "decrease"
                 break
         step = _damped_step(s, vt, g, lam) / col_norms
         if math.sqrt(step @ step) < STEP_TOL:
+            stop = "step"
             break
         trial_thetas = thetas + step
         try:
@@ -421,12 +445,10 @@ def _refine(thetas, multiplicities, ks: np.ndarray, q: np.ndarray, stride: int):
             lam *= nu
             nu *= 2.0
             if lam > 1e14:
-                flags = ("damping-saturated",)
+                stop = "damping"
                 break
-    else:
-        flags = ("max-iterations",)
     residual = _residual(np.ascontiguousarray(matrix), coeffs, q)
-    return thetas, _split(coeffs, multiplicities), iterations, flags, residual
+    return _Refinement(thetas, _split(coeffs, multiplicities), iterations, stop, residual)
 
 
 def lm_refine(samples: SampleSet, init: PronyModel):
@@ -456,15 +478,18 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     2004, section 3.2): with rho the actual over the predicted cost decrease,
     an accepted step sets lam <- lam * max(1/3, 1 - (2 rho - 1)^3) (floor
     1e-15) and nu <- 2, a rejected one lam <- lam * nu and nu <- 2 nu.
-    Iteration stops when ||J_s^T r||_inf <= GRAD_TOL * ||r||, when no step
-    can lower the cost by more than _DECREASE_TOL of itself (||U^T r||^2 <=
-    _DECREASE_TOL * ||r||^2: trial costs then differ by rounding alone), when
-    the step norm drops below STEP_TOL, when lam exceeds 1e14
-    ("damping-saturated") or at the iteration cap MAX_ITERATIONS
-    ("max-iterations").  The start must be a regular point at the scheme stride
-    with the coefficients refitted at its nodes, as in decimated_solve; init's
-    own coefficients never enter the iteration.  When no step is accepted,
-    `init` itself is returned unless the refit gives a smaller max-abs residual.
+    Iteration ends at one of five stops: "gradient" when ||J_s^T r||_inf <=
+    GRAD_TOL * ||r||; "decrease" when no step can lower the cost by more than
+    _DECREASE_TOL of itself (||U^T r||^2 <= _DECREASE_TOL * ||r||^2: trial
+    costs then differ by rounding alone); "step" when the step norm drops
+    below STEP_TOL; "damping" when lam exceeds 1e14, flagged
+    "damping-saturated"; and "cap" at the iteration cap MAX_ITERATIONS,
+    flagged "max-iterations".  The samples must be at least as many as the
+    coefficients (a ValidationError otherwise), and the start must be a
+    regular point at the scheme stride with the coefficients refitted at its
+    nodes, as in decimated_solve; init's own coefficients never enter the
+    iteration.  When no step is accepted, `init` itself is returned unless the
+    refit gives a smaller max-abs residual.
     The reported residual is max|A c - q| on the kernel A of the last accepted
     trial point (of the start when none is accepted), not a second kernel at
     the returned nodes; only the comparison with `init` evaluates init's own.
@@ -472,11 +497,12 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     _check_scheme(init.multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), samples._array
     start = np.array(init.node_args)
-    thetas, coeffs, iterations, flags, max_res = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
-    final = PronyModel(tuple(cmath.exp(1j * a) for a in thetas), init.multiplicities, coeffs)
-    if thetas is start:
+    end = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
+    final = PronyModel(tuple(cmath.exp(1j * a) for a in end.thetas), init.multiplicities, end.coeffs)
+    max_res = end.residual
+    if end.thetas is start:
         # no step was accepted: keep init unless the refit at its nodes fits better
         init_res = _max_residual(init, ks, q)
         if init_res <= max_res:
             final, max_res = init, init_res
-    return final, SolverReport("lm", iterations, max_res, flags)
+    return final, SolverReport("lm", end.iterations, max_res, end.flags)

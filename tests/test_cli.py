@@ -209,6 +209,48 @@ def test_solve_init_conflict_exit_code(tmp_path, model_file, samples_file, capsy
     assert not est.exists()
 
 
+def test_solve_init_needs_a_sample_per_coefficient(tmp_path, model_file, capsys):
+    """On one sample with two coefficients lm_refine returned the initial
+    model with residual 0, and the command exited 0."""
+    one, est = tmp_path / "one.json", tmp_path / "est.json"
+    assert run("moments", "--model", model_file, "--scheme", "0,1,1", "--out", one) == 0
+    capsys.readouterr()
+    assert run("solve", "--samples", one, "--structure", "1,1", "--solver", "lm",
+               "--init", model_file, "--out", est) == 2
+    assert capsys.readouterr().err == "error: need at least as many samples as coefficients\n"
+    assert not est.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("solve", "--structure", "1,1", "--hint", "0.7,-1.1"),
+    ("solve", "--struct", "1,1", "--hints", "0.7,-1.1"),
+    ("gen", "model", "--angle", "0.7"),
+], ids=["hint", "struct", "angle"])
+def test_abbreviated_long_option_exit_code(tmp_path, samples_file, command):
+    """argparse took --hint for --hints, --struct for --structure and
+    --angle for --angles, and the command exited 0."""
+    out = tmp_path / "out.json"
+    given = ("--samples", samples_file) if command[0] == "solve" else ()
+    with pytest.raises(SystemExit) as exited:
+        run(*command, *given, "--out", out)
+    assert exited.value.code == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ("gen", "window", "-M", "1000000000000"),
+    ("gen", "signal", "--psi-degree", "1000000000000"),
+], ids=["window", "signal"])
+def test_index_past_the_forward_limit_exit_code(tmp_path, capsys, command):
+    """Both died with a MemoryError traceback, allocating 7.28 TiB and 14.6 TiB."""
+    signal, out = tmp_path / "sig.json", tmp_path / "out"
+    assert run("gen", "signal", "--out", signal) == 0
+    capsys.readouterr()
+    assert run(*command, *(["--signal", signal] if command[1] == "window" else []), "--out", out) == 2
+    assert "must be at most 10000000, got 1000000000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_solve_malformed_hints_exit_code(tmp_path, samples_file):
     assert run("solve", "--samples", samples_file, "--structure", "1,1",
                "--hints", "a,b", "--out", tmp_path / "est.json") == 2

@@ -323,6 +323,8 @@ def test_evaluators_keep_the_shape_of_their_points(evaluator):
     assert np.array_equal(got.ravel(), call(x.ravel()))
     assert call(x[:1, :1]).shape == (1, 1)
     assert np.ndim(call(0.5)) == 0 and call(0.5) == call(np.array([0.5]))[0]
+    # jump_basis_eval and evaluate_absorbing gave numpy.float64, the others float
+    assert type(call(0.5)) is float and type(call(np.array(0.5))) is float
 
 
 @pytest.mark.parametrize("x", [0.3, [-2.0, 0.1, 1.7, math.pi]], ids=["scalar", "array"])

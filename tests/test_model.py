@@ -578,6 +578,25 @@ def test_order_past_the_float_limit_is_rejected(field, call, args):
         call(*args)
 
 
+# ---------------------------------------------------------------------------
+# the index limit: a bandwidth or smooth-part degree allocates arrays of its length
+# ---------------------------------------------------------------------------
+
+_INDEX_CASES = [
+    ("bandwidth", lambda n: pd.signal_coeffs(_SIGNAL, n)),
+    ("psi_degree", lambda n: _draw_psi(0, 1.0, n, np.random.default_rng(0))),
+]
+
+
+@pytest.mark.parametrize("index", [10**7 + 1, 10**12])
+@pytest.mark.parametrize("field, call", _INDEX_CASES, ids=["signal_coeffs", "_draw_psi"])
+def test_index_past_the_forward_limit_is_rejected(field, call, index):
+    """These allocated arrays of that length first: at 10^12, 7.28 TiB for
+    the window and 14.6 TiB for the draw, and died with a MemoryError."""
+    with pytest.raises(ValidationError, match=f"{field} must be at most {pd.forward.MAX_INDEX}, got {index}"):
+        call(index)
+
+
 def test_order_169_is_accepted_and_finite():
     rows = [[1.0]] * 170
     signal = PiecewiseSignal(169, [0.5], rows, [0.25, 0.0], 1.0)

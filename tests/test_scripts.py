@@ -123,6 +123,9 @@ def test_drift_smoke(drift_records):
     assert {"acceptance/criterion3_lm.csv", "acceptance/criterion6_d1_K2.csv", "acceptance/criterion8.csv",
             "quick/decimation/fixed_top.svg", "quick/fourier/convergence_d2_K1.csv",
             "cli/solve_annihilation_norefine_p32_report.json", "cli/transcript.txt"} <= set(manifest["files"])
+    transcript = (first / "cli" / "transcript.txt").read_text().split("$ pronydec ")[1:]
+    refusals = [block for block in transcript if "one_sample" in block or "abbreviated" in block]
+    assert len(refusals) == 3 and all(block.endswith("\nexit 2\n") for block in refusals)
     lines = compare_drift(first, second)
     assert sum(line.endswith(": identical") for line in lines) == len(manifest["files"]) - 5  # timing sidecars
     assert not any(line.endswith(": different") or ": only in " in line for line in lines)

@@ -309,6 +309,19 @@ class TestEspritSolve:
         assert "weak-rank-structure" in report.flags
 
 
+@pytest.fixture
+def refinements(monkeypatch):
+    """The `_Refinement` of every `_refine` call lm_refine makes in the test."""
+    records, refine = [], solvers._refine
+
+    def recording(*args):
+        records.append(refine(*args))
+        return records[-1]
+
+    monkeypatch.setattr(solvers, "_refine", recording)
+    return records
+
+
 class TestLmRefine:
     def _truth_and_samples(self):
         truth = PronyModel(
@@ -318,31 +331,63 @@ class TestLmRefine:
         ).canonical()
         return truth, exact_samples(truth, 8)
 
-    def test_fixed_point(self):
+    def test_fixed_point(self, refinements):
+        # on exact data the first step is rounding, below STEP_TOL
         truth, samples = self._truth_and_samples()
         model, report = lm_refine(samples, truth)
         assert model is truth
         assert report.iterations <= 1
         assert report.residual < 1e-12
+        assert [end.stop for end in refinements] == ["step"]
 
-    def test_basin_roundtrip(self):
+    def test_basin_roundtrip(self, refinements):
         truth, samples = self._truth_and_samples()
         perturbed = PronyModel(
             [z * cmath.exp(1e-3j) for z in truth.nodes],
             truth.multiplicities,
             [[c + 1e-3 for c in row] for row in truth.coefficients],
         )
-        model, _ = lm_refine(samples, perturbed)
+        model, report = lm_refine(samples, perturbed)
         res = match_estimates(model, truth)
         assert res.max_node_error < 1e-10
         assert res.max_coeff_error < 1e-8
+        assert [end.stop for end in refinements] == ["step"] and report.flags == ()
 
-    def test_noisy_residual_feasibility(self):
+    def test_noisy_residual_feasibility(self, refinements):
+        # at the noise floor no step can lower the cost by more than rounding
         truth, samples = self._truth_and_samples()
         eps = 1e-4
         noisy = add_noise(samples, eps, 3)
         model, report = lm_refine(noisy, truth)
         assert report.residual <= eps * math.sqrt(2 * noisy.scheme.count)
+        assert [end.stop for end in refinements] == ["decrease"] and report.flags == ()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stationary_start_stops_on_the_gradient(self, refinements, seed):
+        # noise orthogonal to A and D = dA/dtheta at the truth leaves the truth
+        # a stationary point whose residual is the noise, 1e-3: J^T r is
+        # rounding, far below GRAD_TOL * ||r||, at the first factorization
+        truth, samples = self._truth_and_samples()
+        ks = forward._scheme_ks(samples.scheme)
+        matrix = forward._kernel(np.array(truth.node_args), truth.multiplicities, ks)
+        basis = np.hstack([matrix, 1j * ks[:, None] * matrix])
+        rng = np.random.default_rng(seed)
+        noise = rng.normal(size=len(ks)) + 1j * rng.normal(size=len(ks))
+        noise -= basis @ np.linalg.lstsq(basis, noise, rcond=None)[0]
+        noisy = SampleSet(samples.scheme, samples._array + 1e-3 * noise / np.max(np.abs(noise)), 1e-3)
+        model, report = lm_refine(noisy, truth)
+        (end,) = refinements
+        assert (end.stop, end.iterations, report.flags) == ("gradient", 1, ())
+        assert end.thetas.tolist() == list(truth.node_args)
+        assert report.residual == pytest.approx(1e-3, rel=1e-9)
+
+    def test_fewer_samples_than_coefficients_rejected(self):
+        # one sample, two coefficients: the start came back unchanged with
+        # residual 0 and no flag
+        truth, _ = self._truth_and_samples()
+        start = PronyModel([z * cmath.exp(1e-2j) for z in truth.nodes], truth.multiplicities, truth.coefficients)
+        with pytest.raises(ValidationError, match="need at least as many samples as coefficients"):
+            lm_refine(exact_samples(truth, 1), start)
 
     def test_residual_never_worse_than_init(self):
         truth, samples = self._truth_and_samples()
@@ -378,7 +423,7 @@ class TestLmRefine:
         with pytest.raises(ValidationError, match="not a regular point at the scheme stride 1"):
             lm_refine(exact_samples(truth, 6), init)
 
-    def test_iteration_cap_flags_max_iterations(self, monkeypatch):
+    def test_iteration_cap_flags_max_iterations(self, monkeypatch, refinements):
         truth, samples = self._truth_and_samples()
         perturbed = PronyModel([z * cmath.exp(1e-3j) for z in truth.nodes],
                                truth.multiplicities, truth.coefficients)
@@ -386,9 +431,10 @@ class TestLmRefine:
         _, report = lm_refine(samples, perturbed)
         assert report.iterations == 1
         assert report.flags == ("max-iterations",)
+        assert [end.stop for end in refinements] == ["cap"]
 
     @pytest.mark.parametrize("trial", ["larger-cost", "merged-nodes"])
-    def test_rejected_trials_saturate_the_damping(self, monkeypatch, trial):
+    def test_rejected_trials_saturate_the_damping(self, monkeypatch, refinements, trial):
         # the data's node is a quarter turn (plus 1e-3) from the start's over
         # four samples, so the fit at the start is small and the damped steps
         # stay above STEP_TOL until the damping passes 1e14; every trial point
@@ -412,6 +458,7 @@ class TestLmRefine:
         assert report.flags == ("damping-saturated",)
         assert report.iterations == len(calls) - 1
         assert model.nodes == start.nodes
+        assert [end.stop for end in refinements] == ["damping"]
 
 
 class TestTriangle:
