@@ -630,7 +630,7 @@ def sup_error_away(
     stored bins, which for grid_size >= 2 gives the bits of folding both."""
     if not (_finite(exclusion_radius) and exclusion_radius > 0):
         raise ValidationError(f"exclusion radius must be finite and positive, got {_shown(exclusion_radius)}")
-    n = _integer("grid_size", grid_size, 1)
+    n = _top_index("grid_size", grid_size, 1)
     grid, keep, absorbing, psi0, psi_bins = _signal_on_grid(signal, n, float(exclusion_radius))
     corrected = result.corrected
     diff = (

@@ -17,7 +17,13 @@ workspaces allocated once per refinement, with q and 1j * k already in place,
 A is written there by `_kernel` (one np.exp for all the nodes) and D = i k A
 beside it, and an accepted point swaps the two.  `_column_scale` is the one
 home of the power-of-two column scale (it serves `_fit_coefficients` too),
-and `_full_rank_lstsq` of the rank test.  The refinement's start, with the
+and `_full_rank_lstsq` of the rank test.  A trial point is tens of
+microseconds on matrices of a few columns, where numpy.linalg's Python
+wrappers cost more than LAPACK, so `_trial`, `_kaufman` and `_full_rank_lstsq`
+call the gufuncs those wrappers call (`_lapack`) on the same inputs: zgeqrf
+for the R-only QR, zgelsd for the least squares (rcond = eps * max(m, n)),
+dgesdd for the Kaufman SVD, each under numpy's error guard, so the bits and
+the LinAlgError messages are numpy.linalg's.  The refinement's start, with the
 amplitudes fitted there, must be a regular point at the stride
 (forward._require_regular), and it needs at least as many samples as
 coefficients.  It ends at one of five stops, "gradient", "decrease", "step",
@@ -29,12 +35,14 @@ model.
 from __future__ import annotations
 
 import cmath
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+from numpy.linalg import _linalg, _umath_linalg
 
 from .forward import (
     _check_scheme,
@@ -118,17 +126,29 @@ def _multiplicities(multiplicities) -> tuple:
 _ALIASED = "coefficient basis is numerically rank-deficient (aliased nodes?)"
 
 
+def _lapack(gufunc, fail, *args, signature):
+    """numpy.linalg's gufunc `gufunc` on `args` under numpy.linalg's own guard:
+    LAPACK's error signal calls `fail`, numpy.linalg's raiser of LinAlgError
+    with its message for that routine."""
+    with np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return gufunc(*args, signature=signature)
+
+
 def _full_rank_lstsq(matrix, rhs, message):
-    """Least-squares solution, raising RankDeficiencyError when the singular
-    values lstsq returns fall below RANK_TOL relative to the largest."""
-    solution, _, _, svals = np.linalg.lstsq(matrix, rhs, rcond=None)
+    """Least-squares solution of complex `matrix` and `rhs` by zgelsd, as
+    np.linalg.lstsq(matrix, rhs, rcond=None) runs it, raising
+    RankDeficiencyError when the singular values it returns fall below
+    RANK_TOL relative to the largest."""
+    rcond = np.finfo(float).eps * max(matrix.shape)
+    solution, _, _, svals = _lapack(_umath_linalg.lstsq, _linalg._raise_linalgerror_lstsq,
+                                    matrix, rhs[:, None], rcond, signature="DDd->Ddid")
     if svals[-1] <= svals[0] * RANK_TOL:
         raise RankDeficiencyError(
             message,
             smallest_singular_value=float(svals[-1]),
             condition=float(svals[0] / svals[-1]) if svals[-1] > 0 else math.inf,
         )
-    return solution
+    return solution[:, 0]
 
 
 def _column_scale(multiplicities, ks: np.ndarray) -> np.ndarray:
@@ -138,7 +158,8 @@ def _column_scale(multiplicities, ks: np.ndarray) -> np.ndarray:
     on A / scale sees the nodes' conditioning, not the k^l growth of the columns.
     The norms of the distinct powers 0..max(m)-1 are taken once, column by
     column as for all the columns, and gathered per column."""
-    norms = np.linalg.norm(ks[:, None] ** np.arange(max(multiplicities)), axis=0)
+    powers = ks[:, None] ** np.arange(max(multiplicities))
+    norms = np.sqrt(np.add.reduce(powers * powers, axis=0))
     return np.exp2(np.round(np.log2(norms)))[[l for m in multiplicities for l in range(m)]]
 
 
@@ -323,6 +344,13 @@ BASE_SOLVERS = tuple(_FINDERS)
 # Levenberg-Marquardt refinement by variable projection
 # ---------------------------------------------------------------------------
 
+@functools.cache
+def _strictly_lower(rows: int, cols: int) -> tuple:
+    """The index of the strictly lower part of a rows x cols matrix, once per
+    shape (np.tril_indices costs more than the QR wrapper it replaces)."""
+    return np.tril_indices(rows, -1, cols)
+
+
 def _trial(thetas, multiplicities, ks: np.ndarray, iks: np.ndarray, scale: np.ndarray, work: np.ndarray):
     """lm_refine's trial point at node arguments `thetas`, in the workspace
     `work` = [A | D | q] (n x (2L + 1), q already in its last column, iks =
@@ -330,11 +358,20 @@ def _trial(thetas, multiplicities, ks: np.ndarray, iks: np.ndarray, scale: np.nd
     the R-only QR of `work` gives the triangle R; then the coefficients from
     R11 / scale and R[:L, -1] after `_full_rank_lstsq`'s rank test, the cost
     ||R[L:, -1]||^2, and A itself (a view of `work`), for the residual at the
-    point `_refine` ends on."""
+    point `_refine` ends on.
+
+    R is np.linalg.qr(work, mode="r") bit for bit without its wrapper: LAPACK's
+    zgeqrf on a copy of `work` (numpy's qr_r_raw gufunc), its first min(n,
+    2L + 1) rows, and the Householder vectors below the diagonal zeroed
+    through an index kept per shape.  The wrapper's type checks, casts and
+    np.triu cost about 8 us a call at n = 4 to 66, a fifth of a trial point."""
     width = len(scale)
     matrix = _kernel(thetas, multiplicities, ks, out=work[:, :width])
     np.multiply(iks, matrix, out=work[:, width:2 * width])
-    r = np.linalg.qr(work, mode="r")
+    r = work.copy(order="K")
+    _lapack(_umath_linalg.qr_r_raw, _linalg._raise_linalgerror_qr, r, signature="D->D")
+    r = r[:min(r.shape)]
+    r[_strictly_lower(*r.shape)] = 0.0
     coeffs = _full_rank_lstsq(r[:width, :width] / scale, r[:width, -1], _ALIASED) / scale
     tail = r[width:, -1]
     return r, coeffs, float(np.vdot(tail, tail).real), matrix
@@ -353,9 +390,10 @@ def _kaufman(r, coeffs, starts):
     if len(starts) < width:
         kaufman = np.add.reduceat(kaufman, starts, axis=1)
     jac = np.concatenate([kaufman.real, kaufman.imag])
-    col_norms = np.linalg.norm(jac, axis=0)
+    col_norms = np.sqrt(np.add.reduce(jac * jac, axis=0))
     col_norms[col_norms == 0] = 1.0
-    u, s, vt = np.linalg.svd(jac / col_norms, full_matrices=False)
+    u, s, vt = _lapack(_umath_linalg.svd_s, _linalg._raise_linalgerror_svd_nonconvergence,
+                       jac / col_norms, signature="d->ddd")
     t = rows[:, -1]
     return col_norms, s, vt, -(u.T @ np.concatenate([t.real, t.imag]))
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier
 from .decimate import decimated_solve, node_error_bound
-from .forward import _check_scheme, _model_arrays, _moments, _scheme_ks, stride_separation
+from .forward import _check_scheme, _model_arrays, _moments, _scheme_ks, _top_index, stride_separation
 from .model import (
     TWO_PI,
     PronyModel,
@@ -78,13 +78,16 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        for name, minimum in (("seeds", 0), ("p_values", 1), ("m_values", 1)):
+        # a bandwidth, grid size or top index is the length of an array (forward._top_index)
+        for name, minimum, check in (("seeds", 0, _integer), ("p_values", 1, _integer),
+                                     ("m_values", 1, _top_index)):
             values = getattr(self, name)
             if not isinstance(values, (list, tuple)):
                 raise ValidationError(f"{name} must be a list, got {_shown(values)}")
-            object.__setattr__(self, name, tuple(_integer(name, v, minimum) for v in values))
-        for name, minimum in (("count", 0), ("top_index", 0), ("grid_size", 1), ("workers", 1)):
-            object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+            object.__setattr__(self, name, tuple(check(name, v, minimum) for v in values))
+        for name, minimum, check in (("count", 0, _integer), ("top_index", 0, _top_index),
+                                     ("grid_size", 1, _top_index), ("workers", 1, _integer)):
+            object.__setattr__(self, name, check(name, getattr(self, name), minimum))
         if self.kind not in KINDS:
             raise ValidationError(f"unknown sweep kind {_shown(self.kind)}; pick from {KINDS}")
         if not self.seeds:
@@ -116,6 +119,13 @@ class SweepConfig:
             raise ValidationError("fixed-count-decimation needs count >= 2")
         if self.kind == "fixed-top-index-decimation" and self.top_index < 1:
             raise ValidationError("fixed-top-index-decimation needs top_index >= 1")
+        if self.kind in ("fixed-count-decimation", "bound-check"):
+            # the largest sampled index is p * count (top_index bounds it in a
+            # fixed-top sweep); bound-check's count is the square system's,
+            # 2 per simple node, and both model kinds have 2 nodes by default
+            fixed = self.kind == "fixed-count-decimation"
+            count = self.count if fixed else 2 * self.model.get("num_nodes", 2)
+            _top_index("the largest sampled index p * count", max(self.p_values) * count)
         if self.kind == "bound-check" and self.solver == "esprit":
             raise ValidationError(
                 "bound-check samples the square system (2 per simple node) and "
@@ -214,7 +224,9 @@ def _check_spec(spec, what: str) -> None:
         if key == "smoothness":
             _order(f"{what} spec value {key}", value)
         elif annotation is int:
-            _integer(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
+            # psi_degree is a length, as the bandwidths are
+            check = _top_index if key == "psi_degree" else _integer
+            check(f"{what} spec value {key}", value, _SPEC_MINIMUM.get(key, 0))
     missing = [k for k, p in params.items()
                if p.default is p.empty and k not in supplied and k not in spec]
     if missing:

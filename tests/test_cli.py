@@ -384,6 +384,16 @@ def test_sweep_config_integer_past_the_digit_limit(tmp_path, capsys):
     assert not (tmp_path / "out.csv").exists()
 
 
+def test_sweep_index_past_the_forward_limit_exit_code(tmp_path, capsys):
+    """This config built, and the sweep then failed on its first task."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "fixed-count-decimation", "seeds": [0], "p_values": [1, 10**9],
+                               "count": 1000, "model": {"kind": "two-node", "gap": 0.01}}))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert "the largest sampled index p * count must be at most 10000000" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
 def test_validation_exit_code(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"kind": "bogus", "seeds": [0]}))

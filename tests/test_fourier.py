@@ -996,6 +996,12 @@ class TestSupErrorAway:
         with pytest.raises(ValidationError, match="grid_size must be an integer >= 1"):
             sup_error_away(sig, result, 0.1, grid_size)
 
+    def test_grid_size_past_the_forward_limit(self, one_jump_case):
+        # np.arange(10**12) raised MemoryError
+        sig, result = one_jump_case
+        with pytest.raises(ValidationError, match="grid_size must be at most 10000000, got 1000000000000"):
+            sup_error_away(sig, result, 0.1, 10**12)
+
     @pytest.mark.parametrize("grid_size", [1024, 999])
     def test_equals_tuple_formula(self, grid_size):
         # the formula with the smooth part converted from psi_coeffs at each call

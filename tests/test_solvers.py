@@ -525,6 +525,64 @@ class TestTriangle:
                                atol=1e-10 * max(1.0, np.linalg.norm(gradient)))
         assert shapes == {(short, several) for short in (True, False) for several in (True, False)}
 
+    def test_equals_the_numpy_linalg_steps_bit_for_bit(self):
+        # _trial and _kaufman call numpy.linalg's gufuncs without its wrappers:
+        # the same LAPACK calls on the same inputs give the same bits
+        rng = np.random.default_rng(33)
+        shapes = set()
+        for draw in range(60):
+            thetas, mults, ks, q = self._draw(rng)
+            width, count = sum(mults), len(ks)
+            shapes.add((count < 2 * width + 1, count == width, len(mults) > 1))
+            scale = solvers._column_scale(mults, ks)
+            starts = np.cumsum((0,) + mults[:-1])
+            work = np.empty((count, 2 * width + 1), dtype=complex, order="FC"[draw % 2])
+            work[:, -1] = q
+            r, coeffs, cost, _ = solvers._trial(thetas, mults, ks, 1j * ks[:, None], scale, work)
+            col_norms, s, vt, g = solvers._kaufman(r, coeffs, starts)
+
+            r_ref = np.linalg.qr(work, mode="r")
+            solution, *_ = np.linalg.lstsq(r_ref[:width, :width] / scale, r_ref[:width, -1], rcond=None)
+            coeffs_ref = solution / scale
+            tail = r_ref[width:, -1]
+            rows = r_ref[width:2 * width]
+            kaufman = np.add.reduceat(rows[:, width:2 * width] * coeffs_ref, starts, axis=1)
+            jac = np.concatenate([kaufman.real, kaufman.imag])
+            norms = np.linalg.norm(jac, axis=0)
+            norms[norms == 0] = 1.0
+            u, s_ref, vt_ref = np.linalg.svd(jac / norms, full_matrices=False)
+            t = rows[:, -1]
+
+            assert np.array_equal(r, r_ref)
+            assert np.array_equal(coeffs, coeffs_ref)
+            assert cost == float(np.vdot(tail, tail).real)
+            assert np.array_equal(col_norms, norms)
+            assert np.array_equal(s, s_ref) and np.array_equal(vt, vt_ref)
+            assert np.array_equal(g, -(u.T @ np.concatenate([t.real, t.imag])))
+            # an ill-conditioned system, whose solution depends on gelsd's rcond
+            matrix = work[:, :width] * np.logspace(0, -10, width)
+            assert np.array_equal(solvers._full_rank_lstsq(matrix, q, solvers._ALIASED),
+                                  np.linalg.lstsq(matrix, q, rcond=None)[0])
+        assert shapes == {
+            (short, square, several)
+            for short in (True, False) for square in (True, False) for several in (True, False)
+            if short or not square
+        }
+
+    def test_lapack_failures_raise_numpy_linalg_errors(self):
+        # NaN input makes zgelsd and dgesdd fail: the same LinAlgError as numpy.linalg's
+        nan, ones = np.full((3, 2), np.nan, dtype=complex), np.ones(3, dtype=complex)
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            np.linalg.lstsq(nan, ones, rcond=None)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            solvers._full_rank_lstsq(nan, ones, solvers._ALIASED)
+        assert str(ours.value) == str(public.value) == "SVD did not converge in Linear Least Squares"
+        with pytest.raises(np.linalg.LinAlgError) as public:
+            np.linalg.svd(np.full((2, 2), np.nan), full_matrices=False)
+        with pytest.raises(np.linalg.LinAlgError) as ours:
+            solvers._kaufman(np.full((5, 5), np.nan, dtype=complex), np.ones(2, dtype=complex), [0, 1])
+        assert str(ours.value) == str(public.value) == "SVD did not converge"
+
 
 class TestDampedStep:
     @pytest.mark.parametrize("lam", [1e-15, 1e-3, 1e6])

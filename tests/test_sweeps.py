@@ -173,6 +173,27 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             small_fig1_config(**overrides)
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"kind": "fourier-convergence", "m_values": [64, 128, 10**12], "signal": {"smoothness": 0, "num_jumps": 1}},
+         "m_values must be at most 10000000, got 1000000000000"),
+        ({"kind": "fourier-convergence", "m_values": [64, 128, 256],
+          "signal": {"smoothness": 0, "num_jumps": 1, "psi_degree": 10**12}},
+         "signal spec value psi_degree must be at most 10000000, got 1000000000000"),
+        ({"kind": "fourier-convergence", "m_values": [64, 128, 256], "grid_size": 10**12,
+          "signal": {"smoothness": 0, "num_jumps": 1}}, "grid_size must be at most 10000000, got 1000000000000"),
+        ({"kind": "fixed-top-index-decimation", "top_index": 10**12},
+         "top_index must be at most 10000000, got 1000000000000"),
+        ({"p_values": [1, 10**9], "count": 1000},
+         "the largest sampled index p \\* count must be at most 10000000, got 1000000000000"),
+        ({"kind": "bound-check", "p_values": [1, 25 * 10**10]},
+         "the largest sampled index p \\* count must be at most 10000000, got 1000000000000"),
+    ], ids=["bandwidth", "psi-degree", "grid-size", "top-index", "fixed-count", "bound-check"])
+    def test_index_past_the_forward_limit_checked_at_construction(self, overrides, message):
+        # each built, then run_sweep failed mid-run: the index extent check, or
+        # a MemoryError from the first array of that length
+        with pytest.raises(ValidationError, match=message):
+            small_fig1_config(**overrides)
+
     def test_random_model_gives_up_on_unreachable_separation(self):
         # nodes 1.99 apart at p = 1 are nearly antipodal, so they nearly meet at p = 2
         cfg = small_fig1_config(seeds=[0], p_values=[1, 2, 3], model={
