@@ -13,7 +13,7 @@ import numbers
 
 import numpy as np
 
-from .forward import _check_scheme, _require_regular, _scheme_ks
+from .forward import _require_regular, _scheme_ks
 from .model import (
     TWO_PI,
     AmbiguousBranchError,
@@ -25,10 +25,11 @@ from .model import (
     _check_level,
     _finite,
     _integer,
+    _multiplicities,
     _shown,
     wrap_angle,
 )
-from .solvers import _FINDERS, BASE_SOLVERS, SolverReport, _fit_coefficients, _multiplicities, _refine
+from .solvers import _FINDERS, BASE_SOLVERS, _fit_coefficients, _refine, _report
 
 #: two branch candidates closer than this (in radians) count as ambiguous
 BRANCH_TOL = 1e-9
@@ -97,7 +98,8 @@ def decimated_solve(
     report's residual is the max-abs residual on the sample indices, read
     from the kernel the fit (or the refinement's last accepted trial point)
     formed, so no kernel is built a second time; it is flagged
-    "large-residual" when that exceeds 10 * noise_level * sqrt(count).
+    "large-residual" when that exceeds 10 * noise_level * sqrt(count)
+    (solvers._report, as for lm_refine).
 
     Hints, one finite real number per node in a list, a tuple or a 1-d array
     (`_hints`), are required whenever stride > 1 and by the annihilation and
@@ -109,7 +111,6 @@ def decimated_solve(
     hints = None if coarse_node_args is None else _hints(coarse_node_args, len(multiplicities))
     if p > 1 and hints is None:
         raise ValidationError("coarse node hints are required when the stride exceeds 1")
-    _check_scheme(multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), samples._array
 
     finder = _FINDERS.get(base_solver)
@@ -132,18 +133,15 @@ def decimated_solve(
         end = _refine(np.array([cmath.phase(nodes[j]) for j in order]), multiplicities, ks, q, p)
         nodes = tuple(cmath.exp(1j * a) for a in end.thetas)
         coeffs, iterations, residual = end.coeffs, end.iterations, end.residual
-        flags += end.flags  # the finder's flags may be a list
+        flags += end.flags
     else:
         # fitted in the finder's order, then sorted with its nodes
         coeffs, residual = _fit_coefficients(nodes, multiplicities, ks, q)
         nodes, multiplicities, coeffs = (tuple(seq[j] for j in order) for seq in (nodes, multiplicities, coeffs))
         iterations = 1
     model = PronyModel(nodes, multiplicities, coeffs)
-    eps = samples.noise_level
-    if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
-        flags += ("large-residual",)
     method = base_solver + ("+refine" if refine else "")
-    return model, SolverReport(method, iterations, residual, tuple(flags))
+    return model, _report(samples, method, iterations, residual, flags)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,10 @@
 `_kernel` is the one place where the confluent-Vandermonde block
 z_j^k * k^l is formed.  The moments, the Jacobian, the solvers' amplitude
 fits and every residual in them are thin callers of it,
-working on index arrays k = offset + stride * arange(count).
+working on index arrays k = offset + stride * arange(count).  The map's
+limits, an index extent of at most MAX_INDEX and multiplicities of at most
+MAX_MULTIPLICITY (defined in model.py), are checked by SamplingScheme and
+PronyModel when they are built, so every scheme and model is in range here.
 """
 
 from __future__ import annotations
@@ -13,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (
+from .model import (  # MAX_INDEX stays importable from here
+    MAX_INDEX,
     TWO_PI,
     PronyModel,
     RankDeficiencyError,
@@ -22,35 +26,10 @@ from .model import (
     ValidationError,
     _check_level,
     _integer,
-    _shown,
 )
 
-#: largest sample index accepted by the forward map (k^l stays in double range)
-MAX_INDEX = 10**7
-#: largest node multiplicity accepted by the forward map
-MAX_MULTIPLICITY = 12
 #: regularity_check's floor on powered-node separations and leading coefficients
 REGULARITY_TOL = 1e-10
-
-
-def _top_index(name: str, value, minimum: int = 0) -> int:
-    """A bandwidth or degree, the top index of an array about to be allocated:
-    an integer (model._integer) of at least `minimum` and at most MAX_INDEX."""
-    value = _integer(name, value, minimum)
-    if value > MAX_INDEX:
-        raise ValidationError(f"{name} must be at most {MAX_INDEX}, got {_shown(value)}")
-    return value
-
-
-def _check_limits(multiplicities, extent: int) -> None:
-    if abs(extent) > MAX_INDEX:
-        raise ValidationError(f"index extent {_shown(extent)} exceeds the supported {MAX_INDEX}")
-    if max(multiplicities) > MAX_MULTIPLICITY:
-        raise ValidationError(f"multiplicities above {MAX_MULTIPLICITY} are not supported")
-
-
-def _check_scheme(multiplicities, scheme: SamplingScheme) -> None:
-    _check_limits(multiplicities, scheme.count * scheme.stride + scheme.offset)
 
 
 def _scheme_ks(scheme: SamplingScheme) -> np.ndarray:
@@ -104,7 +83,6 @@ def _moments(thetas, multiplicities, coeffs, ks: np.ndarray) -> np.ndarray:
 
 def evaluate_moments(model: PronyModel, scheme: SamplingScheme) -> SampleSet:
     """Exact measurements m_k = sum_j z_j^k * sum_l c_{l,j} k^l on the scheme."""
-    _check_scheme(model.multiplicities, scheme)
     return SampleSet(scheme, _moments(*_model_arrays(model), _scheme_ks(scheme)), 0.0)
 
 
@@ -114,7 +92,6 @@ def jacobian(model: PronyModel, scheme: SamplingScheme) -> np.ndarray:
     Columns are grouped per node j as (d/dc_{0,j}, ..., d/dc_{mult_j-1,j}, d/dz_j)
     with d m_k/dc_{l,j} = z_j^k k^l and d m_k/dz_j = k z_j^{k-1} sum_l c_{l,j} k^l.
     """
-    _check_scheme(model.multiplicities, scheme)
     thetas, mults, coeffs = _model_arrays(model)
     return _kernel(thetas, mults, _scheme_ks(scheme), coeffs)
 

@@ -20,7 +20,6 @@ from functools import lru_cache
 import numpy as np
 
 from .decimate import decimated_solve
-from .forward import _top_index
 from .model import (
     TWO_PI,
     PiecewiseSignal,
@@ -36,6 +35,7 @@ from .model import (
     _integer,
     _order,
     _shown,
+    _top_index,
     position_from_node,
     wrap_angle,
 )
@@ -215,7 +215,7 @@ def signal_coeffs(signal: PiecewiseSignal, bandwidth: int) -> CoefficientWindow:
     conjugation (_jump_window); that equals piecewise_poly_coeffs at every
     nonzero k, bit for bit, as long as libm's cos is even and its sin odd
     (the sign of a zero may differ where every magnitude is zero).  The
-    bandwidth is at most forward.MAX_INDEX."""
+    bandwidth is at most model.MAX_INDEX."""
     m = _top_index("bandwidth", bandwidth, 1)
     jump_part = _jump_window(np.array(signal.jumps), np.array(signal.magnitudes), m)
     # psi_n at k = n >= 0, its conjugate at -n, 0 beyond: bit-equal to a per-index sum
@@ -682,7 +682,7 @@ def _draw_psi(smoothness: int, decay: float, degree: int, rng) -> np.ndarray:
     np.cos and np.sin round as libm's pow, cos and sin do (np.power does not),
     and the product is CPython's float times complex, whose 0.0 * sin and
     0.0 * cos terms set the signs of zeros when decay is 0.  The degree is at
-    most forward.MAX_INDEX.
+    most model.MAX_INDEX.
     """
     _check_level(decay, "decay")
     d, degree = _order("smoothness", smoothness), _top_index("psi_degree", degree)

@@ -121,6 +121,31 @@ def _order(name: str, value) -> int:
     return value
 
 
+#: largest sample index accepted by the forward map (k^l stays in double range)
+MAX_INDEX = 10**7
+#: largest node multiplicity accepted by the forward map
+MAX_MULTIPLICITY = 12
+
+
+def _top_index(name: str, value, minimum: int = 0) -> int:
+    """A bandwidth or degree, the top index of an array about to be allocated:
+    an integer (_integer) of at least `minimum` and at most MAX_INDEX."""
+    value = _integer(name, value, minimum)
+    if value > MAX_INDEX:
+        raise ValidationError(f"{name} must be at most {MAX_INDEX}, got {_shown(value)}")
+    return value
+
+
+def _multiplicities(multiplicities) -> tuple:
+    """The multiplicities as ints: at least one, each in [1, MAX_MULTIPLICITY]."""
+    mults = tuple(_integer("multiplicities", m, 1) for m in multiplicities)
+    if not mults:
+        raise ValidationError("multiplicities must be non-empty")
+    if max(mults) > MAX_MULTIPLICITY:
+        raise ValidationError(f"multiplicities above {MAX_MULTIPLICITY} are not supported")
+    return mults
+
+
 # ---------------------------------------------------------------------------
 # circle geometry
 # ---------------------------------------------------------------------------
@@ -178,7 +203,8 @@ class PronyModel:
     m_k = sum_j z_j^k * sum_{l=0}^{mult_j - 1} c_{l,j} * k^l.
 
     nodes[j] must have unit modulus (tolerance UNIT_MODULUS_TOL);
-    coefficients[j] holds (c_{0,j}, ..., c_{mult_j-1,j}).
+    coefficients[j] holds (c_{0,j}, ..., c_{mult_j-1,j}); there is at least
+    one node, and no multiplicity exceeds MAX_MULTIPLICITY (_multiplicities).
     """
 
     nodes: tuple
@@ -187,7 +213,7 @@ class PronyModel:
 
     def __post_init__(self):
         nodes = tuple(_finite_array(self.nodes, "nodes").tolist())
-        mults = tuple(_integer("multiplicities", m, 1) for m in self.multiplicities)
+        mults = _multiplicities(self.multiplicities)
         rows = tuple(self.coefficients)
         try:  # one check for all rows; a row that is not 1-d, or strings beside numbers, fail it
             flat = np.concatenate(rows) if rows else ()
@@ -199,8 +225,6 @@ class PronyModel:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "coefficients", coeffs)
-        if len(nodes) < 1:
-            raise ValidationError("model needs at least one node")
         if not (len(nodes) == len(mults) == len(coeffs)):
             raise ValidationError("nodes, multiplicities, coefficients must align")
         for z in nodes:
@@ -257,7 +281,8 @@ def _random_model(rng, num_nodes: int, min_gap: float) -> PronyModel:
 
 @dataclass(frozen=True)
 class SamplingScheme:
-    """Arithmetic-progression index set {offset, offset+stride, ...} of given count."""
+    """Arithmetic-progression index set {offset, offset+stride, ...} of given
+    count, whose extent offset + stride * count is at most MAX_INDEX."""
 
     offset: int
     stride: int
@@ -266,6 +291,9 @@ class SamplingScheme:
     def __post_init__(self):
         for name, minimum in (("offset", 0), ("stride", 1), ("count", 1)):
             object.__setattr__(self, name, _integer(name, getattr(self, name), minimum))
+        extent = self.offset + self.stride * self.count
+        if extent > MAX_INDEX:
+            raise ValidationError(f"index extent {_shown(extent)} exceeds the supported {MAX_INDEX}")
 
     @property
     def indices(self) -> tuple:

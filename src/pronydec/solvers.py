@@ -3,8 +3,8 @@
 `_FINDERS` maps each base-solver name (`BASE_SOLVERS`) to its node finder
 `finder(q, multiplicities, hints)`: from the progression values
 q_s = m_{offset + s*stride} and any hints, both in the "powered" domain
-w = z^stride, it returns node estimates w plus flags, and raises its own
-structural ValidationError (`lm`'s finder returns the hints).
+w = z^stride, it returns node estimates w plus a tuple of flags, and raises
+its own structural ValidationError (`lm`'s finder returns the hints).
 decimate.decimated_solve is the one pipeline that runs them: finder, branch
 selection, then one `_fit_coefficients` fit or `_refine` from the node
 arguments; the public base solvers are its stride-one case (decimate.py).
@@ -29,7 +29,8 @@ amplitudes fitted there, must be a regular point at the stride
 coefficients.  It ends at one of five stops, "gradient", "decrease", "step",
 "damping" or "cap" (lm_refine), and returns one `_Refinement`, whose stop
 gives the report's flags.  `lm_refine` runs it from the nodes of a caller's
-model.
+model.  Every report is built by `_report`, which adds the "large-residual"
+flag.
 """
 
 from __future__ import annotations
@@ -45,7 +46,6 @@ import numpy as np
 from numpy.linalg import _linalg, _umath_linalg
 
 from .forward import (
-    _check_scheme,
     _kernel,
     _model_arrays,
     _require_regular,
@@ -57,7 +57,7 @@ from .model import (
     SampleSet,
     SolverError,
     ValidationError,
-    _integer,
+    _multiplicities,
 )
 
 #: relative singular-value threshold below which linear systems count as degenerate
@@ -87,6 +87,15 @@ class SolverReport:
     flags: tuple = ()
 
 
+def _report(samples: SampleSet, method: str, iterations: int, residual: float, flags: tuple) -> SolverReport:
+    """The one builder of a solve's report: the flags gain "large-residual"
+    when the residual exceeds 10 * noise_level * sqrt(count) on noisy samples."""
+    eps = samples.noise_level
+    if eps > 0 and residual > 10.0 * eps * math.sqrt(samples.scheme.count):
+        flags += ("large-residual",)
+    return SolverReport(method, iterations, residual, flags)
+
+
 def _residual(matrix: np.ndarray, coeffs: np.ndarray, q: np.ndarray) -> float:
     """max|A c - q| for an amplitude basis A already formed."""
     return float(np.max(np.abs(matrix @ coeffs - q)))
@@ -113,14 +122,6 @@ def _split(flat, multiplicities) -> tuple:
 # ---------------------------------------------------------------------------
 # coefficient recovery (linear subproblem)
 # ---------------------------------------------------------------------------
-
-def _multiplicities(multiplicities) -> tuple:
-    """The multiplicities as ints: at least one, each at least 1."""
-    mults = tuple(_integer("multiplicities", m, 1) for m in multiplicities)
-    if not mults:
-        raise ValidationError("multiplicities must be non-empty")
-    return mults
-
 
 #: the rank test's message for an amplitude basis
 _ALIASED = "coefficient basis is numerically rank-deficient (aliased nodes?)"
@@ -250,7 +251,7 @@ def _hankel_nodes(q: np.ndarray, multiplicities, hints):
     # monic polynomial x^L + coeffs[L-1] x^(L-1) + ... + coeffs[0]
     roots = np.roots(np.concatenate(([1.0 + 0.0j], coeffs[::-1])))
     centroids, flags = _cluster_roots(roots, multiplicities)
-    return tuple(_project_unit(w) for w in centroids), flags
+    return tuple(_project_unit(w) for w in centroids), tuple(flags)
 
 
 # ---------------------------------------------------------------------------
@@ -307,14 +308,14 @@ def _esprit_nodes(q: np.ndarray, multiplicities, hints):
     hankel = _windows(q, np.arange(len(q) - len(q) // 2))
 
     u, svals, _ = np.linalg.svd(hankel, full_matrices=False)
-    flags = []
+    flags = ()
     if len(svals) > k:
         tail = svals[k]
         gap = math.inf if tail == 0 else float(svals[k - 1] / tail)
         if gap < 1.5:
             raise SolverError(f"no rank-{k} structure: singular value gap {gap:.3g}")
         if gap < 10.0:
-            flags.append("weak-rank-structure")
+            flags = ("weak-rank-structure",)
     subspace = u[:, :k]
     shift, *_ = np.linalg.lstsq(subspace[:-1], subspace[1:], rcond=None)
     return tuple(_project_unit(w) for w in np.linalg.eigvals(shift)), flags
@@ -531,8 +532,8 @@ def lm_refine(samples: SampleSet, init: PronyModel):
     The reported residual is max|A c - q| on the kernel A of the last accepted
     trial point (of the start when none is accepted), not a second kernel at
     the returned nodes; only the comparison with `init` evaluates init's own.
+    It is flagged "large-residual" as in decimated_solve (`_report`).
     """
-    _check_scheme(init.multiplicities, samples.scheme)
     ks, q = _scheme_ks(samples.scheme), samples._array
     start = np.array(init.node_args)
     end = _refine(start, init.multiplicities, ks, q, samples.scheme.stride)
@@ -543,4 +544,4 @@ def lm_refine(samples: SampleSet, init: PronyModel):
         init_res = _max_residual(init, ks, q)
         if init_res <= max_res:
             final, max_res = init, init_res
-    return final, SolverReport("lm", end.iterations, max_res, end.flags)
+    return final, _report(samples, "lm", end.iterations, max_res, end.flags)

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fourier
 from .decimate import decimated_solve, node_error_bound
-from .forward import _check_scheme, _model_arrays, _moments, _scheme_ks, _top_index, stride_separation
+from .forward import _model_arrays, _moments, _scheme_ks, stride_separation
 from .model import (
     TWO_PI,
     PronyModel,
@@ -36,6 +36,7 @@ from .model import (
     _loader,
     _order,
     _shown,
+    _top_index,
     circle_distance,
     match_estimates,
 )
@@ -78,7 +79,7 @@ class SweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # a bandwidth, grid size or top index is the length of an array (forward._top_index)
+        # a bandwidth, grid size or top index is the length of an array (model._top_index)
         for name, minimum, check in (("seeds", 0, _integer), ("p_values", 1, _integer),
                                      ("m_values", 1, _top_index)):
             values = getattr(self, name)
@@ -119,13 +120,8 @@ class SweepConfig:
             raise ValidationError("fixed-count-decimation needs count >= 2")
         if self.kind == "fixed-top-index-decimation" and self.top_index < 1:
             raise ValidationError("fixed-top-index-decimation needs top_index >= 1")
-        if self.kind in ("fixed-count-decimation", "bound-check"):
-            # the largest sampled index is p * count (top_index bounds it in a
-            # fixed-top sweep); bound-check's count is the square system's,
-            # 2 per simple node, and both model kinds have 2 nodes by default
-            fixed = self.kind == "fixed-count-decimation"
-            count = self.count if fixed else 2 * self.model.get("num_nodes", 2)
-            _top_index("the largest sampled index p * count", max(self.p_values) * count)
+        if self.kind != "fourier-convergence":
+            _schemes(self)  # refuses a stride past top_index and an extent past MAX_INDEX
         if self.kind == "bound-check" and self.solver == "esprit":
             raise ValidationError(
                 "bound-check samples the square system (2 per simple node) and "
@@ -240,28 +236,32 @@ def _build_model(config: SweepConfig, seed: int) -> PronyModel:
     return _random_simple_model(seed, config.p_values, **spec)
 
 
-def _count_for_stride(config: SweepConfig, p: int, truth: PronyModel) -> int:
-    if config.kind == "fixed-count-decimation":
-        return config.count
-    if config.kind == "fixed-top-index-decimation":
-        return config.top_index // p
-    # bound-check: the square system of the model
-    return truth.unknown_count
+def _schemes(config: SweepConfig) -> tuple:
+    """The scheme {0, p, ..., (count-1)p} of each stride p of a decimation
+    config: a fixed count, count = top_index // p (so no stride may exceed
+    top_index), or bound-check's square system, 2 per simple node, where both
+    model kinds have 2 nodes unless num_nodes says otherwise."""
+    fixed = {"fixed-count-decimation": config.count, "bound-check": 2 * config.model.get("num_nodes", 2)}
+    schemes = []
+    for p in config.p_values:
+        if config.kind == "fixed-top-index-decimation" and p > config.top_index:
+            raise ValidationError(f"fixed-top-index-decimation stride {p} exceeds top_index {config.top_index}")
+        schemes.append(SamplingScheme(0, p, fixed.get(config.kind, config.top_index // p)))
+    return tuple(schemes)
 
 
-def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
-    """Disk noise drawn once per seed on the union of all sweep index sets,
+def _union_noise(schemes, seed: int, noise: float):
+    """Disk noise drawn once per seed on the union of the sweep's schemes,
     so different strides see identical perturbations on shared indices.
 
     Returns the sorted union of indices and the noise value at each."""
-    stops = [p * _count_for_stride(config, p, truth) for p in config.p_values]
-    mask = np.zeros(max(stops), dtype=bool)
-    for p, stop in zip(config.p_values, stops):
-        mask[:stop:p] = True
+    mask = np.zeros(max(s.stride * s.count for s in schemes), dtype=bool)
+    for s in schemes:
+        mask[:s.stride * s.count:s.stride] = True
     union = np.flatnonzero(mask)
     rng = np.random.default_rng([seed, 0x0D15C])
     u = rng.random((len(union), 2))
-    eta = config.noise * np.sqrt(u[:, 0]) * np.exp(1j * TWO_PI * u[:, 1])
+    eta = noise * np.sqrt(u[:, 0]) * np.exp(1j * TWO_PI * u[:, 1])
     return union, eta
 
 
@@ -271,12 +271,11 @@ def _union_noise(config: SweepConfig, seed: int, truth: PronyModel):
 
 def _decimation_task(config: SweepConfig, seed: int):
     truth = _build_model(config, seed)
-    union, eta = _union_noise(config, seed, truth)
+    schemes = _schemes(config)
+    union, eta = _union_noise(schemes, seed, config.noise)
     rows, timings = [], {}
-    for p in config.p_values:
-        scheme = SamplingScheme(0, p, _count_for_stride(config, p, truth))
-        _check_scheme(truth.multiplicities, scheme)
-        ks = _scheme_ks(scheme)
+    for scheme in schemes:
+        p, ks = scheme.stride, _scheme_ks(scheme)
         q = _moments(*_model_arrays(truth), ks) + eta[np.searchsorted(union, ks)]
         samples = SampleSet(scheme, q, config.noise)
 

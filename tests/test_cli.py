@@ -390,8 +390,26 @@ def test_sweep_index_past_the_forward_limit_exit_code(tmp_path, capsys):
     cfg.write_text(json.dumps({"kind": "fixed-count-decimation", "seeds": [0], "p_values": [1, 10**9],
                                "count": 1000, "model": {"kind": "two-node", "gap": 0.01}}))
     assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
-    assert "the largest sampled index p * count must be at most 10000000" in capsys.readouterr().err
+    assert "index extent 1000000000000 exceeds the supported 10000000" in capsys.readouterr().err
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_sweep_stride_past_the_top_index_exit_code(tmp_path, capsys):
+    """This config built, and the sweep then died mid-run on SamplingScheme(0, 50, 0)."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"kind": "fixed-top-index-decimation", "seeds": [0], "p_values": [1, 50],
+                               "top_index": 20, "model": {"kind": "two-node"}}))
+    assert run("sweep", "--config", cfg, "--csv", tmp_path / "out.csv") == 2
+    assert "fixed-top-index-decimation stride 50 exceeds top_index 20" in capsys.readouterr().err
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_gen_model_multiplicity_past_the_limit_exit_code(tmp_path, capsys):
+    """The model was written, and only `moments` on it exited 2."""
+    out = tmp_path / "model.json"
+    assert run("gen", "model", "--angles", "0.1", "--multiplicities", "13", "--out", out) == 2
+    assert "multiplicities above 12 are not supported" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_validation_exit_code(tmp_path):

@@ -251,7 +251,7 @@ def test_lm_base_matches_hint_start_refinement(p, solver):
     ks = np.asarray(scheme.indices)
     for seed in config.seeds:
         truth = sweeps._build_model(config, seed)
-        union, eta = sweeps._union_noise(config, seed, truth)
+        union, eta = sweeps._union_noise(sweeps._schemes(config), seed, config.noise)
         values = np.asarray(evaluate_moments(truth, scheme).values) + eta[np.searchsorted(union, ks)]
         samples = SampleSet(scheme, tuple(values), config.noise)
 

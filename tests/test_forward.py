@@ -76,9 +76,9 @@ class TestEvaluateMoments:
             evaluate_moments(m, SamplingScheme(0, 10**7, 2))
 
     def test_multiplicity_limit_enforced(self):
-        m = PronyModel([1.0], [13], [[1.0] * 13])
+        # the model itself is refused now, so nothing can evaluate it
         with pytest.raises(ValidationError, match="multiplicities above 12 are not supported"):
-            evaluate_moments(m, SamplingScheme(0, 1, 30))
+            evaluate_moments(PronyModel([1.0], [13], [[1.0] * 13]), SamplingScheme(0, 1, 30))
 
     def test_real_signal_conjugate_symmetry(self):
         # model induced by real jump data satisfies m_{-k} = conj(m_k)

@@ -57,6 +57,12 @@ class TestPronyModel:
         assert m.unknown_count == 5
         assert m.unknown_count == m.poly_order + m.num_nodes
 
+    def test_multiplicity_limit_checked_when_built(self):
+        # this built, and bounds ran on it; only evaluating or solving refused it
+        PronyModel([1.0], [12], [[1.0] * 12])
+        with pytest.raises(ValidationError, match="multiplicities above 12 are not supported"):
+            PronyModel([1.0, -1.0], [1, 13], [[1.0], [1.0] * 13])
+
     def test_rejects_off_circle_nodes(self):
         with pytest.raises(ValidationError):
             PronyModel([1.1], [1], [[1.0]])
@@ -123,6 +129,13 @@ class TestSampling:
             SamplingScheme(-1, 1, 1)
         with pytest.raises(ValidationError):
             SamplingScheme(0, 0, 1)
+
+    def test_scheme_extent_checked_when_built(self):
+        # the extent offset + stride * count may reach MAX_INDEX, and this
+        # one past it built, to be refused by every caller of the forward map
+        assert SamplingScheme(0, 1, 10**7).count == pd.model.MAX_INDEX
+        with pytest.raises(ValidationError, match="index extent 10000001 exceeds the supported 10000000"):
+            SamplingScheme(1, 1, 10**7)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan), -math.inf])
     def test_sampleset_rejects_nonfinite_value(self, bad):

@@ -340,6 +340,16 @@ class TestLmRefine:
         assert report.residual < 1e-12
         assert [end.stop for end in refinements] == ["step"]
 
+    def test_large_residual_flagged_as_in_decimated_solve(self):
+        # a one-node start on two-node data: both end on the same residual,
+        # and lm_refine alone left it unflagged
+        truth, _ = self._truth_and_samples()
+        samples = add_noise(exact_samples(truth, 40), 1e-6, seed=0)
+        _, solved = decimated_solve(samples, (1,), [0.7], base_solver="lm")
+        _, refined = lm_refine(samples, PronyModel([cmath.exp(0.7j)], [1], [[1.0]]))
+        assert refined.residual == solved.residual > 1.0
+        assert refined.flags == solved.flags == ("large-residual",)
+
     def test_basin_roundtrip(self, refinements):
         truth, samples = self._truth_and_samples()
         perturbed = PronyModel(
@@ -732,6 +742,12 @@ class TestConfluentVandermonde:
         with pytest.raises(ValidationError):
             confluent_vandermonde_coeffs((1.0,), (3,), samples)
 
+    def test_multiplicity_limit(self):
+        # this returned 13 coefficients, where every model is limited to 12
+        samples = SampleSet(SamplingScheme(0, 1, 20), [1.0] * 20)
+        with pytest.raises(ValidationError, match="multiplicities above 12 are not supported"):
+            confluent_vandermonde_coeffs((1.0,), (13,), samples)
+
     @pytest.mark.parametrize("nodes, mults", [((1.0,), (1, 1)), ((1.0, -1.0), (1,)), ((1.0,), ())])
     def test_structure_mismatch_rejected(self, nodes, mults):
         # a node without a multiplicity left basis columns uninitialized
@@ -835,5 +851,5 @@ class TestBaseSolversAreDecimatedSolve:
     def test_report_built_in_one_place(self):
         sources = pathlib.Path(inspect.getfile(decimated_solve)).parent.glob("*.py")
         total = sum(path.read_text().count("SolverReport(") for path in sources)
-        inside = [inspect.getsource(f).count("SolverReport(") for f in (decimated_solve, lm_refine)]
-        assert inside == [1, 1] and total == 2
+        assert inspect.getsource(solvers._report).count("SolverReport(") == 1 and total == 1
+        assert [inspect.getsource(f).count("_report(") for f in (decimated_solve, lm_refine)] == [1, 1]

@@ -184,15 +184,21 @@ class TestConfig:
         ({"kind": "fixed-top-index-decimation", "top_index": 10**12},
          "top_index must be at most 10000000, got 1000000000000"),
         ({"p_values": [1, 10**9], "count": 1000},
-         "the largest sampled index p \\* count must be at most 10000000, got 1000000000000"),
+         "index extent 1000000000000 exceeds the supported 10000000"),
         ({"kind": "bound-check", "p_values": [1, 25 * 10**10]},
-         "the largest sampled index p \\* count must be at most 10000000, got 1000000000000"),
+         "index extent 1000000000000 exceeds the supported 10000000"),
     ], ids=["bandwidth", "psi-degree", "grid-size", "top-index", "fixed-count", "bound-check"])
     def test_index_past_the_forward_limit_checked_at_construction(self, overrides, message):
         # each built, then run_sweep failed mid-run: the index extent check, or
         # a MemoryError from the first array of that length
         with pytest.raises(ValidationError, match=message):
             small_fig1_config(**overrides)
+
+    def test_stride_past_the_top_index_checked_at_construction(self):
+        # this built, and run_sweep died mid-run: "count must be an integer >= 1, got 0"
+        with pytest.raises(ValidationError, match="fixed-top-index-decimation stride 50 exceeds top_index 20"):
+            SweepConfig(kind="fixed-top-index-decimation", seeds=[0], p_values=[1, 50], top_index=20,
+                        model={"kind": "two-node"})
 
     def test_random_model_gives_up_on_unreachable_separation(self):
         # nodes 1.99 apart at p = 1 are nearly antipodal, so they nearly meet at p = 2
@@ -294,10 +300,12 @@ class TestOneTaskPerSeed:
 ], ids=["fixed-count", "fixed-top", "bound-check"])
 def test_union_noise_covers_the_same_indices_as_unique(cfg):
     truth = sweeps._build_model(cfg, 4)
-    union, eta = sweeps._union_noise(cfg, 4, truth)
-    expected = np.unique(np.concatenate([
-        p * np.arange(sweeps._count_for_stride(cfg, p, truth)) for p in cfg.p_values
-    ]))
+    union, eta = sweeps._union_noise(sweeps._schemes(cfg), 4, cfg.noise)
+    # each kind's count at stride p; bound-check samples the model's square system
+    count = {"fixed-count-decimation": lambda p: cfg.count,
+             "fixed-top-index-decimation": lambda p: cfg.top_index // p,
+             "bound-check": lambda p: truth.unknown_count}[cfg.kind]
+    expected = np.unique(np.concatenate([p * np.arange(count(p)) for p in cfg.p_values]))
     assert union.dtype == expected.dtype and np.array_equal(union, expected)
     assert eta.shape == union.shape
 
